@@ -31,7 +31,6 @@ from .harness import (
     run_sweep,
     scenario_from_config,
 )
-from .kernels import NUMBA_ENABLED
 from .positioning import (
     OptimizeOutcome,
     PenaltyConfig,

@@ -88,20 +88,33 @@ def channel_state(scenario: Scenario, deployment) -> ChannelState:
     return ChannelState(H=H, G=G, G_inv=G_inv, cond=cond)
 
 
-def trace_objective(scenario: Scenario, deployment) -> float:
-    """tr(G^-1) for the deployment; strictly positive, lower is better."""
-    pos = as_positions(deployment)
-    trace, cond = kernels.trace_at(
-        pos,
+def checked_kernel(kernel, scenario: Scenario, positions) -> tuple:
+    """Run a trace kernel (``kernels.trace_at`` or ``kernels.trace_and_grad``)
+    on the scenario's channel at ``positions`` and return its result.
+
+    Raises
+    ------
+    SingularChannel
+        If the kernel reports the Gram condition number past
+        ``SINGULAR_COND_LIMIT`` (a NaN trace).
+    """
+    result = kernel(
+        positions,
         scenario.direction_vectors(),
         scenario.amplitudes(),
         scenario.wavenumber,
         SINGULAR_COND_LIMIT,
     )
-    if np.isnan(trace):
+    if np.isnan(result[0]):
         raise SingularChannel(
-            f"Gram condition number {cond:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}"
+            f"Gram condition number {result[-1]:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}"
         )
+    return result
+
+
+def trace_objective(scenario: Scenario, deployment) -> float:
+    """tr(G^-1) for the deployment; strictly positive, lower is better."""
+    trace, _ = checked_kernel(kernels.trace_at, scenario, as_positions(deployment))
     return float(trace)
 
 

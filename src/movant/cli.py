@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--grid-step", type=float, help="duration grid step in seconds")
     p_sweep.add_argument("--samples", type=int, default=5)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--restarts", type=int, default=1)
     p_sweep.add_argument("--out", help="CSV output path (default: stdout)")
 
@@ -102,7 +101,6 @@ def _run_config_from_args(args) -> RunConfig:
     return RunConfig(
         grid_step=getattr(args, "grid_step", None),
         samples=getattr(args, "samples", 5),
-        workers=getattr(args, "workers", 1),
         penalty=penalty,
     )
 

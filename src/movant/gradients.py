@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .channel import SINGULAR_COND_LIMIT, trace_objective
-from .errors import SingularChannel
+from .channel import checked_kernel, trace_objective
 from .scenario import Deployment, Scenario, as_positions
 
 __all__ = ["GradientField", "grad_trace", "grad_rate", "fd_gradient"]
@@ -36,17 +35,7 @@ def grad_trace(scenario: Scenario, deployment) -> GradientField:
     [H]_{n,k})``; the y components vanish identically in segment mode.
     """
     pos = as_positions(deployment)
-    trace, grad, cond = kernels.trace_and_grad(
-        pos,
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
-        SINGULAR_COND_LIMIT,
-    )
-    if np.isnan(trace):
-        raise SingularChannel(
-            f"Gram condition number {cond:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}"
-        )
+    _, grad, _ = checked_kernel(kernels.trace_and_grad, scenario, pos)
     return GradientField(components=grad, deployment=Deployment(pos))
 
 
@@ -57,17 +46,7 @@ def grad_rate(scenario: Scenario, deployment) -> GradientField:
     trace objective.
     """
     pos = as_positions(deployment)
-    trace, grad, cond = kernels.trace_and_grad(
-        pos,
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
-        SINGULAR_COND_LIMIT,
-    )
-    if np.isnan(trace):
-        raise SingularChannel(
-            f"Gram condition number {cond:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}"
-        )
+    trace, grad, _ = checked_kernel(kernels.trace_and_grad, scenario, pos)
     c = scenario.snr_scale
     scale = -c / (np.log(2.0) * trace * (trace + c))
     return GradientField(components=scale * grad, deployment=Deployment(pos))

@@ -9,7 +9,6 @@ and powers are dBm (converted to linear watts internally).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -85,7 +84,6 @@ class RunConfig:
 
     grid_step: float | None = None  # duration grid step; None = interval/400
     samples: int = 5
-    workers: int = 1
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     unconstrained_restarts: int = 4
 
@@ -124,11 +122,13 @@ _LIST_KEYS = {
 }
 _INT_KEYS = {"num_antennas", "num_users"}
 _STR_KEYS = {"topology"}
+_KNOWN_KEYS = set(DEFAULT_CONFIG) | _LIST_KEYS
 
 
 def parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` lines; '#' starts a comment, lists are
-    comma separated."""
+    comma separated. An unknown key is an error, so a misspelt key cannot
+    leave its default in force."""
     cfg = dict(DEFAULT_CONFIG)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -137,6 +137,8 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KNOWN_KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in _STR_KEYS:
             cfg[key] = value
         elif key in _LIST_KEYS:
@@ -293,17 +295,12 @@ def run_sweep(
 ) -> list[str]:
     """Run every (grid value, scheme) cell and return CSV rows.
 
-    Row order is grid-major, scheme-minor regardless of worker count; a
-    failing cell contributes a row with the error column set instead of
-    aborting the sweep.
+    Row order is grid-major, scheme-minor; a failing cell contributes a row
+    with the error column set instead of aborting the sweep.
     """
     rc = run_config or RunConfig()
-    cells = [
-        (value, scheme) for value in sweep.values for scheme in sweep.schemes
-    ]
 
-    def solve(cell):
-        value, scheme = cell
+    def solve(value, scheme):
         try:
             scenario = scenario_variant(base_scenario, sweep.parameter, value)
             report = run_scheme(scenario, scheme, rc)
@@ -321,11 +318,7 @@ def run_sweep(
             ]
         )
 
-    if rc.workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=rc.workers) as pool:
-            rows = list(pool.map(solve, cells))
-    else:
-        rows = [solve(cell) for cell in cells]
+    rows = [solve(value, scheme) for value in sweep.values for scheme in sweep.schemes]
     return [CSV_HEADER, *rows]
 
 
@@ -428,7 +421,7 @@ def run_validation(scenario: Scenario, seed: int = 0) -> list[tuple[str, bool, s
         dots = (g_rate * analytic).sum()
         record("rate_gradient_antiparallel", dots <= 0.0)
 
-        lo = np.zeros(2)
+        lo, hi = scenario.region_bounds()
         ok_proj = True
         for _ in range(100):
             center = rng.uniform(0, scenario.region_side, 2)
@@ -438,11 +431,6 @@ def run_validation(scenario: Scenario, seed: int = 0) -> list[tuple[str, bool, s
             radius = rng.uniform(0, scenario.region_side)
             proj = project_box_disk(
                 point, center, radius, scenario.region_side, scenario.topology
-            )
-            hi = (
-                np.array([scenario.region_side, 0.0])
-                if scenario.topology is Topology.SEGMENT_1D
-                else np.array([scenario.region_side, scenario.region_side])
             )
             in_box = np.all(proj >= lo - 1e-10) and np.all(proj <= hi + 1e-10)
             in_disk = np.linalg.norm(proj - center) <= radius + 1e-10

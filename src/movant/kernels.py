@@ -1,11 +1,5 @@
 """Hot numerical kernels: channel matrix, trace objective, its gradient,
-and the box/disk projection.
-
-Each kernel exists in a pure-NumPy form (the ``_py_*`` functions). When numba
-is importable and the environment variable ``MOVANT_DISABLE_NUMBA`` is unset,
-the public names are ``@njit``-compiled versions of the same code; otherwise
-they are the plain functions. ``benchmarks/bench_kernels.py`` compares the two
-paths.
+and the box/disk projection, one NumPy implementation each.
 
 Conventions: positions are (N, 2) float64 arrays in wavelength units,
 ``directions`` is the (K, 2) array of per-user direction vectors,
@@ -17,217 +11,118 @@ channels; they return NaN objectives plus the measured condition number and
 leave error handling to the wrappers.
 """
 
-import os
-
 import numpy as np
 
 __all__ = [
     "NUMBA_ENABLED",
     "channel_matrix",
-    "trace_inv_gram",
     "trace_at",
     "trace_and_grad",
-    "project_box_disk",
     "project_deployment",
-    "PY_KERNELS",
 ]
 
-
-def _passthrough(fn):
-    return fn
-
-
-_env = os.environ.get("MOVANT_DISABLE_NUMBA", "").strip().lower()
-_disabled = _env in {"1", "true", "yes", "on"}
-
-if _disabled:
-    NUMBA_ENABLED = False
-    _jit = _passthrough
-else:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-
-        def _jit(fn):
-            return _njit(cache=True, nogil=True)(fn)
-
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-        _jit = _passthrough
+# the kernels are plain NumPy; the flag stays for run records that report it
+NUMBA_ENABLED = False
 
 
-def _py_channel_matrix(positions, directions, amplitudes, wavenumber):
-    n_ant = positions.shape[0]
-    n_usr = directions.shape[0]
-    H = np.empty((n_ant, n_usr), dtype=np.complex128)
-    for n in range(n_ant):
-        for k in range(n_usr):
-            phase = wavenumber * (
-                positions[n, 0] * directions[k, 0]
-                + positions[n, 1] * directions[k, 1]
-            )
-            H[n, k] = amplitudes[k] * complex(np.cos(phase), -np.sin(phase))
-    return H
+# the trace kernels build H through _channel rather than channel_matrix, so
+# that wrapping a public kernel to count or time its calls does not also
+# count the trace kernels' own use of it
+def _channel(positions, directions, amplitudes, wavenumber):
+    return amplitudes * np.exp(-1j * wavenumber * (positions @ directions.T))
 
 
-def _py_trace_inv_gram(H, cond_limit):
-    G = np.conj(H.T) @ H
-    eigvals = np.linalg.eigvalsh(G)
-    if eigvals[0] <= 0.0:
-        return np.nan, np.inf
-    cond = eigvals[-1] / eigvals[0]
-    if cond > cond_limit:
-        return np.nan, cond
-    trace = 0.0
-    for v in eigvals:
-        trace += 1.0 / v
+def channel_matrix(positions, directions, amplitudes, wavenumber):
+    """The (N, K) channel matrix H."""
+    return _channel(positions, directions, amplitudes, wavenumber)
+
+
+def _gram_spectrum(positions, directions, amplitudes, wavenumber, cond_limit, vectors):
+    """Channel H, ascending Gram eigenvalues w, eigenvectors V (None unless
+    ``vectors``), tr(G^-1) and cond(G). The trace is NaN when G is singular
+    or worse conditioned than ``cond_limit``."""
+    H = _channel(positions, directions, amplitudes, wavenumber)
+    G = H.conj().T @ H
+    if vectors:
+        w, V = np.linalg.eigh(G)
+    else:
+        w, V = np.linalg.eigvalsh(G), None
+    if w[0] <= 0.0:
+        return H, w, V, np.nan, np.inf
+    cond = w[-1] / w[0]
+    trace = (1.0 / w).sum() if cond <= cond_limit else np.nan
+    return H, w, V, trace, cond
+
+
+def trace_at(positions, directions, amplitudes, wavenumber, cond_limit):
+    """(tr(G^-1), cond(G)); the trace is NaN past ``cond_limit``."""
+    _, _, _, trace, cond = _gram_spectrum(
+        positions, directions, amplitudes, wavenumber, cond_limit, False
+    )
     return trace, cond
 
 
-def _py_trace_at(positions, directions, amplitudes, wavenumber, cond_limit):
-    n_ant = positions.shape[0]
-    n_usr = directions.shape[0]
-    H = np.empty((n_ant, n_usr), dtype=np.complex128)
-    for n in range(n_ant):
-        for k in range(n_usr):
-            phase = wavenumber * (
-                positions[n, 0] * directions[k, 0]
-                + positions[n, 1] * directions[k, 1]
-            )
-            H[n, k] = amplitudes[k] * complex(np.cos(phase), -np.sin(phase))
-    G = np.conj(H.T) @ H
-    eigvals = np.linalg.eigvalsh(G)
-    if eigvals[0] <= 0.0:
-        return np.nan, np.inf
-    cond = eigvals[-1] / eigvals[0]
-    if cond > cond_limit:
-        return np.nan, cond
-    trace = 0.0
-    for v in eigvals:
-        trace += 1.0 / v
-    return trace, cond
+def trace_and_grad(positions, directions, amplitudes, wavenumber, cond_limit):
+    """(tr(G^-1), its (N, 2) gradient, cond(G)); the gradient is zero
+    where the trace is NaN.
 
-
-def _py_trace_and_grad(positions, directions, amplitudes, wavenumber, cond_limit):
-    n_ant = positions.shape[0]
-    n_usr = directions.shape[0]
-    grad = np.zeros((n_ant, 2))
-    H = np.empty((n_ant, n_usr), dtype=np.complex128)
-    for n in range(n_ant):
-        for k in range(n_usr):
-            phase = wavenumber * (
-                positions[n, 0] * directions[k, 0]
-                + positions[n, 1] * directions[k, 1]
-            )
-            H[n, k] = amplitudes[k] * complex(np.cos(phase), -np.sin(phase))
-    G = np.conj(H.T) @ H
-    eigvals = np.linalg.eigvalsh(G)
-    if eigvals[0] <= 0.0:
-        return np.nan, grad, np.inf
-    cond = eigvals[-1] / eigvals[0]
-    if cond > cond_limit:
-        return np.nan, grad, cond
-    G_inv = np.linalg.inv(G)
-    trace = 0.0
-    for v in eigvals:
-        trace += 1.0 / v
-    # rows of (G^-1 G^-1 H^H) paired with matching channel entries
-    M = (G_inv @ G_inv) @ np.conj(H.T)
-    for n in range(n_ant):
-        gx = 0.0
-        gy = 0.0
-        for k in range(n_usr):
-            im = (M[k, n] * H[n, k]).imag
-            gx += directions[k, 0] * im
-            gy += directions[k, 1] * im
-        grad[n, 0] = -2.0 * wavenumber * gx
-        grad[n, 1] = -2.0 * wavenumber * gy
-    return trace, grad, cond
-
-
-def _py_project_box_disk(point, lo, hi, center, radius, tol, max_iter):
-    """Euclidean projection onto box [lo, hi] intersected with the closed
-    disk around ``center`` (assumed inside the box, so the intersection is
-    nonempty).
-
-    Solved exactly through the disk multiplier: the minimizer is
-    ``x(mu) = clip((point + mu*center) / (1 + mu))`` for the unique mu >= 0
-    that makes the disk constraint tight (mu = 0 when it is slack), located
-    by bisection with fixed internal iteration caps that exhaust double
-    precision. ``tol`` and ``max_iter`` stay in the signature for the
-    callers' sake; the result is always at machine accuracy.
+    Row n of the gradient is ``-2 * wavenumber * sum_k directions[k] *
+    Im([G^-2 H^H]_{k,n} H[n, k])``, with G^-2 = V diag(w^-2) V^H from the
+    same eigendecomposition that gives the trace.
     """
-    out = np.empty(2)
-    if radius <= 0.0:
-        out[0] = min(max(center[0], lo[0]), hi[0])
-        out[1] = min(max(center[1], lo[1]), hi[1])
+    H, w, V, trace, cond = _gram_spectrum(
+        positions, directions, amplitudes, wavenumber, cond_limit, True
+    )
+    if np.isnan(trace):
+        return trace, np.zeros(positions.shape), cond
+    # H G^-2 is the conjugate transpose of G^-2 H^H
+    HG2 = ((H @ V) / w**2) @ V.conj().T
+    im = (HG2 * H.conj()).imag
+    return trace, 2.0 * wavenumber * (im @ directions), cond
+
+
+def project_deployment(points, centers, radius, lo, hi):
+    """Euclidean projection of each row of ``points`` onto the box
+    [lo, hi] intersected with the closed disk of ``radius`` around the
+    matching row of ``centers`` (centers lie in the box, so the set is
+    never empty).
+
+    Closed form: the box clip when it lies in the disk; else the radial
+    disk point when it lies in the box; else both constraints bind and the
+    projection is the nearest point where the circle meets a box edge.
+    """
+    out = np.clip(points, lo, hi)
+    outside = np.hypot(*(out - centers).T) > radius
+    if not outside.any():
         return out
-    # mu = 0 candidate: plain box clip
-    b0 = min(max(point[0], lo[0]), hi[0])
-    b1 = min(max(point[1], lo[1]), hi[1])
-    w0 = b0 - center[0]
-    w1 = b1 - center[1]
-    if w0 * w0 + w1 * w1 <= radius * radius:
-        out[0] = b0
-        out[1] = b1
+    c = centers[outside]
+    offset = points[outside] - c
+    # the box clip is no farther from c than the point, so dist > radius >= 0
+    unit = offset / np.hypot(*offset.T)[:, None]
+    radial = c + radius * unit
+    in_box = np.all((radial >= lo) & (radial <= hi), axis=1)
+    rows = np.flatnonzero(outside)
+    out[rows[in_box]] = radial[in_box]
+    if in_box.all():
         return out
-    # ||x(mu) - center|| decreases to 0 as mu grows; bracket the root
-    mu_lo = 0.0
-    mu_hi = 1.0
-    for _ in range(200):
-        inv = 1.0 / (1.0 + mu_hi)
-        c0 = min(max((point[0] + mu_hi * center[0]) * inv, lo[0]), hi[0])
-        c1 = min(max((point[1] + mu_hi * center[1]) * inv, lo[1]), hi[1])
-        w0 = c0 - center[0]
-        w1 = c1 - center[1]
-        if w0 * w0 + w1 * w1 <= radius * radius:
-            break
-        mu_hi *= 4.0
-    # 120 halvings exhaust double precision for any bracket width
-    for _ in range(120):
-        mid = 0.5 * (mu_lo + mu_hi)
-        if mid <= mu_lo or mid >= mu_hi:
-            break
-        inv = 1.0 / (1.0 + mid)
-        c0 = min(max((point[0] + mid * center[0]) * inv, lo[0]), hi[0])
-        c1 = min(max((point[1] + mid * center[1]) * inv, lo[1]), hi[1])
-        w0 = c0 - center[0]
-        w1 = c1 - center[1]
-        if w0 * w0 + w1 * w1 > radius * radius:
-            mu_lo = mid
-        else:
-            mu_hi = mid
-        if mu_hi - mu_lo <= 1e-16 * (1.0 + mu_hi):
-            break
-    inv = 1.0 / (1.0 + mu_hi)
-    out[0] = min(max((point[0] + mu_hi * center[0]) * inv, lo[0]), hi[0])
-    out[1] = min(max((point[1] + mu_hi * center[1]) * inv, lo[1]), hi[1])
+    c, unit = c[~in_box], unit[~in_box]
+    # the circle's crossings with the edge lines x = lo0, x = hi0, y = lo1,
+    # y = hi1 as offsets from c: the signed distance across to the line and
+    # plus or minus the half chord along it
+    lo_c, hi_c = lo - c, hi - c
+    across = np.tile(np.stack([lo_c[:, 0], hi_c[:, 0], lo_c[:, 1], hi_c[:, 1]], axis=1), 2)
+    gap = radius - np.abs(across)
+    half = np.sqrt(np.maximum(gap[:, :4] * (radius + np.abs(across[:, :4])), 0.0))
+    along = np.concatenate([half, -half], axis=1)
+    on_x = np.tile([True, True, False, False], 2)
+    step = np.stack([np.where(on_x, across, along), np.where(on_x, along, across)], axis=-1)
+    # a crossing must also lie within the bounds of the axis it runs along
+    low = np.where(on_x, lo_c[:, 1:], lo_c[:, :1])
+    high = np.where(on_x, hi_c[:, 1:], hi_c[:, :1])
+    ok = (gap >= 0.0) & (along >= low) & (along <= high)
+    # every crossing lies at distance radius from c, so the one nearest the
+    # point is the one furthest along the direction from c to the point
+    score = np.where(ok, (step * unit[:, None, :]).sum(axis=2), -np.inf)
+    best = step[np.arange(len(c)), np.argmax(score, axis=1)]
+    out[rows[~in_box]] = np.clip(c + best, lo, hi)
     return out
-
-
-def _py_project_deployment(points, centers, radius, lo, hi, tol, max_iter):
-    n_ant = points.shape[0]
-    out = np.empty((n_ant, 2))
-    for n in range(n_ant):
-        proj = project_box_disk(points[n], lo, hi, centers[n], radius, tol, max_iter)
-        out[n, 0] = proj[0]
-        out[n, 1] = proj[1]
-    return out
-
-
-channel_matrix = _jit(_py_channel_matrix)
-trace_inv_gram = _jit(_py_trace_inv_gram)
-project_box_disk = _jit(_py_project_box_disk)
-trace_at = _jit(_py_trace_at)
-trace_and_grad = _jit(_py_trace_and_grad)
-project_deployment = _jit(_py_project_deployment)
-
-PY_KERNELS = {
-    "channel_matrix": _py_channel_matrix,
-    "trace_inv_gram": _py_trace_inv_gram,
-    "trace_at": _py_trace_at,
-    "trace_and_grad": _py_trace_and_grad,
-    "project_box_disk": _py_project_box_disk,
-    "project_deployment": _py_project_deployment,
-}

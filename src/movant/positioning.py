@@ -19,7 +19,7 @@ import numpy as np
 from . import kernels
 from .channel import SINGULAR_COND_LIMIT, trace_objective
 from .errors import InfeasibleSpacing, SingularChannel
-from .scenario import Deployment, Scenario, Topology, as_positions
+from .scenario import Deployment, Scenario, Topology, as_positions, min_pair_distance
 
 __all__ = [
     "PenaltyConfig",
@@ -31,7 +31,6 @@ __all__ = [
     "unconstrained_deploy",
 ]
 
-_PROJ_MAX_ITER = 20000
 _MAX_HALVINGS = 60
 
 _STATUS_CONVERGED = 0
@@ -51,20 +50,13 @@ class PenaltyConfig:
     ao_max_iters: int = 12
     feasibility_tol: float = 1e-4
     grad_tol: float = 1e-6
-    projection_tol: float = 1e-10
     restarts: int = 1
     restart_seed: int = 0
 
     def __post_init__(self):
         if self.rho_growth <= 1.0:
             raise ValueError("rho_growth must exceed 1")
-        for name in (
-            "rho_init",
-            "pgd_step",
-            "feasibility_tol",
-            "grad_tol",
-            "projection_tol",
-        ):
+        for name in ("rho_init", "pgd_step", "feasibility_tol", "grad_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.pgd_max_iters < 1 or self.ao_max_iters < 1 or self.restarts < 1:
@@ -90,7 +82,6 @@ def project_box_disk(
     radius: float,
     region_side: float,
     topology: Topology = Topology.SQUARE_2D,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Euclidean-nearest point of the region intersected with the closed disk
     of the given radius around ``center``.
@@ -99,23 +90,10 @@ def project_box_disk(
     initial antenna position. Idempotent: projecting the result again leaves
     it unchanged.
     """
-    p = np.asarray(point, dtype=float).reshape(2)
-    c = np.asarray(center, dtype=float).reshape(2)
-    lo = np.zeros(2)
-    if topology is Topology.SEGMENT_1D:
-        hi = np.array([region_side, 0.0])
-    else:
-        hi = np.array([region_side, region_side])
-    return kernels.project_box_disk(p, lo, hi, c, float(radius), tol, _PROJ_MAX_ITER)
-
-
-def _min_pair_distance(points: np.ndarray) -> float:
-    n = points.shape[0]
-    if n < 2:
-        return math.inf
-    diffs = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diffs**2).sum(axis=2))
-    return float(dists[np.triu_indices(n, k=1)].min())
+    p = np.asarray(point, dtype=float).reshape(1, 2)
+    c = np.asarray(center, dtype=float).reshape(1, 2)
+    lo, hi = topology.bounds(region_side)
+    return kernels.project_deployment(p, c, float(radius), lo, hi)[0]
 
 
 def _clip_region(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -158,18 +136,14 @@ def separate_anchors(
                 f"{n} points cannot keep spacing {min_spacing} inside a side-"
                 f"{region_side} region (grid packing bound {capacity})"
             )
-        lo = np.zeros(2)
-        if topology is Topology.SEGMENT_1D:
-            hi = np.array([region_side, 0.0])
-        else:
-            hi = np.array([region_side, region_side])
+        lo, hi = topology.bounds(region_side)
     else:
         lo = np.array([-math.inf, -math.inf])
         hi = np.array([math.inf, math.inf])
         if topology is Topology.SEGMENT_1D:
             lo[1] = hi[1] = 0.0
 
-    if _min_pair_distance(pts) >= min_spacing - 1e-12:
+    if min_pair_distance(pts) >= min_spacing - 1e-12:
         return pts
 
     original = pts.copy()
@@ -187,9 +161,9 @@ def separate_anchors(
                 pts[j] += shift * direction
                 moved = True
         _clip_region(pts, lo, hi)
-        if not moved and _min_pair_distance(pts) >= min_spacing - 1e-12:
+        if not moved and min_pair_distance(pts) >= min_spacing - 1e-12:
             break
-    if _min_pair_distance(pts) < min_spacing - 1e-9:
+    if min_pair_distance(pts) < min_spacing - 1e-9:
         raise InfeasibleSpacing(
             f"failed to separate {n} points to spacing {min_spacing} "
             f"within {max_sweeps} sweeps"
@@ -262,10 +236,8 @@ def _pgd_loop(
     """Projected gradient descent on trace + rho * ||pos - anchors||^2 with
     backtracking halving; every iterate satisfies the disk and region
     constraints exactly. Returns (positions, trace, iterations, status)."""
-    proj = lambda pts: kernels.project_deployment(
-        pts, centers, radius, lo, hi, cfg.projection_tol, _PROJ_MAX_ITER
-    )
-    pos = proj(np.ascontiguousarray(start))
+    proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
+    pos = proj(start)
     trace, grad, _ = kernels.trace_and_grad(
         pos, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
     )
@@ -391,7 +363,7 @@ def optimize_positions(
     directions = scenario.direction_vectors()
     amplitudes = scenario.amplitudes()
     d_min = scenario.min_spacing
-    spacing_ok = lambda pts: _min_pair_distance(pts) >= d_min - cfg.feasibility_tol
+    spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - cfg.feasibility_tol
 
     # the initial deployment is feasible for every duration: never do worse
     best_obj = f_initial
@@ -402,12 +374,10 @@ def optimize_positions(
 
     for restart in range(cfg.restarts):
         if restart == 0:
-            pts = initial.copy() if start is None else as_positions(start).copy()
+            pts = initial if start is None else as_positions(start)
         else:
             pts = initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
-        pts = kernels.project_deployment(
-            np.ascontiguousarray(pts), initial, radius, lo, hi, cfg.projection_tol, _PROJ_MAX_ITER
-        )
+        pts = kernels.project_deployment(pts, initial, radius, lo, hi)
         run_obj = math.inf
         run_pts = None
         if spacing_ok(pts):
@@ -461,7 +431,7 @@ def optimize_positions(
         elif restart == 0 and best_pts is initial:
             best_run = (outer, inner_total, converged, tuple(gaps))
 
-    violation = max(0.0, d_min - _min_pair_distance(best_pts))
+    violation = max(0.0, d_min - min_pair_distance(best_pts))
     return OptimizeOutcome(
         deployment=Deployment(best_pts),
         objective=best_obj,

@@ -16,6 +16,7 @@ __all__ = [
     "Deployment",
     "Scenario",
     "as_positions",
+    "min_pair_distance",
     "linear_from_dbm",
     "two_antenna_line_scenario",
 ]
@@ -28,6 +29,12 @@ class Topology(Enum):
 
     SEGMENT_1D = "segment"
     SQUARE_2D = "square"
+
+    def bounds(self, side: float) -> tuple[np.ndarray, np.ndarray]:
+        """Lower/upper corner of a region of the given side length (y
+        pinned to 0 on a segment)."""
+        hi = np.array([side, 0.0 if self is Topology.SEGMENT_1D else side])
+        return np.zeros(2), hi
 
 
 def linear_from_dbm(dbm: float) -> float:
@@ -45,6 +52,16 @@ def as_positions(deployment) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected (N, 2) positions, got shape {arr.shape}")
     return arr
+
+
+def min_pair_distance(points: np.ndarray) -> float:
+    """Smallest distance between two rows of ``points`` (inf below two)."""
+    n = points.shape[0]
+    if n < 2:
+        return np.inf
+    diffs = points[:, None, :] - points[None, :, :]
+    dists = np.sqrt((diffs**2).sum(axis=2))
+    return float(dists[np.triu_indices(n, k=1)].min())
 
 
 @dataclass(frozen=True)
@@ -76,12 +93,7 @@ class Deployment:
         return self.coords[:, 0]
 
     def min_pair_distance(self) -> float:
-        n = len(self)
-        if n < 2:
-            return np.inf
-        diffs = self.coords[:, None, :] - self.coords[None, :, :]
-        dists = np.sqrt((diffs**2).sum(axis=2))
-        return float(dists[np.triu_indices(n, k=1)].min())
+        return min_pair_distance(self.coords)
 
     def max_shift_from(self, other: "Deployment") -> float:
         return float(np.linalg.norm(self.coords - other.coords, axis=1).max())
@@ -163,12 +175,7 @@ class Scenario:
 
     def region_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper corner of the admissible region (y pinned to 0 in 1D)."""
-        lo = np.zeros(2)
-        if self.topology is Topology.SEGMENT_1D:
-            hi = np.array([self.region_side, 0.0])
-        else:
-            hi = np.array([self.region_side, self.region_side])
-        return lo, hi
+        return self.topology.bounds(self.region_side)
 
     def direction_vectors(self) -> np.ndarray:
         """Per-user unit-phase direction vectors, shape (K, 2).

@@ -14,7 +14,6 @@ from . import kernels
 from .channel import SINGULAR_COND_LIMIT, achievable_rate
 from .errors import FitDiverged
 from .positioning import (
-    _PROJ_MAX_ITER,
     OptimizeOutcome,
     PenaltyConfig,
     optimize_positions,
@@ -111,20 +110,13 @@ def _pick_start(scenario: Scenario, t_mov: float, guide, previous):
     """Warm start for one duration solve: the previous grid solution or the
     speed-free optimum pulled into the reachable set, whichever has the lower
     objective. Both are cheap single evaluations, not optimizer runs."""
-    cfg_tol = PenaltyConfig().projection_tol
     candidates = []
     if previous is not None:
         candidates.append(previous.coords)
     if guide is not None:
         lo, hi = scenario.region_bounds()
         pulled = kernels.project_deployment(
-            np.ascontiguousarray(guide.coords),
-            scenario.initial_positions.coords,
-            scenario.max_speed * t_mov,
-            lo,
-            hi,
-            cfg_tol,
-            _PROJ_MAX_ITER,
+            guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
         )
         candidates.append(pulled)
     if not candidates:

@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from movant.channel import channel_state
 from movant.harness import default_scenario
-from movant.positioning import optimize_positions
 from movant.scenario import Deployment, Scenario, Topology, two_antenna_line_scenario
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation once so per-test timings measure compute."""
-    scenario = two_antenna_line_scenario(4.0, 6.0)
-    channel_state(scenario, scenario.initial_positions)
-    optimize_positions(scenario, 0.5)
 
 
 @pytest.fixture(scope="session")
