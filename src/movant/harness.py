@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import achievable_rate
-from .errors import SingularChannel
+from .errors import MovantError, SingularChannel
 from .gradients import fd_gradient, grad_rate, grad_trace
 from .positioning import PenaltyConfig, optimize_positions, project_box_disk, unconstrained_deploy
 from .scenario import Deployment, Scenario, Topology, linear_from_dbm
@@ -295,8 +295,9 @@ def run_sweep(
 ) -> list[str]:
     """Run every (grid value, scheme) cell and return CSV rows.
 
-    Row order is grid-major, scheme-minor; a failing cell contributes a row
-    with the error column set instead of aborting the sweep.
+    Row order is grid-major, scheme-minor; a cell that raises a
+    ``MovantError`` or ``ValueError`` contributes a row with the error column
+    set instead of aborting the sweep. Other errors propagate.
     """
     rc = run_config or RunConfig()
 
@@ -304,7 +305,7 @@ def run_sweep(
         try:
             scenario = scenario_variant(base_scenario, sweep.parameter, value)
             report = run_scheme(scenario, scheme, rc)
-        except Exception as exc:  # noqa: BLE001 - recorded per cell
+        except (MovantError, ValueError) as exc:
             return f"{_format_float(value)},{scheme.value},,,,,{_sanitize(str(exc))}"
         return ",".join(
             [

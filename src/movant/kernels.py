@@ -9,6 +9,12 @@ and ``wavenumber`` is 2*pi/wavelength. Entry (n, k) of the channel matrix is
 (columns are conjugated steering vectors). Kernels never raise on degenerate
 channels; they return NaN objectives plus the measured condition number and
 leave error handling to the wrappers.
+
+``trace_at`` and ``project_deployment`` also take a stack of deployments,
+``(..., N, 2)``, and return one result per slice, equal bit for bit to one
+call per slice: the line search scores many step lengths in one call. The
+(N, 2) path is unchanged, and ``channel_matrix`` and ``trace_and_grad`` take
+(N, 2) only.
 """
 
 import numpy as np
@@ -54,8 +60,28 @@ def _gram_spectrum(positions, directions, amplitudes, wavenumber, cond_limit, ve
     return H, w, V, trace, cond
 
 
+def _stacked_trace(positions, directions, amplitudes, wavenumber, cond_limit):
+    """``trace_at`` over a stack of deployments: the same channel, Gram and
+    eigenvalue routines, run once on the whole stack."""
+    H = _channel(positions, directions, amplitudes, wavenumber)
+    w = np.linalg.eigvalsh(np.swapaxes(H.conj(), -1, -2) @ H)
+    low = w[..., 0]
+    # a singular slice divides by a zero or negative eigenvalue here; the
+    # masks below replace its cond with inf and its trace with NaN
+    with np.errstate(all="ignore"):
+        cond = np.where(low > 0.0, w[..., -1] / low, np.inf)
+        trace = (1.0 / w).sum(axis=-1)
+    return np.where(cond <= cond_limit, trace, np.nan), cond
+
+
 def trace_at(positions, directions, amplitudes, wavenumber, cond_limit):
-    """(tr(G^-1), cond(G)); the trace is NaN past ``cond_limit``."""
+    """(tr(G^-1), cond(G)); the trace is NaN past ``cond_limit``.
+
+    Stacked positions (..., N, 2) give arrays of shape (...): the trace of
+    a singular slice is NaN and its cond is inf.
+    """
+    if positions.ndim > 2:
+        return _stacked_trace(positions, directions, amplitudes, wavenumber, cond_limit)
     _, _, _, trace, cond = _gram_spectrum(
         positions, directions, amplitudes, wavenumber, cond_limit, False
     )
@@ -86,6 +112,20 @@ def project_deployment(points, centers, radius, lo, hi):
     [lo, hi] intersected with the closed disk of ``radius`` around the
     matching row of ``centers`` (centers lie in the box, so the set is
     never empty).
+
+    Stacked points (..., N, 2) project every (N, 2) slice onto the same
+    (N, 2) centers; rows are projected independently, so each slice comes
+    out as it would alone.
+    """
+    if points.ndim > 2:
+        rows = np.broadcast_to(centers, points.shape).reshape(-1, 2)
+        flat = _project_rows(points.reshape(-1, 2), rows, radius, lo, hi)
+        return flat.reshape(points.shape)
+    return _project_rows(points, centers, radius, lo, hi)
+
+
+def _project_rows(points, centers, radius, lo, hi):
+    """``project_deployment`` on (M, 2) rows.
 
     Closed form: the box clip when it lies in the disk; else the radial
     disk point when it lies in the box; else both constraints bind and the

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 60
+# halvings tried one at a time before the rest of a backtracking search is
+# scored in one stacked call: most steps accept within three halvings, and a
+# stack costs more than one trial but far less than a long run of them
+_SINGLE_HALVINGS = 3
 
 _STATUS_CONVERGED = 0
 _STATUS_MAX_ITERS = 1
@@ -235,7 +239,15 @@ def _pgd_loop(
 ):
     """Projected gradient descent on trace + rho * ||pos - anchors||^2 with
     backtracking halving; every iterate satisfies the disk and region
-    constraints exactly. Returns (positions, trace, iterations, status)."""
+    constraints exactly. Returns (positions, trace, iterations, status).
+
+    A backtracking search tries up to ``_MAX_HALVINGS`` step lengths and
+    takes the first that lowers the penalized objective. The first
+    ``_SINGLE_HALVINGS`` are tried one at a time; if none passes, the rest
+    are projected and scored as one stack and the first passing one is
+    taken, which is the step the one-at-a-time search would take. If none
+    of them passes the search stalls.
+    """
     proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
     pos = proj(start)
     trace, grad, _ = kernels.trace_and_grad(
@@ -253,23 +265,39 @@ def _pgd_loop(
     iters = 0
     for _ in range(cfg.pgd_max_iters):
         g = grad + 2.0 * rho * (pos - anchors)
+        # strict decrease beyond float noise, so boundary-pinned iterates
+        # stall out instead of bouncing at constant value
+        target = penalized - 1e-12 * abs(penalized)
         accepted = False
-        for _ in range(_MAX_HALVINGS):
+        for _ in range(_SINGLE_HALVINGS):
             cand = proj(pos - eta * g)
             trace_c, _ = kernels.trace_at(
                 cand, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
             )
             if not np.isnan(trace_c):
                 pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
-                # strict decrease beyond float noise, so boundary-pinned
-                # iterates stall out instead of bouncing at constant value
-                if pen_c <= penalized - 1e-12 * abs(penalized):
+                if pen_c <= target:
                     accepted = True
                     break
             eta *= 0.5
         if not accepted:
-            status = _STATUS_STALLED
-            break
+            # the remaining step lengths, halved one after another as the
+            # single trials do; a NaN trace fails the comparison
+            etas = np.full(_MAX_HALVINGS - _SINGLE_HALVINGS, 0.5)
+            etas[0] = eta
+            np.multiply.accumulate(etas, out=etas)
+            cands = proj(pos - etas[:, None, None] * g)
+            traces, _ = kernels.trace_at(
+                cands, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+            )
+            shifts = ((cands - anchors) ** 2).reshape(len(etas), -1).sum(axis=1)
+            pens = traces + rho * shifts
+            passed = pens <= target
+            if not passed.any():
+                status = _STATUS_STALLED
+                break
+            j = int(np.argmax(passed))
+            eta, cand, trace_c, pen_c = etas[j], cands[j], traces[j], pens[j]
         move = float(np.linalg.norm(cand - pos, axis=1).max())
         pos, penalized, trace = cand, pen_c, trace_c
         iters += 1

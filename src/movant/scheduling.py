@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .channel import SINGULAR_COND_LIMIT, achievable_rate
-from .errors import FitDiverged
+from .errors import FitDiverged, MovantError
 from .positioning import (
     OptimizeOutcome,
     PenaltyConfig,
@@ -157,8 +157,9 @@ def general_search(
     Durations are processed in increasing order; each solve warm-starts from
     the previous solution or from the speed-free optimum pulled into the
     reachable set, whichever evaluates better (both remain feasible because
-    the reachable disks only grow). A failed duration is recorded and
-    skipped. ``guide_config`` tunes the one-off speed-free solve.
+    the reachable disks only grow). A duration whose solve raises a
+    ``MovantError`` or ``ValueError`` is recorded and skipped; other errors
+    propagate. ``guide_config`` tunes the one-off speed-free solve.
     """
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
     if step <= 0:
@@ -183,7 +184,7 @@ def general_search(
         try:
             start = _pick_start(scenario, t, guide, warm)
             rate, outcome = _solve_duration(scenario, t, config, start=start)
-        except Exception as exc:  # noqa: BLE001 - per-sample isolation
+        except (MovantError, ValueError) as exc:
             failures.append((t, str(exc)))
             curve.append(CurvePoint(t, math.nan, math.nan))
             continue
@@ -193,7 +194,7 @@ def general_search(
         if best is None or throughput > best[0]:
             best = (throughput, t, rate, outcome.deployment, outcome.converged)
     if best is None:
-        raise RuntimeError("every duration sample failed")
+        raise MovantError("every duration sample failed")
     return TradeoffReport(
         best_t_mov=best[1],
         best_deployment=best[3],

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import movant.harness as harness
 from movant.channel import achievable_rate
 from movant.cli import main
 from movant.harness import (
@@ -159,6 +160,15 @@ class TestSweeps:
         assert bad[0] == "3.0" and bad[-1] != ""
         good = rows[2].split(",")
         assert good[-1] == ""
+
+    def test_programming_errors_propagate(self, default_2d, monkeypatch):
+        def broken(scenario, scheme, run_config=None):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(harness, "run_scheme", broken)
+        spec = SweepSpec(SweepParameter.VMAX, (2.0,), (SchemeId.STATIC,))
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            run_sweep(default_2d, spec, QUICK)
 
     def test_empty_scheme_list_gives_header_only(self, default_2d):
         spec = SweepSpec(SweepParameter.VMAX, (2.0,), ())

@@ -187,3 +187,40 @@ def test_trace_matches_eigenvalue_sum():
     assert trace == pytest.approx(expected, rel=1e-12)
     trace_g, _, _ = kernels.trace_and_grad(pos, dirs, amps, wn, 1e12)
     assert trace_g == pytest.approx(expected, rel=1e-12)
+
+
+def test_stacked_trace_matches_per_slice_calls():
+    for seed, (n, k) in enumerate([(1, 1), (2, 2), (5, 4), (8, 4)]):
+        _, dirs, _, wn = inputs(30 + seed, n, k)
+        amps = np.ones(k)
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0, 8, (12, n, 2))
+        # all antennas at the origin give G = n * ones((k, k)): its smallest
+        # eigenvalue is exactly zero for k > 1
+        stack[3] = 0.0
+        single = [kernels.trace_at(p, dirs, amps, wn, 1e12) for p in stack]
+        finite = sorted(c for _, c in single if np.isfinite(c))
+        # a limit among the slices' own condition numbers puts some past it
+        limit = finite[len(finite) // 2]
+        single = [kernels.trace_at(p, dirs, amps, wn, limit) for p in stack]
+        traces, conds = kernels.trace_at(stack.reshape(3, 4, n, 2), dirs, amps, wn, limit)
+        assert traces.shape == conds.shape == (3, 4)
+        for (trace, cond), t, c in zip(single, traces.ravel(), conds.ravel()):
+            assert np.array_equal(t, trace, equal_nan=True) and c == cond
+        assert np.isfinite(traces).any()
+        if k > 1:
+            assert np.isnan(traces.ravel()[3]) and conds.ravel()[3] == np.inf
+            past = np.isfinite(conds) & (conds > limit)
+            assert past.any() and np.isnan(traces[past]).all()
+
+
+def test_stacked_projection_matches_per_slice_calls():
+    rng = np.random.default_rng(13)
+    for centers, radius, lo, hi in (case[1:] for case in projection_cases(14, 200, 5)):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (8, 1, 1))
+        stack = centers + rng.normal(size=(8, 5, 2)) * scale
+        out = kernels.project_deployment(stack, centers, radius, lo, hi)
+        assert out.shape == stack.shape
+        for points, projected in zip(stack, out):
+            expected = kernels.project_deployment(points, centers, radius, lo, hi)
+            assert np.array_equal(projected, expected)

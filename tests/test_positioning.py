@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from movant.channel import achievable_rate, trace_objective
+from movant import kernels, positioning
+from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, trace_objective
 from movant.errors import InfeasibleSpacing
 from movant.positioning import (
     PenaltyConfig,
@@ -290,3 +293,92 @@ class TestUnconstrainedDeploy:
             except Exception:
                 continue
         assert out.objective <= best
+
+
+def sequential_pgd_loop(
+    start, anchors, centers, radius, lo, hi, directions, amplitudes, wavenumber, rho, cfg,
+    accepts,
+):
+    """Reference line search: ``_pgd_loop`` with every one of the
+    ``_MAX_HALVINGS`` step lengths tried one at a time, as it was before the
+    tail of a failing search was stacked. ``accepts`` collects the number of
+    halvings before each accepted step, and ``_MAX_HALVINGS`` for a stall."""
+    proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
+    pos = proj(start)
+    trace, grad, _ = kernels.trace_and_grad(
+        pos, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+    )
+    if np.isnan(trace):
+        return pos, math.nan, 0, positioning._STATUS_SINGULAR
+    penalized = trace + rho * float(((pos - anchors) ** 2).sum())
+    eta = cfg.pgd_step
+    eta_cap = cfg.pgd_step * 1e9
+    status = positioning._STATUS_MAX_ITERS
+    iters = 0
+    for _ in range(cfg.pgd_max_iters):
+        g = grad + 2.0 * rho * (pos - anchors)
+        accepted = False
+        for halvings in range(positioning._MAX_HALVINGS):
+            cand = proj(pos - eta * g)
+            trace_c, _ = kernels.trace_at(
+                cand, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+            )
+            if not np.isnan(trace_c):
+                pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
+                if pen_c <= penalized - 1e-12 * abs(penalized):
+                    accepted = True
+                    break
+            eta *= 0.5
+        if not accepted:
+            accepts.append(positioning._MAX_HALVINGS)
+            status = positioning._STATUS_STALLED
+            break
+        accepts.append(halvings)
+        move = float(np.linalg.norm(cand - pos, axis=1).max())
+        pos, penalized, trace = cand, pen_c, trace_c
+        iters += 1
+        if move <= cfg.grad_tol:
+            status = positioning._STATUS_CONVERGED
+            break
+        _, grad, _ = kernels.trace_and_grad(
+            pos, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+        )
+        eta = min(eta * 2.0, eta_cap)
+    return pos, trace, iters, status
+
+
+def line_search_cases(seed, count):
+    """Random ``_pgd_loop`` arguments on both topologies: 2 to 6 antennas,
+    channel amplitudes from 1e-4 to 1 (tr(G^-1) up to about 1e8, as in the
+    default scenario), radii from 1e-6 to 10 and rho in {0, 1, 1e3}."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        side = rng.uniform(2.0, 12.0)
+        lo = np.zeros(2)
+        hi = np.array([side, 0.0 if case % 2 else side])
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        centers = rng.uniform(lo, hi, (n, 2))
+        anchors = np.clip(centers + rng.normal(0.0, 0.5, (n, 2)), lo, hi)
+        radius = 10.0 ** rng.uniform(-6.0, 1.0)
+        directions = rng.uniform(-1.0, 1.0, (k, 2))
+        amplitudes = 10.0 ** rng.uniform(-4.0, 0.0, k)
+        rho = (0.0, 1.0, 1e3)[case % 3]
+        yield centers, anchors, centers, radius, lo, hi, directions, amplitudes, 2 * np.pi, rho
+
+
+def test_stacked_line_search_matches_sequential_reference():
+    cfg = PenaltyConfig(pgd_max_iters=60)
+    accepts = []
+    for args in line_search_cases(31, 120):
+        pos, trace, iters, status = positioning._pgd_loop(*args, cfg)
+        ref_pos, ref_trace, ref_iters, ref_status = sequential_pgd_loop(*args, cfg, accepts)
+        assert np.array_equal(pos, ref_pos)
+        assert np.array_equal(trace, ref_trace, equal_nan=True)
+        assert (iters, status) == (ref_iters, ref_status)
+    # the cases reach every branch of the search: a step accepted among the
+    # single trials, one accepted in the stacked tail, and a stall
+    single = positioning._SINGLE_HALVINGS
+    assert any(a < single for a in accepts)
+    assert any(single <= a < positioning._MAX_HALVINGS for a in accepts)
+    assert positioning._MAX_HALVINGS in accepts

@@ -3,7 +3,7 @@ import pytest
 
 import movant.scheduling as scheduling
 from movant.channel import achievable_rate, effective_throughput
-from movant.errors import FitDiverged
+from movant.errors import FitDiverged, SingularChannel
 from movant.scheduling import (
     FitKind,
     SearchMethod,
@@ -242,7 +242,7 @@ def test_general_search_isolates_failed_samples(case_wide, monkeypatch):
 
     def flaky(scenario, t_mov, config, start=None):
         if abs(t_mov - 1.0) < 1e-12:
-            raise RuntimeError("synthetic solver failure")
+            raise SingularChannel("synthetic solver failure")
         return original(scenario, t_mov, config, start=start)
 
     monkeypatch.setattr(scheduling, "_solve_duration", flaky)
@@ -255,8 +255,21 @@ def test_general_search_isolates_failed_samples(case_wide, monkeypatch):
     assert np.isfinite(report.best_throughput)
 
 
+def test_general_search_propagates_programming_errors(case_wide, monkeypatch):
+    original = scheduling._solve_duration
+
+    def broken(scenario, t_mov, config, start=None):
+        if abs(t_mov - 1.0) < 1e-12:
+            raise TypeError("synthetic programming error")
+        return original(scenario, t_mov, config, start=start)
+
+    monkeypatch.setattr(scheduling, "_solve_duration", broken)
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        general_search(case_wide, grid_step=0.5)
+
+
 def test_fitting_method_falls_back_when_fits_diverge(case_wide, monkeypatch):
-    from movant.errors import FitDiverged
+    from movant.errors import FitDiverged, SingularChannel
 
     def always_diverges(samples, kind):
         raise FitDiverged("synthetic")
