@@ -424,10 +424,12 @@ def run_validation(scenario: Scenario, seed: int = 0) -> list[tuple[str, bool, s
 
         lo, hi = scenario.region_bounds()
         ok_proj = True
-        for _ in range(100):
-            center = rng.uniform(0, scenario.region_side, 2)
-            if scenario.topology is Topology.SEGMENT_1D:
-                center[1] = 0.0
+        centers = rng.uniform(0, scenario.region_side, (100, 2))
+        if scenario.topology is Topology.SEGMENT_1D:
+            centers[:, 1] = 0.0
+        # the initial positions are the centers every solve projects onto;
+        # they often sit on a region edge, where both constraints bind
+        for center in np.concatenate([centers, deployment.coords]):
             point = rng.uniform(-scenario.region_side, 2 * scenario.region_side, 2)
             radius = rng.uniform(0, scenario.region_side)
             proj = project_box_disk(

@@ -12,10 +12,18 @@ leave error handling to the wrappers.
 
 ``trace_at`` and ``project_deployment`` also take a stack of deployments,
 ``(..., N, 2)``, and return one result per slice, equal bit for bit to one
-call per slice: the line search scores many step lengths in one call. The
-(N, 2) path is unchanged, and ``channel_matrix`` and ``trace_and_grad`` take
-(N, 2) only.
+call per slice: the line search scores many step lengths in one call.
+``channel_matrix`` and ``trace_and_grad`` take (N, 2) only.
+
+``project_deployment`` keeps the circle/box-edge crossings of its last
+``_CROSSINGS_MEMO_SIZE`` (16) constraint sets in a memo keyed on the values
+of ``centers``, ``radius``, ``lo`` and ``hi``, never on array identities; a
+stack reuses the entry of its (N, 2) centers, and results equal the
+uncached computation bit for bit.
 """
+
+import functools
+import struct
 
 import numpy as np
 
@@ -29,6 +37,11 @@ __all__ = [
 
 # the kernels are plain NumPy; the flag stays for run records that report it
 NUMBA_ENABLED = False
+
+# constraint sets whose circle/box-edge crossings are kept: a solve projects
+# hundreds of times onto one set, and a duration search then moves on to the
+# next one for good
+_CROSSINGS_MEMO_SIZE = 16
 
 
 # the trace kernels build H through _channel rather than channel_matrix, so
@@ -113,56 +126,79 @@ def project_deployment(points, centers, radius, lo, hi):
     matching row of ``centers`` (centers lie in the box, so the set is
     never empty).
 
+    Closed form: the box clip when it lies in the disk; else the radial
+    disk point when it lies in the box; else both constraints bind and the
+    projection is the nearest point where the circle meets a box edge.
+    Those crossings depend on the constraints alone, so they come from the
+    module's memo of the last ``_CROSSINGS_MEMO_SIZE`` constraint sets,
+    keyed on the values of ``centers``, ``radius``, ``lo`` and ``hi``; the
+    result equals the uncached computation bit for bit.
+
     Stacked points (..., N, 2) project every (N, 2) slice onto the same
     (N, 2) centers; rows are projected independently, so each slice comes
     out as it would alone.
     """
-    if points.ndim > 2:
-        rows = np.broadcast_to(centers, points.shape).reshape(-1, 2)
-        flat = _project_rows(points.reshape(-1, 2), rows, radius, lo, hi)
-        return flat.reshape(points.shape)
-    return _project_rows(points, centers, radius, lo, hi)
-
-
-def _project_rows(points, centers, radius, lo, hi):
-    """``project_deployment`` on (M, 2) rows.
-
-    Closed form: the box clip when it lies in the disk; else the radial
-    disk point when it lies in the box; else both constraints bind and the
-    projection is the nearest point where the circle meets a box edge.
-    """
-    out = np.clip(points, lo, hi)
-    outside = np.hypot(*(out - centers).T) > radius
+    box = np.clip(points, lo, hi)
+    gap = box - centers
+    outside = np.hypot(gap[..., 0], gap[..., 1]) > radius
     if not outside.any():
+        return box
+    # an outside row is farther from its center than its box clip, so more
+    # than radius >= 0; the other rows get a zero offset and divide by 1
+    offset = np.where(outside[..., None], points, centers) - centers
+    dist = np.hypot(offset[..., 0], offset[..., 1])
+    unit = offset / np.where(outside, dist, 1.0)[..., None]
+    radial = centers + radius * unit
+    fits = (radial >= lo) & (radial <= hi)
+    edge = outside & ~(fits[..., 0] & fits[..., 1])
+    out = np.where(outside[..., None], radial, box)
+    if not edge.any():
         return out
-    c = centers[outside]
-    offset = points[outside] - c
-    # the box clip is no farther from c than the point, so dist > radius >= 0
-    unit = offset / np.hypot(*offset.T)[:, None]
-    radial = c + radius * unit
-    in_box = np.all((radial >= lo) & (radial <= hi), axis=1)
-    rows = np.flatnonzero(outside)
-    out[rows[in_box]] = radial[in_box]
-    if in_box.all():
-        return out
-    c, unit = c[~in_box], unit[~in_box]
-    # the circle's crossings with the edge lines x = lo0, x = hi0, y = lo1,
-    # y = hi1 as offsets from c: the signed distance across to the line and
-    # plus or minus the half chord along it
+    step_x, step_y, ok, crossings, first = _crossings(*_constraint_key(centers, radius, lo, hi))
+    # every crossing lies at distance radius from the center, so the one
+    # nearest the point is the one furthest along the direction to it
+    score = np.where(ok, step_x * unit[..., :1] + step_y * unit[..., 1:], -np.inf)
+    return np.where(edge[..., None], crossings[first + score.argmax(axis=-1)], out)
+
+
+def _constraint_key(centers, radius, lo, hi):
+    """The memo key of a constraint set: its values as float64 bytes, never
+    an array's identity (arrays are mutable and ids are reused)."""
+    centers = np.asarray(centers, dtype=np.float64)
+    return (
+        centers.shape,
+        centers.tobytes(),
+        struct.pack("d", radius),
+        np.asarray(lo, dtype=np.float64).tobytes(),
+        np.asarray(hi, dtype=np.float64).tobytes(),
+    )
+
+
+@functools.lru_cache(maxsize=_CROSSINGS_MEMO_SIZE)
+def _crossings(shape, centers, radius, lo, hi):
+    """The circle's crossings with the box edges for each center, from the
+    bytes of a ``_constraint_key``: the (N, 8) x and y offsets from the
+    center, whether each crossing lies on the box, the (8 N, 2) crossings
+    clipped to the box, and each row's first index into them."""
+    c = np.frombuffer(centers).reshape(shape)
+    (radius,) = struct.unpack("d", radius)
+    lo, hi = np.frombuffer(lo), np.frombuffer(hi)
+    # the crossings with the edge lines x = lo0, x = hi0, y = lo1, y = hi1
+    # as offsets from c: the signed distance across to the line and plus or
+    # minus the half chord along it
     lo_c, hi_c = lo - c, hi - c
     across = np.tile(np.stack([lo_c[:, 0], hi_c[:, 0], lo_c[:, 1], hi_c[:, 1]], axis=1), 2)
     gap = radius - np.abs(across)
     half = np.sqrt(np.maximum(gap[:, :4] * (radius + np.abs(across[:, :4])), 0.0))
     along = np.concatenate([half, -half], axis=1)
     on_x = np.tile([True, True, False, False], 2)
-    step = np.stack([np.where(on_x, across, along), np.where(on_x, along, across)], axis=-1)
+    step_x, step_y = np.where(on_x, across, along), np.where(on_x, along, across)
     # a crossing must also lie within the bounds of the axis it runs along
     low = np.where(on_x, lo_c[:, 1:], lo_c[:, :1])
     high = np.where(on_x, hi_c[:, 1:], hi_c[:, :1])
     ok = (gap >= 0.0) & (along >= low) & (along <= high)
-    # every crossing lies at distance radius from c, so the one nearest the
-    # point is the one furthest along the direction from c to the point
-    score = np.where(ok, (step * unit[:, None, :]).sum(axis=2), -np.inf)
-    best = step[np.arange(len(c)), np.argmax(score, axis=1)]
-    out[rows[~in_box]] = np.clip(c + best, lo, hi)
-    return out
+    crossings = np.clip(c[:, None, :] + np.stack([step_x, step_y], axis=-1), lo, hi)
+    table = (step_x, step_y, ok, crossings.reshape(-1, 2), 8 * np.arange(len(c)))
+    for array in table:
+        array.flags.writeable = False
+    return table

@@ -246,8 +246,9 @@ class TestThresholdSummary:
 
 class TestValidation:
     def test_default_scenario_passes(self, default_2d):
-        results = run_validation(default_2d)
-        assert results and all(ok for _, ok, _ in results)
+        for scenario in (default_2d, default_scenario(topology="segment")):
+            results = run_validation(scenario)
+            assert results and all(ok for _, ok, _ in results)
 
 
 class TestCli:

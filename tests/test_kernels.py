@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,62 @@ def bisection_projection(point, lo, hi, center, radius):
     return out
 
 
+def closed_form_projection(points, centers, radius, lo, hi):
+    """Reference box-and-disk projection: the closed form of
+    ``project_deployment`` with the circle/box-edge crossings built afresh
+    on every call, row by row over a flattened stack."""
+    if points.ndim > 2:
+        rows = np.broadcast_to(centers, points.shape).reshape(-1, 2)
+        flat = closed_form_projection(points.reshape(-1, 2), rows, radius, lo, hi)
+        return flat.reshape(points.shape)
+    out = np.clip(points, lo, hi)
+    outside = np.hypot(*(out - centers).T) > radius
+    if not outside.any():
+        return out
+    c = centers[outside]
+    offset = points[outside] - c
+    unit = offset / np.hypot(*offset.T)[:, None]
+    radial = c + radius * unit
+    in_box = np.all((radial >= lo) & (radial <= hi), axis=1)
+    rows = np.flatnonzero(outside)
+    out[rows[in_box]] = radial[in_box]
+    if in_box.all():
+        return out
+    c, unit = c[~in_box], unit[~in_box]
+    lo_c, hi_c = lo - c, hi - c
+    across = np.tile(np.stack([lo_c[:, 0], hi_c[:, 0], lo_c[:, 1], hi_c[:, 1]], axis=1), 2)
+    gap = radius - np.abs(across)
+    half = np.sqrt(np.maximum(gap[:, :4] * (radius + np.abs(across[:, :4])), 0.0))
+    along = np.concatenate([half, -half], axis=1)
+    on_x = np.tile([True, True, False, False], 2)
+    step = np.stack([np.where(on_x, across, along), np.where(on_x, along, across)], axis=-1)
+    low = np.where(on_x, lo_c[:, 1:], lo_c[:, :1])
+    high = np.where(on_x, hi_c[:, 1:], hi_c[:, :1])
+    ok = (gap >= 0.0) & (along >= low) & (along <= high)
+    score = np.where(ok, (step * unit[:, None, :]).sum(axis=2), -np.inf)
+    best = step[np.arange(len(c)), np.argmax(score, axis=1)]
+    out[rows[~in_box]] = np.clip(c + best, lo, hi)
+    return out
+
+
+def branch_counts(points, centers, radius, lo, hi):
+    """Rows of a projection call that take each branch of the closed form:
+    the box clip lies in the disk, else the radial point lies in the box,
+    else the circle/box-edge crossing."""
+    centers = np.broadcast_to(centers, points.shape).reshape(-1, 2)
+    points = points.reshape(-1, 2)
+    outside = np.hypot(*(np.clip(points, lo, hi) - centers).T) > radius
+    offset = points[outside] - centers[outside]
+    radial = centers[outside] + radius * offset / np.hypot(*offset.T)[:, None]
+    fits = np.all((radial >= lo) & (radial <= hi), axis=1)
+    return Counter(inside=int((~outside).sum()), radial=int(fits.sum()), edge=int((~fits).sum()))
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
 def test_channel_matrix_parity():
     pos, dirs, amps, wn = inputs(1)
     # the phases differ by a few roundings of their own size
@@ -127,6 +185,24 @@ def projection_cases(seed, count, rows):
         centers = rng.uniform(lo, hi, (rows, 2))
         radius = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6.0, 1.7)
         scale = 10.0 ** rng.uniform(-3.0, 9.0, (rows, 1))
+        yield centers + rng.normal(size=(rows, 2)) * scale, centers, radius, lo, hi
+
+
+def edge_projection_cases(seed, count, rows):
+    """Projection inputs with centers on box edges and corners, like the
+    default layout, on both topologies: each center coordinate sits on its
+    lower bound, its upper bound or in between, the radius runs from 0 (a
+    tenth of the cases) up to the region side, and points lie up to 1e3
+    away."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        side = rng.uniform(0.5, 40.0)
+        lo = np.zeros(2)
+        hi = np.array([side, 0.0 if case % 2 else side])
+        snap = rng.integers(0, 3, (rows, 2))
+        centers = np.where(snap == 0, lo, np.where(snap == 1, hi, rng.uniform(lo, hi, (rows, 2))))
+        radius = 0.0 if case % 10 == 0 else rng.uniform(0.0, side)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
         yield centers + rng.normal(size=(rows, 2)) * scale, centers, radius, lo, hi
 
 
@@ -224,3 +300,80 @@ def test_stacked_projection_matches_per_slice_calls():
         for points, projected in zip(stack, out):
             expected = kernels.project_deployment(points, centers, radius, lo, hi)
             assert np.array_equal(projected, expected)
+
+
+def test_projection_equals_closed_form_bitwise():
+    rng = np.random.default_rng(15)
+    stacked = [
+        (centers + rng.normal(size=(8, 5, 2)) * (radius + 1.0), centers, radius, lo, hi)
+        for _, centers, radius, lo, hi in edge_projection_cases(17, 200, 5)
+    ]
+    branches = Counter()
+    for case in [
+        *projection_cases(11, 2000, 1),
+        *projection_cases(12, 500, 6),
+        *edge_projection_cases(16, 2000, 5),
+        *stacked,
+    ]:
+        assert_bitwise_equal(kernels.project_deployment(*case), closed_form_projection(*case))
+        branches.update(branch_counts(*case))
+    assert min(branches[b] for b in ("inside", "radial", "edge")) > 1000
+
+
+def test_projection_memo_interleaves_constraint_sets():
+    # more constraint sets than the memo holds, visited in random order
+    sets = [case[1:] for case in edge_projection_cases(19, 2 * kernels._CROSSINGS_MEMO_SIZE, 5)]
+    rng = np.random.default_rng(20)
+    before = kernels._crossings.cache_info()
+    for i in rng.integers(0, len(sets), 600):
+        centers, radius, lo, hi = sets[i]
+        shape = (int(rng.integers(1, 4)), 5, 2) if i % 3 == 0 else (5, 2)
+        points = centers + rng.normal(size=shape) * 3.0 * (radius + 1.0)
+        expected = closed_form_projection(points, centers, radius, lo, hi)
+        assert_bitwise_equal(kernels.project_deployment(points, centers, radius, lo, hi), expected)
+    after = kernels._crossings.cache_info()
+    assert after.hits > before.hits and after.misses > before.misses
+
+
+def test_projection_memo_follows_values_not_arrays():
+    lo, hi = np.zeros(2), np.array([10.0, 10.0])
+    # a corner, two edge centers, and a point on its own center
+    centers = np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 4.0], [3.0, 3.0]])
+    points = np.array([[5.0, -3.0], [2.0, -1.0], [12.0, -3.0], [3.0, 3.0]])
+    radius = 1.5
+
+    def check():
+        out = kernels.project_deployment(points, centers, radius, lo, hi)
+        assert_bitwise_equal(out, closed_form_projection(points, centers, radius, lo, hi))
+        return out
+
+    first = check()
+    assert branch_counts(points, centers, radius, lo, hi)["edge"] > 0
+    misses = kernels._crossings.cache_info().misses
+    # stacked calls reuse the (N, 2) entry whatever the stack's size
+    for shape in ((2, 4, 2), (5, 3, 4, 2)):
+        stack = np.broadcast_to(points, shape).copy()
+        out = kernels.project_deployment(stack, centers, radius, lo, hi)
+        assert_bitwise_equal(out, closed_form_projection(stack, centers, radius, lo, hi))
+    assert kernels._crossings.cache_info().misses == misses
+    centers[1, 0] = 5.5
+    second = check()
+    assert not np.array_equal(second, first)
+    radius = np.nextafter(radius, np.inf)
+    third = check()
+    # the corner's crossing sits at x = radius, so one ulp shows
+    assert not np.array_equal(third, second)
+    radius = 0.0
+    check()
+
+
+def test_projection_memo_is_bounded():
+    lo, hi = np.zeros(2), np.array([10.0, 0.0])
+    centers = np.array([[5.0, 0.0], [10.0, 0.0]])
+    points = np.array([[9.0, 1.0], [0.0, -2.0]])
+    before = kernels._crossings.cache_info()
+    for radius in np.linspace(0.1, 4.0, 10_000):
+        kernels.project_deployment(points, centers, radius, lo, hi)
+    after = kernels._crossings.cache_info()
+    assert after.misses - before.misses == 10_000
+    assert after.currsize <= kernels._CROSSINGS_MEMO_SIZE

@@ -79,13 +79,17 @@ class TestProjection:
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            center = rng.uniform(0, 10, 2)
-            radius = rng.uniform(0, 3)
-            p = rng.uniform(-5, 15, 2)
-            once = project_box_disk(p, center, radius, 10.0)
-            twice = project_box_disk(once, center, radius, 10.0)
-            assert np.linalg.norm(twice - once) <= 1e-9
+        for on_edge in (False, True):
+            for _ in range(100):
+                center = rng.uniform(0, 10, 2)
+                if on_edge:
+                    # the default layout: every antenna on the y = 0 edge
+                    center[1] = 0.0
+                radius = rng.uniform(0, 3)
+                p = rng.uniform(-5, 15, 2)
+                once = project_box_disk(p, center, radius, 10.0)
+                twice = project_box_disk(once, center, radius, 10.0)
+                assert np.linalg.norm(twice - once) <= 1e-9
 
     def test_feasibility_over_random_cases(self):
         rng = np.random.default_rng(17)
