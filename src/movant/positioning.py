@@ -3,14 +3,16 @@
 For a fixed movement duration the reachable set of each antenna is the
 intersection of the region with a disk around its initial position. The
 non-convex pairwise-spacing constraints are carried by auxiliary anchor
-points: projected gradient descent lowers the trace objective plus a
-quadratic pull toward the anchors, the anchors are re-separated to the
-minimum spacing, and the pull strength grows geometrically until positions
-and anchors agree.
+points: spectral projected gradient descent (Barzilai-Borwein steps and a
+nonmonotone line search) lowers the trace objective plus a quadratic pull
+toward the anchors, the anchors are re-separated to the minimum spacing,
+and the pull strength grows geometrically until positions and anchors
+agree.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -32,10 +34,18 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 60
-# halvings tried one at a time before the rest of a backtracking search is
-# scored in one stacked call: most steps accept within three halvings, and a
+# trials made one at a time before the rest of a backtracking search is
+# scored in one stacked call: most steps accept on the first trial, and a
 # stack costs more than one trial but far less than a long run of them
 _SINGLE_HALVINGS = 3
+# the nonmonotone line search compares against the largest of this many
+# recent penalized values and asks for this fraction of the linear decrease
+_NONMONOTONE_MEMORY = 10
+_ARMIJO = 1e-4
+# safeguards of the spectral step: the objective's scale spans many orders
+# of magnitude, so the bounds only keep the step finite and positive
+_STEP_MIN = 1e-30
+_STEP_MAX = 1e30
 
 _STATUS_CONVERGED = 0
 _STATUS_MAX_ITERS = 1
@@ -45,7 +55,13 @@ _STATUS_STALLED = 3
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Tuning knobs for the alternating penalty optimizer."""
+    """Tuning knobs for the alternating penalty optimizer.
+
+    ``pgd_step`` seeds only the first step of each projected gradient loop;
+    later steps are Barzilai-Borwein steps. ``grad_tol`` is the loop's stop
+    rule: it converges once its projected step or an accepted move is at
+    most ``grad_tol`` wavelengths for every antenna.
+    """
 
     rho_init: float = 1.0
     rho_growth: float = 10.0
@@ -240,78 +256,101 @@ def _pgd_loop(
     rho: float,
     cfg: PenaltyConfig,
 ):
-    """Projected gradient descent on trace + rho * ||pos - anchors||^2 with
-    backtracking halving; every iterate satisfies the disk and region
-    constraints exactly. Returns (positions, trace, iterations, status).
+    """Spectral projected gradient on trace + rho * ||pos - anchors||^2
+    (SPG2 of Birgin, Martinez and Raydan, 2000). Returns the best iterate
+    seen as (positions, trace, iterations, status).
 
-    A backtracking search tries up to ``_MAX_HALVINGS`` step lengths and
-    takes the first that lowers the penalized objective. The first
-    ``_SINGLE_HALVINGS`` are tried one at a time; if none passes, the rest
-    are projected and scored as one stack and the first passing one is
-    taken, which is the step the one-at-a-time search would take. If none
-    of them passes the search stalls.
+    Each iteration projects once, ``d = P(pos - eta g) - pos``, and tries
+    ``pos + lam d`` for lam = 1, 1/2, 1/4, ...: lam = 1 is the projected
+    point itself, and the shorter steps lie between two feasible points. So
+    every iterate lies in the box [lo, hi] exactly and in its disk up to
+    rounding, within 2 ulps of its largest coordinate. A trial is accepted by
+    a nonmonotone Armijo test against the largest of the last
+    ``_NONMONOTONE_MEMORY`` penalized values, less 1e-12 of its size so that
+    a pass is a decrease beyond float noise; ``eta`` is the safeguarded
+    Barzilai-Borwein step of the accepted move; ``cfg.pgd_step`` seeds only
+    the first one. The loop converges when ``d`` or an accepted move is at
+    most ``cfg.grad_tol`` (largest row norm) and stalls when no lam passes.
+
+    The first trial is scored with ``trace_and_grad``, whose gradient is
+    kept if it is accepted. The next ``_SINGLE_HALVINGS - 1`` are scored one
+    at a time with ``trace_at``; if none passes, the rest are scored as one
+    stack and the first passing one is taken, which is the step the
+    one-at-a-time search would take.
     """
     proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
+    score = lambda pts: kernels.trace_at(
+        pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+    )[0]
+    score_and_grad = lambda pts: kernels.trace_and_grad(
+        pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+    )[:2]
     pos = proj(start)
-    trace, grad, _ = kernels.trace_and_grad(
-        pos, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-    )
+    trace, grad = score_and_grad(pos)
     if np.isnan(trace):
         return pos, math.nan, 0, _STATUS_SINGULAR
     penalized = trace + rho * float(((pos - anchors) ** 2).sum())
-    # the nominal step only seeds the adaptive scheme: the objective scale
-    # varies over many orders of magnitude with the fading coefficients, so
-    # the step doubles on accepted moves and halves on backtracks
+    g = grad + 2.0 * rho * (pos - anchors)
+    recent = collections.deque([penalized], maxlen=_NONMONOTONE_MEMORY)
+    best = (penalized, pos, trace)
     eta = cfg.pgd_step
-    eta_cap = cfg.pgd_step * 1e9
+    # the step lengths of the stacked tail, exact powers of two as the
+    # single trials' repeated halving gives them
+    tail = 0.5 ** np.arange(_SINGLE_HALVINGS, _MAX_HALVINGS)
     status = _STATUS_MAX_ITERS
     iters = 0
     for _ in range(cfg.pgd_max_iters):
-        g = grad + 2.0 * rho * (pos - anchors)
-        # strict decrease beyond float noise, so boundary-pinned iterates
+        projected = proj(pos - eta * g)
+        d = projected - pos
+        if np.linalg.norm(d, axis=1).max() <= cfg.grad_tol:
+            status = _STATUS_CONVERGED
+            break
+        # strict decrease beyond float noise, so iterates at the noise floor
         # stall out instead of bouncing at constant value
-        target = penalized - 1e-12 * abs(penalized)
-        accepted = False
-        for _ in range(_SINGLE_HALVINGS):
-            cand = proj(pos - eta * g)
-            trace_c, _ = kernels.trace_at(
-                cand, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-            )
+        ref = max(recent)
+        ref -= 1e-12 * abs(ref)
+        slope = float((g * d).sum())
+        cand, lam = projected, 1.0
+        trace_c, grad_c = score_and_grad(cand)
+        for k in range(_SINGLE_HALVINGS):
+            if k:
+                lam *= 0.5
+                cand = pos + lam * d
+                trace_c, grad_c = score(cand), None
             if not np.isnan(trace_c):
                 pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
-                if pen_c <= target:
-                    accepted = True
+                if pen_c <= ref + _ARMIJO * lam * slope:
                     break
-            eta *= 0.5
-        if not accepted:
-            # the remaining step lengths, halved one after another as the
-            # single trials do; a NaN trace fails the comparison
-            etas = np.full(_MAX_HALVINGS - _SINGLE_HALVINGS, 0.5)
-            etas[0] = eta
-            np.multiply.accumulate(etas, out=etas)
-            cands = proj(pos - etas[:, None, None] * g)
-            traces, _ = kernels.trace_at(
-                cands, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-            )
-            shifts = ((cands - anchors) ** 2).reshape(len(etas), -1).sum(axis=1)
+        else:
+            # the remaining step lengths; a NaN trace fails the comparison
+            cands = pos + tail[:, None, None] * d
+            traces = score(cands)
+            shifts = ((cands - anchors) ** 2).reshape(len(tail), -1).sum(axis=1)
             pens = traces + rho * shifts
-            passed = pens <= target
+            passed = pens <= ref + _ARMIJO * tail * slope
             if not passed.any():
                 status = _STATUS_STALLED
                 break
             j = int(np.argmax(passed))
-            eta, cand, trace_c, pen_c = etas[j], cands[j], traces[j], pens[j]
-        move = float(np.linalg.norm(cand - pos, axis=1).max())
+            cand, trace_c, pen_c, grad_c = cands[j], traces[j], pens[j], None
+        s = cand - pos
         pos, penalized, trace = cand, pen_c, trace_c
+        recent.append(penalized)
+        if penalized < best[0]:
+            best = (penalized, pos, trace)
         iters += 1
-        if move <= cfg.grad_tol:
+        if np.linalg.norm(s, axis=1).max() <= cfg.grad_tol:
             status = _STATUS_CONVERGED
             break
-        _, grad, _ = kernels.trace_and_grad(
-            pos, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-        )
-        eta = min(eta * 2.0, eta_cap)
-    return pos, trace, iters, status
+        if grad_c is None:
+            _, grad_c = score_and_grad(pos)
+        g_new = grad_c + 2.0 * rho * (pos - anchors)
+        sy = float((s * (g_new - g)).sum())
+        # a nonpositive curvature along the move gives no spectral step
+        eta = float((s * s).sum()) / sy if sy > 0.0 else 2.0 * eta
+        eta = min(max(eta, _STEP_MIN), _STEP_MAX)
+        g = g_new
+    return best[1], best[2], iters, status
 
 
 def pgd_optimize(
@@ -366,10 +405,11 @@ def optimize_positions(
 
     Alternates projected gradient descent with anchor re-separation under a
     growing penalty until positions and anchors agree within half the
-    feasibility tolerance. The returned deployment satisfies the disk and
-    region constraints exactly and the pairwise spacing within the
-    feasibility tolerance, and its objective never exceeds the objective of
-    the initial deployment. Optional multi-starts jitter the starting point
+    feasibility tolerance. The returned deployment lies in the region
+    exactly, in the disks up to rounding (within 2 ulps of its largest
+    coordinate) and keeps the pairwise spacing within the feasibility
+    tolerance; its objective never exceeds the objective of the initial
+    deployment. Optional multi-starts jitter the starting point
     deterministically; the best feasible result wins (ties keep the earliest
     restart).
     """

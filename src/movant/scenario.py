@@ -61,7 +61,10 @@ def min_pair_distance(points: np.ndarray) -> float:
         return np.inf
     diffs = points[:, None, :] - points[None, :, :]
     dists = np.sqrt((diffs**2).sum(axis=2))
-    return float(dists[np.triu_indices(n, k=1)].min())
+    # p_i - p_j is exactly -(p_j - p_i), so the matrix is exactly symmetric
+    # and its off-diagonal minimum is the minimum over pairs
+    np.fill_diagonal(dists, np.inf)
+    return float(dists.min())
 
 
 @dataclass(frozen=True)

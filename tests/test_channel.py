@@ -12,7 +12,13 @@ from movant.channel import (
     zf_beamformer,
 )
 from movant.errors import SingularChannel
-from movant.scenario import Deployment, Scenario, Topology, two_antenna_line_scenario
+from movant.scenario import (
+    Deployment,
+    Scenario,
+    Topology,
+    min_pair_distance,
+    two_antenna_line_scenario,
+)
 
 from conftest import random_instance
 
@@ -322,3 +328,25 @@ def test_translation_invariance():
         assert trace_objective(s, pos + shift) == pytest.approx(base_tr, rel=1e-9)
         assert common_sinr(s, pos + shift) == pytest.approx(base_gamma, rel=1e-9)
         assert effective_throughput(s, pos + shift, 1.0) == pytest.approx(base_thr, rel=1e-9)
+
+
+def test_min_pair_distance_equals_upper_triangle_formula():
+    # the formula it replaced: the minimum over the upper triangle only
+    def upper_triangle(points):
+        n = points.shape[0]
+        if n < 2:
+            return np.inf
+        diffs = points[:, None, :] - points[None, :, :]
+        dists = np.sqrt((diffs**2).sum(axis=2))
+        return float(dists[np.triu_indices(n, k=1)].min())
+
+    rng = np.random.default_rng(71)
+    for case in range(2000):
+        n = int(rng.integers(0, 9))
+        points = rng.uniform(-10.0, 10.0, (n, 2)) * 10.0 ** rng.uniform(-6.0, 3.0)
+        if n >= 2 and case % 3 == 0:
+            # coincident points, and points one ulp apart
+            points[1] = points[0]
+            points[-1] = np.nextafter(points[0], np.inf)
+        got, want = min_pair_distance(points), upper_triangle(points)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()

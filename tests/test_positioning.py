@@ -6,6 +6,7 @@ import pytest
 from movant import kernels, positioning
 from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, trace_objective
 from movant.errors import InfeasibleSpacing
+from movant.harness import RunConfig, default_scenario
 from movant.positioning import (
     PenaltyConfig,
     optimize_positions,
@@ -303,52 +304,71 @@ def sequential_pgd_loop(
     start, anchors, centers, radius, lo, hi, directions, amplitudes, wavenumber, rho, cfg,
     accepts,
 ):
-    """Reference line search: ``_pgd_loop`` with every one of the
-    ``_MAX_HALVINGS`` step lengths tried one at a time, as it was before the
-    tail of a failing search was stacked. ``accepts`` collects the number of
-    halvings before each accepted step, and ``_MAX_HALVINGS`` for a stall."""
+    """Reference spectral projected gradient: ``_pgd_loop`` with every one
+    of the ``_MAX_HALVINGS`` step lengths tried one at a time and the
+    gradient always taken from a separate ``trace_and_grad`` call at the
+    accepted point. ``accepts`` collects the number of halvings before each
+    accepted step, and ``_MAX_HALVINGS`` for a stall."""
     proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
-    pos = proj(start)
-    trace, grad, _ = kernels.trace_and_grad(
-        pos, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+    grad_at = lambda pts: kernels.trace_and_grad(
+        pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
     )
+    pos = proj(start)
+    trace, grad, _ = grad_at(pos)
     if np.isnan(trace):
         return pos, math.nan, 0, positioning._STATUS_SINGULAR
     penalized = trace + rho * float(((pos - anchors) ** 2).sum())
+    g = grad + 2.0 * rho * (pos - anchors)
+    recent = [penalized]
+    best = (penalized, pos, trace)
     eta = cfg.pgd_step
-    eta_cap = cfg.pgd_step * 1e9
     status = positioning._STATUS_MAX_ITERS
     iters = 0
     for _ in range(cfg.pgd_max_iters):
-        g = grad + 2.0 * rho * (pos - anchors)
+        projected = proj(pos - eta * g)
+        d = projected - pos
+        if np.linalg.norm(d, axis=1).max() <= cfg.grad_tol:
+            status = positioning._STATUS_CONVERGED
+            break
+        ref = max(recent[-positioning._NONMONOTONE_MEMORY:])
+        ref -= 1e-12 * abs(ref)
+        slope = float((g * d).sum())
         accepted = False
+        lam = 1.0
         for halvings in range(positioning._MAX_HALVINGS):
-            cand = proj(pos - eta * g)
-            trace_c, _ = kernels.trace_at(
-                cand, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-            )
+            cand = projected if halvings == 0 else pos + lam * d
+            if halvings == 0:
+                trace_c = grad_at(cand)[0]
+            else:
+                trace_c, _ = kernels.trace_at(
+                    cand, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+                )
             if not np.isnan(trace_c):
                 pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
-                if pen_c <= penalized - 1e-12 * abs(penalized):
+                if pen_c <= ref + positioning._ARMIJO * lam * slope:
                     accepted = True
                     break
-            eta *= 0.5
+            lam *= 0.5
         if not accepted:
             accepts.append(positioning._MAX_HALVINGS)
             status = positioning._STATUS_STALLED
             break
         accepts.append(halvings)
-        move = float(np.linalg.norm(cand - pos, axis=1).max())
+        s = cand - pos
         pos, penalized, trace = cand, pen_c, trace_c
+        recent.append(penalized)
+        if penalized < best[0]:
+            best = (penalized, pos, trace)
         iters += 1
-        if move <= cfg.grad_tol:
+        if np.linalg.norm(s, axis=1).max() <= cfg.grad_tol:
             status = positioning._STATUS_CONVERGED
             break
-        _, grad, _ = kernels.trace_and_grad(
-            pos, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-        )
-        eta = min(eta * 2.0, eta_cap)
-    return pos, trace, iters, status
+        g_new = grad_at(pos)[1] + 2.0 * rho * (pos - anchors)
+        sy = float((s * (g_new - g)).sum())
+        eta = float((s * s).sum()) / sy if sy > 0.0 else 2.0 * eta
+        eta = min(max(eta, positioning._STEP_MIN), positioning._STEP_MAX)
+        g = g_new
+    return best[1], best[2], iters, status
 
 
 def line_search_cases(seed, count):
@@ -386,3 +406,41 @@ def test_stacked_line_search_matches_sequential_reference():
     assert any(a < single for a in accepts)
     assert any(single <= a < positioning._MAX_HALVINGS for a in accepts)
     assert positioning._MAX_HALVINGS in accepts
+
+
+def test_pgd_loop_output_is_feasible():
+    # in the box exactly; in the disk within 2 ulps of the largest coordinate
+    # (the projection's radial points and the norm itself are rounded)
+    cfg = PenaltyConfig(pgd_max_iters=60)
+    for args in line_search_cases(31, 120):
+        centers, _, _, radius, lo, hi = args[:6]
+        pos = positioning._pgd_loop(*args, cfg)[0]
+        assert np.all(pos >= lo) and np.all(pos <= hi)
+        ulp = np.spacing(max(np.abs(pos).max(), np.abs(centers).max()))
+        assert np.all(np.linalg.norm(pos - centers, axis=1) <= radius + 2.0 * ulp)
+
+
+@pytest.mark.parametrize(
+    "speed, t_mov",
+    [(2.0, 0.8), (2.0, 1.52), (6.0, 0.56), (6.0, 1.2), (18.0, 0.4), (18.0, 0.64), (6.0, None)],
+)
+def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
+    # each of these solves ran a PGD loop into the 500-iteration cap under
+    # the former double-or-halve step rule; None is UpperBound's speed-free
+    # solve with its boosted restarts
+    statuses = []
+
+    def recording(*args, **kwargs):
+        result = pgd_loop(*args, **kwargs)
+        statuses.append(result[3])
+        return result
+
+    pgd_loop = positioning._pgd_loop
+    monkeypatch.setattr(positioning, "_pgd_loop", recording)
+    scenario = default_scenario(max_speed_wl_s=speed)
+    if t_mov is None:
+        config = PenaltyConfig(restarts=RunConfig().unconstrained_restarts)
+        unconstrained_deploy(scenario, config=config)
+    else:
+        optimize_positions(scenario, t_mov)
+    assert statuses and positioning._STATUS_MAX_ITERS not in statuses
