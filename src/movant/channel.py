@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .errors import SingularChannel
@@ -77,14 +76,14 @@ def channel_state(scenario: Scenario, deployment) -> ChannelState:
         pos, scenario.direction_vectors(), scenario.amplitudes(), scenario.wavenumber
     )
     G = np.conj(H.T) @ H
-    eigvals = np.linalg.eigvalsh(G)
-    cond = np.inf if eigvals[0] <= 0 else float(eigvals[-1] / eigvals[0])
+    w, V = np.linalg.eigh(G)
+    cond = np.inf if w[0] <= 0 else float(w[-1] / w[0])
     if cond > SINGULAR_COND_LIMIT:
         raise SingularChannel(
             f"Gram condition number {cond:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}"
         )
-    cho = scipy.linalg.cho_factor(G, lower=True)
-    G_inv = scipy.linalg.cho_solve(cho, np.eye(scenario.num_users, dtype=complex))
+    # G^-1 = V diag(1/w) V^H from the eigendecomposition that gave cond
+    G_inv = (V / w) @ np.conj(V.T)
     return ChannelState(H=H, G=G, G_inv=G_inv, cond=cond)
 
 

@@ -8,12 +8,14 @@ import sys
 
 import numpy as np
 
+from .errors import MovantError
 from .harness import (
     CSV_HEADER,
     RunConfig,
     SchemeId,
     SweepParameter,
     SweepSpec,
+    csv_row,
     default_scenario,
     load_config,
     run_scheme,
@@ -108,9 +110,16 @@ def _run_config_from_args(args) -> RunConfig:
 def _parse_speed_grid(text: str) -> np.ndarray:
     if ":" in text:
         start, stop, step = (float(tok) for tok in text.split(":"))
+        if step <= 0:
+            raise ValueError("speed grid step must be positive")
+        if stop < start:
+            raise ValueError("speed grid stop lies below its start")
         count = int(round((stop - start) / step)) + 1
         return start + step * np.arange(count)
-    return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+    grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])
+    if grid.size == 0:
+        raise ValueError("speed grid is empty")
+    return grid
 
 
 def _emit(rows, out_path):
@@ -131,18 +140,7 @@ def _cmd_optimize(args) -> int:
     print(f"throughput      : {report.best_throughput:.6g} bits/Hz")
     print(f"converged       : {report.converged}")
     if args.out:
-        row = ",".join(
-            [
-                "",
-                scheme.value,
-                repr(float(report.best_t_mov)),
-                repr(float(report.best_rate)),
-                repr(float(report.best_throughput)),
-                "true" if report.converged else "false",
-                "",
-            ]
-        )
-        write_csv([CSV_HEADER, row], args.out)
+        write_csv([CSV_HEADER, csv_row("", scheme, report)], args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -218,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (MovantError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,7 @@ __all__ = [
     "SweepSpec",
     "RunConfig",
     "CSV_HEADER",
+    "csv_row",
     "DEFAULT_CONFIG",
     "load_config",
     "parse_config_text",
@@ -85,11 +86,11 @@ class RunConfig:
     grid_step: float | None = None  # duration grid step; None = interval/400
     samples: int = 5
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    unconstrained_restarts: int = 4
 
-    def step_for(self, scenario: Scenario) -> float:
-        return scenario.interval / 400.0 if self.grid_step is None else self.grid_step
 
+# fewest restarts of the speed-free solves that guide OTGM and OTFM and
+# give UpperBound its deployment
+_UNCONSTRAINED_RESTARTS = 4
 
 CSV_HEADER = "param,scheme,t_mov,rate_bps_hz,throughput_b_hz,converged,error"
 
@@ -257,14 +258,11 @@ def run_scheme(
     """Execute one benchmark scheme on a scenario."""
     rc = run_config or RunConfig()
     boosted = replace(
-        rc.penalty, restarts=max(rc.penalty.restarts, rc.unconstrained_restarts)
+        rc.penalty, restarts=max(rc.penalty.restarts, _UNCONSTRAINED_RESTARTS)
     )
     if scheme is SchemeId.OTGM:
         return general_search(
-            scenario,
-            grid_step=rc.step_for(scenario),
-            config=rc.penalty,
-            guide_config=boosted,
+            scenario, grid_step=rc.grid_step, config=rc.penalty, guide_config=boosted
         )
     if scheme is SchemeId.OTFM:
         return fitting_method(
@@ -290,6 +288,22 @@ def _sanitize(message: str) -> str:
     return message.replace(",", ";").replace("\n", " ").strip()
 
 
+def csv_row(param: str, scheme: SchemeId, report: TradeoffReport) -> str:
+    """The ``CSV_HEADER`` row of a finished scheme run: floats as ``repr``,
+    the converged flag as true/false and an empty error column."""
+    return ",".join(
+        [
+            param,
+            scheme.value,
+            _format_float(report.best_t_mov),
+            _format_float(report.best_rate),
+            _format_float(report.best_throughput),
+            "true" if report.converged else "false",
+            "",
+        ]
+    )
+
+
 def run_sweep(
     base_scenario: Scenario, sweep: SweepSpec, run_config: RunConfig | None = None
 ) -> list[str]:
@@ -307,17 +321,7 @@ def run_sweep(
             report = run_scheme(scenario, scheme, rc)
         except (MovantError, ValueError) as exc:
             return f"{_format_float(value)},{scheme.value},,,,,{_sanitize(str(exc))}"
-        return ",".join(
-            [
-                _format_float(value),
-                scheme.value,
-                _format_float(report.best_t_mov),
-                _format_float(report.best_rate),
-                _format_float(report.best_throughput),
-                "true" if report.converged else "false",
-                "",
-            ]
-        )
+        return csv_row(_format_float(value), scheme, report)
 
     rows = [solve(value, scheme) for value in sweep.values for scheme in sweep.schemes]
     return [CSV_HEADER, *rows]

@@ -24,10 +24,10 @@ from .errors import InfeasibleSpacing, SingularChannel
 from .scenario import Deployment, Scenario, Topology, as_positions, min_pair_distance
 
 __all__ = [
+    "FEASIBILITY_TOL",
     "PenaltyConfig",
     "OptimizeOutcome",
     "project_box_disk",
-    "pgd_optimize",
     "separate_anchors",
     "optimize_positions",
     "unconstrained_deploy",
@@ -47,6 +47,20 @@ _ARMIJO = 1e-4
 _STEP_MIN = 1e-30
 _STEP_MAX = 1e30
 
+# the solver's fixed tuning: the anchor pull of the second outer round and
+# its growth per round, the step that seeds each loop's first spectral step,
+# the loop and round caps, and the largest move (per antenna, wavelengths)
+# at which a loop has converged
+_RHO_INIT = 1.0
+_RHO_GROWTH = 10.0
+_PGD_STEP = 1e-3
+_PGD_MAX_ITERS = 500
+_AO_MAX_ITERS = 12
+_GRAD_TOL = 1e-6
+# spacing slack of a returned deployment; the outer loop ends once positions
+# and anchors agree within half of it
+FEASIBILITY_TOL = 1e-4
+
 _STATUS_CONVERGED = 0
 _STATUS_MAX_ITERS = 1
 _STATUS_SINGULAR = 2
@@ -55,32 +69,14 @@ _STATUS_STALLED = 3
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Tuning knobs for the alternating penalty optimizer.
+    """Starts per solve of the alternating penalty optimizer; the rest of
+    its tuning is fixed in module constants."""
 
-    ``pgd_step`` seeds only the first step of each projected gradient loop;
-    later steps are Barzilai-Borwein steps. ``grad_tol`` is the loop's stop
-    rule: it converges once its projected step or an accepted move is at
-    most ``grad_tol`` wavelengths for every antenna.
-    """
-
-    rho_init: float = 1.0
-    rho_growth: float = 10.0
-    pgd_step: float = 1e-3
-    pgd_max_iters: int = 500
-    ao_max_iters: int = 12
-    feasibility_tol: float = 1e-4
-    grad_tol: float = 1e-6
     restarts: int = 1
-    restart_seed: int = 0
 
     def __post_init__(self):
-        if self.rho_growth <= 1.0:
-            raise ValueError("rho_growth must exceed 1")
-        for name in ("rho_init", "pgd_step", "feasibility_tol", "grad_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.pgd_max_iters < 1 or self.ao_max_iters < 1 or self.restarts < 1:
-            raise ValueError("iteration and restart counts must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,6 @@ def _pgd_loop(
     amplitudes: np.ndarray,
     wavenumber: float,
     rho: float,
-    cfg: PenaltyConfig,
 ):
     """Spectral projected gradient on trace + rho * ||pos - anchors||^2
     (SPG2 of Birgin, Martinez and Raydan, 2000). Returns the best iterate
@@ -268,9 +263,10 @@ def _pgd_loop(
     a nonmonotone Armijo test against the largest of the last
     ``_NONMONOTONE_MEMORY`` penalized values, less 1e-12 of its size so that
     a pass is a decrease beyond float noise; ``eta`` is the safeguarded
-    Barzilai-Borwein step of the accepted move; ``cfg.pgd_step`` seeds only
+    Barzilai-Borwein step of the accepted move; ``_PGD_STEP`` seeds only
     the first one. The loop converges when ``d`` or an accepted move is at
-    most ``cfg.grad_tol`` (largest row norm) and stalls when no lam passes.
+    most ``_GRAD_TOL`` (largest row norm), stops after ``_PGD_MAX_ITERS``
+    iterations and stalls when no lam passes.
 
     The first trial is scored with ``trace_and_grad``, whose gradient is
     kept if it is accepted. The next ``_SINGLE_HALVINGS - 1`` are scored one
@@ -293,16 +289,16 @@ def _pgd_loop(
     g = grad + 2.0 * rho * (pos - anchors)
     recent = collections.deque([penalized], maxlen=_NONMONOTONE_MEMORY)
     best = (penalized, pos, trace)
-    eta = cfg.pgd_step
+    eta = _PGD_STEP
     # the step lengths of the stacked tail, exact powers of two as the
     # single trials' repeated halving gives them
     tail = 0.5 ** np.arange(_SINGLE_HALVINGS, _MAX_HALVINGS)
     status = _STATUS_MAX_ITERS
     iters = 0
-    for _ in range(cfg.pgd_max_iters):
+    for _ in range(_PGD_MAX_ITERS):
         projected = proj(pos - eta * g)
         d = projected - pos
-        if np.linalg.norm(d, axis=1).max() <= cfg.grad_tol:
+        if np.linalg.norm(d, axis=1).max() <= _GRAD_TOL:
             status = _STATUS_CONVERGED
             break
         # strict decrease beyond float noise, so iterates at the noise floor
@@ -339,7 +335,7 @@ def _pgd_loop(
         if penalized < best[0]:
             best = (penalized, pos, trace)
         iters += 1
-        if np.linalg.norm(s, axis=1).max() <= cfg.grad_tol:
+        if np.linalg.norm(s, axis=1).max() <= _GRAD_TOL:
             status = _STATUS_CONVERGED
             break
         if grad_c is None:
@@ -353,47 +349,6 @@ def _pgd_loop(
     return best[1], best[2], iters, status
 
 
-def pgd_optimize(
-    scenario: Scenario,
-    t_mov: float,
-    anchors,
-    rho: float,
-    config: PenaltyConfig | None = None,
-    start=None,
-    radius: float | None = None,
-) -> Deployment:
-    """One inner position update: minimize trace + rho * distance-to-anchors
-    over the per-antenna disk/region sets for the given movement duration."""
-    if t_mov < 0:
-        raise ValueError("t_mov must be nonnegative")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    cfg = config or PenaltyConfig()
-    anchors = as_positions(anchors)
-    if anchors.shape[0] != scenario.num_antennas:
-        raise ValueError("anchor count does not match the scenario")
-    centers = scenario.initial_positions.coords
-    lo, hi = scenario.region_bounds()
-    r = scenario.max_speed * t_mov if radius is None else float(radius)
-    start_pts = centers if start is None else as_positions(start)
-    pos, _, _, status = _pgd_loop(
-        start_pts,
-        anchors,
-        centers,
-        r,
-        lo,
-        hi,
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
-        rho,
-        cfg,
-    )
-    if status == _STATUS_SINGULAR:
-        raise SingularChannel("channel is singular at the starting deployment")
-    return Deployment(pos)
-
-
 def optimize_positions(
     scenario: Scenario,
     t_mov: float,
@@ -404,18 +359,18 @@ def optimize_positions(
     """Best-found deployment for a fixed movement duration.
 
     Alternates projected gradient descent with anchor re-separation under a
-    growing penalty until positions and anchors agree within half the
-    feasibility tolerance. The returned deployment lies in the region
+    growing penalty until positions and anchors agree within half of
+    ``FEASIBILITY_TOL``. The returned deployment lies in the region
     exactly, in the disks up to rounding (within 2 ulps of its largest
-    coordinate) and keeps the pairwise spacing within the feasibility
-    tolerance; its objective never exceeds the objective of the initial
+    coordinate) and keeps the pairwise spacing within ``FEASIBILITY_TOL``;
+    its objective never exceeds the objective of the initial
     deployment. Optional multi-starts jitter the starting point
     deterministically; the best feasible result wins (ties keep the earliest
     restart).
     """
     if t_mov < 0:
         raise ValueError("t_mov must be nonnegative")
-    cfg = config or PenaltyConfig()
+    restarts = (config or PenaltyConfig()).restarts
     radius = scenario.max_speed * t_mov if radius_override is None else float(radius_override)
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
@@ -434,16 +389,16 @@ def optimize_positions(
     directions = scenario.direction_vectors()
     amplitudes = scenario.amplitudes()
     d_min = scenario.min_spacing
-    spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - cfg.feasibility_tol
+    spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
 
     # the initial deployment is feasible for every duration: never do worse
     best_obj = f_initial
     best_pts = initial
     best_run = (0, 0, True, ())
-    rng = np.random.default_rng(cfg.restart_seed)
+    rng = np.random.default_rng(0)
     jitter_scale = min(radius, scenario.region_side / 4.0)
 
-    for restart in range(cfg.restarts):
+    for restart in range(restarts):
         if restart == 0:
             pts = initial if start is None else as_positions(start)
         else:
@@ -468,7 +423,7 @@ def optimize_positions(
         inner_total = 0
         converged = False
         outer = 0
-        for outer in range(1, cfg.ao_max_iters + 1):
+        for outer in range(1, _AO_MAX_ITERS + 1):
             pts, trace, inner, status = _pgd_loop(
                 pts,
                 anchors,
@@ -480,7 +435,6 @@ def optimize_positions(
                 amplitudes,
                 scenario.wavenumber,
                 rho,
-                cfg,
             )
             if status == _STATUS_SINGULAR:
                 raise SingularChannel("channel is singular at the starting deployment")
@@ -492,10 +446,10 @@ def optimize_positions(
             gaps.append(gap)
             if spacing_ok(pts) and trace < run_obj:
                 run_obj, run_pts = float(trace), pts.copy()
-            if gap <= cfg.feasibility_tol / 2.0:
+            if gap <= FEASIBILITY_TOL / 2.0:
                 converged = True
                 break
-            rho = cfg.rho_init if rho == 0.0 else rho * cfg.rho_growth
+            rho = _RHO_INIT if rho == 0.0 else rho * _RHO_GROWTH
         if run_pts is not None and run_obj < best_obj:
             best_obj, best_pts = run_obj, run_pts
             best_run = (outer, inner_total, converged, tuple(gaps))

@@ -209,9 +209,7 @@ def general_search(
 
 
 def compute_t_mov_max(
-    scenario: Scenario,
-    config: PenaltyConfig | None = None,
-    guide_config: PenaltyConfig | None = None,
+    scenario: Scenario, config: PenaltyConfig | None = None
 ) -> tuple[float, Deployment]:
     """Longest movement duration worth considering, with the speed-free
     optimal deployment that defines it.
@@ -222,7 +220,7 @@ def compute_t_mov_max(
     """
     if scenario.max_speed <= 0:
         raise ValueError("max_speed must be positive")
-    outcome = unconstrained_deploy(scenario, config=guide_config or config)
+    outcome = unconstrained_deploy(scenario, config=config)
     a_star = outcome.deployment
     travel = a_star.max_shift_from(scenario.initial_positions) / scenario.max_speed
     t_max = scenario.interval if travel >= scenario.interval else travel
@@ -351,7 +349,7 @@ def fitting_method(
     """
     if samples < 4:
         raise ValueError("need at least 4 samples")
-    t_max, a_star = compute_t_mov_max(scenario, config=config, guide_config=guide_config)
+    t_max, a_star = compute_t_mov_max(scenario, config=guide_config or config)
 
     if t_max <= 1e-12:
         rate = achievable_rate(scenario, scenario.initial_positions)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -350,3 +355,16 @@ def test_min_pair_distance_equals_upper_triangle_formula():
             points[-1] = np.nextafter(points[0], np.inf)
         got, want = min_pair_distance(points), upper_triangle(points)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_imports_without_scipy():
+    # a None entry in sys.modules makes any import of scipy fail
+    code = 'import sys; sys.modules["scipy"] = None; import movant, movant.cli'
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -318,6 +318,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith(CSV_HEADER)
 
+    def test_singular_channel_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # four users in one direction give a rank-one channel
+        path = tmp_path / "same_direction.cfg"
+        path.write_text(
+            "elevation_angles = 0.5, 0.5, 0.5, 0.5\n"
+            "azimuth_angles = 0.3, 0.3, 0.3, 0.3\n"
+        )
+        assert main(["thresholds", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "1:0:0.1", ","])
+    def test_bad_speed_grid_is_fatal(self, grid, capsys):
+        assert main(["special-case", "--vmax", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_zero_restarts_is_fatal(self, capsys):
+        assert main(["optimize", "--scheme", "Static", "--restarts", "0"]) == 2
+        assert "restarts" in capsys.readouterr().err
+
     def test_special_case_narrow(self, capsys):
         assert main(["special-case", "--case", "narrow", "--vmax", "0.02,0.04"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from movant import kernels, positioning
+from movant import harness, kernels, positioning
 from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, trace_objective
 from movant.errors import InfeasibleSpacing
-from movant.harness import RunConfig, default_scenario
+from movant.harness import default_scenario
 from movant.positioning import (
+    FEASIBILITY_TOL,
     PenaltyConfig,
     optimize_positions,
-    pgd_optimize,
     project_box_disk,
     separate_anchors,
     unconstrained_deploy,
@@ -152,28 +152,49 @@ class TestSeparateAnchors:
         assert min_pair(out) >= 0.5 - 1e-9
 
 
+def pgd_loop_from_start(scenario, t_mov, anchors, rho):
+    """``_pgd_loop`` from the initial deployment over the disks of radius
+    ``max_speed * t_mov``: the positions it returns."""
+    centers = scenario.initial_positions.coords
+    lo, hi = scenario.region_bounds()
+    pos, _, _, status = positioning._pgd_loop(
+        centers,
+        np.asarray(anchors, dtype=float),
+        centers,
+        scenario.max_speed * t_mov,
+        lo,
+        hi,
+        scenario.direction_vectors(),
+        scenario.amplitudes(),
+        scenario.wavenumber,
+        rho,
+    )
+    assert status != positioning._STATUS_SINGULAR
+    return pos
+
+
 class TestPgdOptimize:
+    """One inner position update, ``positioning._pgd_loop``."""
+
     def test_zero_duration_returns_initial(self, case_wide):
-        out = pgd_optimize(case_wide, 0.0, case_wide.initial_positions.coords, 1.0)
-        assert np.allclose(out.coords, case_wide.initial_positions.coords, atol=1e-12)
+        out = pgd_loop_from_start(case_wide, 0.0, case_wide.initial_positions.coords, 1.0)
+        assert np.allclose(out, case_wide.initial_positions.coords, atol=1e-12)
 
     def test_large_penalty_pins_to_anchors(self, case_wide):
         anchors = np.array([[3.6, 0.0], [6.4, 0.0]])
-        out = pgd_optimize(case_wide, 1.0, anchors, 1e6)
-        assert np.max(np.linalg.norm(out.coords - anchors, axis=1)) <= 1e-3
+        out = pgd_loop_from_start(case_wide, 1.0, anchors, 1e6)
+        assert np.max(np.linalg.norm(out - anchors, axis=1)) <= 1e-3
 
     def test_penalized_objective_never_increases(self, case_wide):
         anchors = case_wide.initial_positions.coords
         for rho in [0.0, 0.5, 10.0]:
-            out = pgd_optimize(case_wide, 1.5, anchors, rho)
+            out = pgd_loop_from_start(case_wide, 1.5, anchors, rho)
             start_val = trace_objective(case_wide, anchors)
-            end_val = trace_objective(case_wide, out) + rho * float(
-                ((out.coords - anchors) ** 2).sum()
-            )
+            end_val = trace_objective(case_wide, out) + rho * float(((out - anchors) ** 2).sum())
             assert end_val <= start_val + 1e-12
 
     def test_reaches_optimal_spacing_with_room(self, case_wide):
-        out = pgd_optimize(case_wide, 4.0, case_wide.initial_positions.coords, 0.0)
+        out = pgd_loop_from_start(case_wide, 4.0, case_wide.initial_positions.coords, 0.0)
         assert trace_objective(case_wide, out) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -220,7 +241,7 @@ class TestOptimizePositions:
             t = float(rng.uniform(0.2, 2.0))
             out = optimize_positions(s, t)
             coords = out.deployment.coords
-            tol = PenaltyConfig().feasibility_tol
+            tol = FEASIBILITY_TOL
             shift = np.linalg.norm(coords - s.initial_positions.coords, axis=1).max()
             assert shift <= s.max_speed * t + tol
             assert out.deployment.min_pair_distance() >= s.min_spacing - tol
@@ -282,7 +303,7 @@ class TestUnconstrainedDeploy:
         )
         out = unconstrained_deploy(s)
         assert out.objective == pytest.approx(1.0 / (3 * 2.0), rel=1e-9)
-        assert out.deployment.min_pair_distance() >= 0.5 - PenaltyConfig().feasibility_tol
+        assert out.deployment.min_pair_distance() >= 0.5 - FEASIBILITY_TOL
 
     def test_beats_random_sampling_oracle(self):
         rng = np.random.default_rng(123)
@@ -301,8 +322,7 @@ class TestUnconstrainedDeploy:
 
 
 def sequential_pgd_loop(
-    start, anchors, centers, radius, lo, hi, directions, amplitudes, wavenumber, rho, cfg,
-    accepts,
+    start, anchors, centers, radius, lo, hi, directions, amplitudes, wavenumber, rho, accepts
 ):
     """Reference spectral projected gradient: ``_pgd_loop`` with every one
     of the ``_MAX_HALVINGS`` step lengths tried one at a time and the
@@ -321,13 +341,13 @@ def sequential_pgd_loop(
     g = grad + 2.0 * rho * (pos - anchors)
     recent = [penalized]
     best = (penalized, pos, trace)
-    eta = cfg.pgd_step
+    eta = positioning._PGD_STEP
     status = positioning._STATUS_MAX_ITERS
     iters = 0
-    for _ in range(cfg.pgd_max_iters):
+    for _ in range(positioning._PGD_MAX_ITERS):
         projected = proj(pos - eta * g)
         d = projected - pos
-        if np.linalg.norm(d, axis=1).max() <= cfg.grad_tol:
+        if np.linalg.norm(d, axis=1).max() <= positioning._GRAD_TOL:
             status = positioning._STATUS_CONVERGED
             break
         ref = max(recent[-positioning._NONMONOTONE_MEMORY:])
@@ -360,7 +380,7 @@ def sequential_pgd_loop(
         if penalized < best[0]:
             best = (penalized, pos, trace)
         iters += 1
-        if np.linalg.norm(s, axis=1).max() <= cfg.grad_tol:
+        if np.linalg.norm(s, axis=1).max() <= positioning._GRAD_TOL:
             status = positioning._STATUS_CONVERGED
             break
         g_new = grad_at(pos)[1] + 2.0 * rho * (pos - anchors)
@@ -391,12 +411,12 @@ def line_search_cases(seed, count):
         yield centers, anchors, centers, radius, lo, hi, directions, amplitudes, 2 * np.pi, rho
 
 
-def test_stacked_line_search_matches_sequential_reference():
-    cfg = PenaltyConfig(pgd_max_iters=60)
+def test_stacked_line_search_matches_sequential_reference(monkeypatch):
+    monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     accepts = []
     for args in line_search_cases(31, 120):
-        pos, trace, iters, status = positioning._pgd_loop(*args, cfg)
-        ref_pos, ref_trace, ref_iters, ref_status = sequential_pgd_loop(*args, cfg, accepts)
+        pos, trace, iters, status = positioning._pgd_loop(*args)
+        ref_pos, ref_trace, ref_iters, ref_status = sequential_pgd_loop(*args, accepts)
         assert np.array_equal(pos, ref_pos)
         assert np.array_equal(trace, ref_trace, equal_nan=True)
         assert (iters, status) == (ref_iters, ref_status)
@@ -408,13 +428,13 @@ def test_stacked_line_search_matches_sequential_reference():
     assert positioning._MAX_HALVINGS in accepts
 
 
-def test_pgd_loop_output_is_feasible():
+def test_pgd_loop_output_is_feasible(monkeypatch):
     # in the box exactly; in the disk within 2 ulps of the largest coordinate
     # (the projection's radial points and the norm itself are rounded)
-    cfg = PenaltyConfig(pgd_max_iters=60)
+    monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     for args in line_search_cases(31, 120):
         centers, _, _, radius, lo, hi = args[:6]
-        pos = positioning._pgd_loop(*args, cfg)[0]
+        pos = positioning._pgd_loop(*args)[0]
         assert np.all(pos >= lo) and np.all(pos <= hi)
         ulp = np.spacing(max(np.abs(pos).max(), np.abs(centers).max()))
         assert np.all(np.linalg.norm(pos - centers, axis=1) <= radius + 2.0 * ulp)
@@ -439,8 +459,13 @@ def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
     monkeypatch.setattr(positioning, "_pgd_loop", recording)
     scenario = default_scenario(max_speed_wl_s=speed)
     if t_mov is None:
-        config = PenaltyConfig(restarts=RunConfig().unconstrained_restarts)
+        config = PenaltyConfig(restarts=harness._UNCONSTRAINED_RESTARTS)
         unconstrained_deploy(scenario, config=config)
     else:
         optimize_positions(scenario, t_mov)
     assert statuses and positioning._STATUS_MAX_ITERS not in statuses
+
+
+def test_penalty_config_needs_a_start():
+    with pytest.raises(ValueError):
+        PenaltyConfig(restarts=0)
