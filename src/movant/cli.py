@@ -153,6 +153,8 @@ def _cmd_sweep(args) -> int:
     parameter = SweepParameter(name.strip())
     grid = tuple(float(tok) for tok in values.split(",") if tok.strip())
     schemes = tuple(SchemeId(tok.strip()) for tok in args.scheme.split(",") if tok.strip())
+    if not schemes:
+        raise ValueError("--scheme names no scheme")
     spec = SweepSpec(parameter=parameter, values=grid, schemes=schemes)
     rows = run_sweep(scenario, spec, _run_config_from_args(args))
     _emit(rows, args.out)

@@ -10,10 +10,9 @@ and ``wavenumber`` is 2*pi/wavelength. Entry (n, k) of the channel matrix is
 channels; they return NaN objectives plus the measured condition number and
 leave error handling to the wrappers.
 
-``trace_at`` and ``project_deployment`` also take a stack of deployments,
-``(..., N, 2)``, and return one result per slice, equal bit for bit to one
-call per slice: the line search scores many step lengths in one call.
-``channel_matrix`` and ``trace_and_grad`` take (N, 2) only.
+``project_deployment`` also takes a stack of deployments, ``(..., N, 2)``,
+and projects each slice as one call per slice would; ``channel_matrix``,
+``trace_at`` and ``trace_and_grad`` take (N, 2) only.
 
 ``project_deployment`` keeps the circle/box-edge crossings of its last
 ``_CROSSINGS_MEMO_SIZE`` (16) constraint sets in a memo keyed on the values
@@ -73,28 +72,9 @@ def _gram_spectrum(positions, directions, amplitudes, wavenumber, cond_limit, ve
     return H, w, V, trace, cond
 
 
-def _stacked_trace(positions, directions, amplitudes, wavenumber, cond_limit):
-    """``trace_at`` over a stack of deployments: the same channel, Gram and
-    eigenvalue routines, run once on the whole stack."""
-    H = _channel(positions, directions, amplitudes, wavenumber)
-    w = np.linalg.eigvalsh(np.swapaxes(H.conj(), -1, -2) @ H)
-    low = w[..., 0]
-    # a singular slice divides by a zero or negative eigenvalue here; the
-    # masks below replace its cond with inf and its trace with NaN
-    with np.errstate(all="ignore"):
-        cond = np.where(low > 0.0, w[..., -1] / low, np.inf)
-        trace = (1.0 / w).sum(axis=-1)
-    return np.where(cond <= cond_limit, trace, np.nan), cond
-
-
 def trace_at(positions, directions, amplitudes, wavenumber, cond_limit):
-    """(tr(G^-1), cond(G)); the trace is NaN past ``cond_limit``.
-
-    Stacked positions (..., N, 2) give arrays of shape (...): the trace of
-    a singular slice is NaN and its cond is inf.
-    """
-    if positions.ndim > 2:
-        return _stacked_trace(positions, directions, amplitudes, wavenumber, cond_limit)
+    """(tr(G^-1), cond(G)) of one (N, 2) deployment; the trace is NaN past
+    ``cond_limit``, and NaN with an infinite cond where G is singular."""
     _, _, _, trace, cond = _gram_spectrum(
         positions, directions, amplitudes, wavenumber, cond_limit, False
     )

@@ -33,11 +33,6 @@ __all__ = [
     "unconstrained_deploy",
 ]
 
-_MAX_HALVINGS = 60
-# trials made one at a time before the rest of a backtracking search is
-# scored in one stacked call: most steps accept on the first trial, and a
-# stack costs more than one trial but far less than a long run of them
-_SINGLE_HALVINGS = 3
 # the nonmonotone line search compares against the largest of this many
 # recent penalized values and asks for this fraction of the linear decrease
 _NONMONOTONE_MEMORY = 10
@@ -57,6 +52,8 @@ _PGD_STEP = 1e-3
 _PGD_MAX_ITERS = 500
 _AO_MAX_ITERS = 12
 _GRAD_TOL = 1e-6
+# push sweeps of the anchor separation before it gives up
+_SEPARATION_SWEEPS = 100
 # spacing slack of a returned deployment; the outer loop ends once positions
 # and anchors agree within half of it
 FEASIBILITY_TOL = 1e-4
@@ -123,9 +120,8 @@ def _clip_region(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
 def separate_anchors(
     deployment,
     min_spacing: float,
-    region_side: float | None = None,
+    region_side: float,
     topology: Topology = Topology.SQUARE_2D,
-    max_sweeps: int = 100,
     history: list | None = None,
 ) -> np.ndarray:
     """Move points apart until every pair is at least ``min_spacing`` away,
@@ -147,26 +143,20 @@ def separate_anchors(
     n = pts.shape[0]
     if min_spacing <= 0 or n < 2:
         return pts
-    if region_side is not None:
-        per_side = int(math.floor(region_side / min_spacing + 1e-12)) + 1
-        capacity = per_side if topology is Topology.SEGMENT_1D else per_side**2
-        if n > capacity:
-            raise InfeasibleSpacing(
-                f"{n} points cannot keep spacing {min_spacing} inside a side-"
-                f"{region_side} region (grid packing bound {capacity})"
-            )
-        lo, hi = topology.bounds(region_side)
-    else:
-        lo = np.array([-math.inf, -math.inf])
-        hi = np.array([math.inf, math.inf])
-        if topology is Topology.SEGMENT_1D:
-            lo[1] = hi[1] = 0.0
+    per_side = int(math.floor(region_side / min_spacing + 1e-12)) + 1
+    capacity = per_side if topology is Topology.SEGMENT_1D else per_side**2
+    if n > capacity:
+        raise InfeasibleSpacing(
+            f"{n} points cannot keep spacing {min_spacing} inside a side-"
+            f"{region_side} region (grid packing bound {capacity})"
+        )
+    lo, hi = topology.bounds(region_side)
 
     if min_pair_distance(pts) >= min_spacing - 1e-12:
         return pts
 
     original = pts.copy()
-    for _ in range(max_sweeps):
+    for _ in range(_SEPARATION_SWEEPS):
         moved = False
         for i in range(n):
             for j in range(i + 1, n):
@@ -185,7 +175,7 @@ def separate_anchors(
     if min_pair_distance(pts) < min_spacing - 1e-9:
         raise InfeasibleSpacing(
             f"failed to separate {n} points to spacing {min_spacing} "
-            f"within {max_sweeps} sweeps"
+            f"within {_SEPARATION_SWEEPS} sweeps"
         )
 
     # pull-back sweeps: slide each point toward its original position up to
@@ -266,13 +256,14 @@ def _pgd_loop(
     Barzilai-Borwein step of the accepted move; ``_PGD_STEP`` seeds only
     the first one. The loop converges when ``d`` or an accepted move is at
     most ``_GRAD_TOL`` (largest row norm), stops after ``_PGD_MAX_ITERS``
-    iterations and stalls when no lam passes.
+    iterations and stalls when no trial passes before ``lam`` times the
+    largest row norm of ``d`` is at most ``_GRAD_TOL``: a move that short
+    would end the loop as converged, so a stall costs about
+    log2(max |d| / ``_GRAD_TOL``) trials.
 
     The first trial is scored with ``trace_and_grad``, whose gradient is
-    kept if it is accepted. The next ``_SINGLE_HALVINGS - 1`` are scored one
-    at a time with ``trace_at``; if none passes, the rest are scored as one
-    stack and the first passing one is taken, which is the step the
-    one-at-a-time search would take.
+    kept if it is accepted; each halving after it is scored alone with
+    ``trace_at``.
     """
     proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
     score = lambda pts: kernels.trace_at(
@@ -290,15 +281,13 @@ def _pgd_loop(
     recent = collections.deque([penalized], maxlen=_NONMONOTONE_MEMORY)
     best = (penalized, pos, trace)
     eta = _PGD_STEP
-    # the step lengths of the stacked tail, exact powers of two as the
-    # single trials' repeated halving gives them
-    tail = 0.5 ** np.arange(_SINGLE_HALVINGS, _MAX_HALVINGS)
     status = _STATUS_MAX_ITERS
     iters = 0
     for _ in range(_PGD_MAX_ITERS):
         projected = proj(pos - eta * g)
         d = projected - pos
-        if np.linalg.norm(d, axis=1).max() <= _GRAD_TOL:
+        reach = np.linalg.norm(d, axis=1).max()
+        if reach <= _GRAD_TOL:
             status = _STATUS_CONVERGED
             break
         # strict decrease beyond float noise, so iterates at the noise floor
@@ -308,27 +297,19 @@ def _pgd_loop(
         slope = float((g * d).sum())
         cand, lam = projected, 1.0
         trace_c, grad_c = score_and_grad(cand)
-        for k in range(_SINGLE_HALVINGS):
-            if k:
-                lam *= 0.5
-                cand = pos + lam * d
-                trace_c, grad_c = score(cand), None
-            if not np.isnan(trace_c):
-                pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
-                if pen_c <= ref + _ARMIJO * lam * slope:
-                    break
-        else:
-            # the remaining step lengths; a NaN trace fails the comparison
-            cands = pos + tail[:, None, None] * d
-            traces = score(cands)
-            shifts = ((cands - anchors) ** 2).reshape(len(tail), -1).sum(axis=1)
-            pens = traces + rho * shifts
-            passed = pens <= ref + _ARMIJO * tail * slope
-            if not passed.any():
+        while True:
+            # a NaN trace fails the comparison
+            pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
+            if pen_c <= ref + _ARMIJO * lam * slope:
+                break
+            lam *= 0.5
+            if lam * reach <= _GRAD_TOL:
                 status = _STATUS_STALLED
                 break
-            j = int(np.argmax(passed))
-            cand, trace_c, pen_c, grad_c = cands[j], traces[j], pens[j], None
+            cand = pos + lam * d
+            trace_c, grad_c = score(cand), None
+        if status == _STATUS_STALLED:
+            break
         s = cand - pos
         pos, penalized, trace = cand, pen_c, trace_c
         recent.append(penalized)
@@ -469,7 +450,7 @@ def optimize_positions(
 
 
 def unconstrained_deploy(
-    scenario: Scenario, config: PenaltyConfig | None = None, start=None
+    scenario: Scenario, config: PenaltyConfig | None = None
 ) -> OptimizeOutcome:
     """Placement optimization with the movement-speed limit inactive: the
     per-antenna disks are widened to cover the whole region."""
@@ -477,4 +458,4 @@ def unconstrained_deploy(
         reach = scenario.region_side
     else:
         reach = scenario.region_side * math.sqrt(2.0)
-    return optimize_positions(scenario, 0.0, config=config, start=start, radius_override=reach)
+    return optimize_positions(scenario, 0.0, config=config, radius_override=reach)

@@ -334,6 +334,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    @pytest.mark.parametrize("schemes", [",", " , ", ""])
+    def test_empty_scheme_list_is_fatal(self, schemes, capsys):
+        assert main(["sweep", "--sweep", "Vmax=2", "--scheme", schemes]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_zero_restarts_is_fatal(self, capsys):
         assert main(["optimize", "--scheme", "Static", "--restarts", "0"]) == 2
         assert "restarts" in capsys.readouterr().err

@@ -265,29 +265,25 @@ def test_trace_matches_eigenvalue_sum():
     assert trace_g == pytest.approx(expected, rel=1e-12)
 
 
-def test_stacked_trace_matches_per_slice_calls():
+def test_trace_is_nan_when_singular_or_past_cond_limit():
     for seed, (n, k) in enumerate([(1, 1), (2, 2), (5, 4), (8, 4)]):
         _, dirs, _, wn = inputs(30 + seed, n, k)
         amps = np.ones(k)
         rng = np.random.default_rng(seed)
-        stack = rng.uniform(0, 8, (12, n, 2))
-        # all antennas at the origin give G = n * ones((k, k)): its smallest
-        # eigenvalue is exactly zero for k > 1
-        stack[3] = 0.0
-        single = [kernels.trace_at(p, dirs, amps, wn, 1e12) for p in stack]
-        finite = sorted(c for _, c in single if np.isfinite(c))
-        # a limit among the slices' own condition numbers puts some past it
-        limit = finite[len(finite) // 2]
-        single = [kernels.trace_at(p, dirs, amps, wn, limit) for p in stack]
-        traces, conds = kernels.trace_at(stack.reshape(3, 4, n, 2), dirs, amps, wn, limit)
-        assert traces.shape == conds.shape == (3, 4)
-        for (trace, cond), t, c in zip(single, traces.ravel(), conds.ravel()):
-            assert np.array_equal(t, trace, equal_nan=True) and c == cond
-        assert np.isfinite(traces).any()
+        deployments = rng.uniform(0, 8, (12, n, 2))
+        conds = sorted(kernels.trace_at(p, dirs, amps, wn, 1e12)[1] for p in deployments)
+        # a limit among the deployments' own condition numbers puts some past it
+        limit = conds[len(conds) // 2]
+        results = [kernels.trace_at(p, dirs, amps, wn, limit) for p in deployments]
+        assert any(np.isfinite(trace) for trace, _ in results)
+        for trace, cond in results:
+            assert np.isfinite(cond) and np.isnan(trace) == (cond > limit)
         if k > 1:
-            assert np.isnan(traces.ravel()[3]) and conds.ravel()[3] == np.inf
-            past = np.isfinite(conds) & (conds > limit)
-            assert past.any() and np.isnan(traces[past]).all()
+            assert any(cond > limit for _, cond in results)
+            # all antennas at the origin give G = n * ones((k, k)): its
+            # smallest eigenvalue is exactly zero for k > 1
+            trace, cond = kernels.trace_at(np.zeros((n, 2)), dirs, amps, wn, 1e12)
+            assert np.isnan(trace) and cond == np.inf
 
 
 def test_stacked_projection_matches_per_slice_calls():

@@ -324,11 +324,11 @@ class TestUnconstrainedDeploy:
 def sequential_pgd_loop(
     start, anchors, centers, radius, lo, hi, directions, amplitudes, wavenumber, rho, accepts
 ):
-    """Reference spectral projected gradient: ``_pgd_loop`` with every one
-    of the ``_MAX_HALVINGS`` step lengths tried one at a time and the
+    """Reference spectral projected gradient: ``_pgd_loop`` with the
     gradient always taken from a separate ``trace_and_grad`` call at the
-    accepted point. ``accepts`` collects the number of halvings before each
-    accepted step, and ``_MAX_HALVINGS`` for a stall."""
+    accepted point, and the halvings counted up front: lam = 2^-h for the
+    h with 2^-h * max |d| > ``_GRAD_TOL``. ``accepts`` collects the number
+    of halvings before each accepted step, and None for a stall."""
     proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
     grad_at = lambda pts: kernels.trace_and_grad(
         pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
@@ -347,15 +347,18 @@ def sequential_pgd_loop(
     for _ in range(positioning._PGD_MAX_ITERS):
         projected = proj(pos - eta * g)
         d = projected - pos
-        if np.linalg.norm(d, axis=1).max() <= positioning._GRAD_TOL:
+        reach = np.linalg.norm(d, axis=1).max()
+        if reach <= positioning._GRAD_TOL:
             status = positioning._STATUS_CONVERGED
             break
         ref = max(recent[-positioning._NONMONOTONE_MEMORY:])
         ref -= 1e-12 * abs(ref)
         slope = float((g * d).sum())
-        accepted = False
-        lam = 1.0
-        for halvings in range(positioning._MAX_HALVINGS):
+        trials = 1
+        while 0.5**trials * reach > positioning._GRAD_TOL:
+            trials += 1
+        for halvings in range(trials):
+            lam = 0.5**halvings
             cand = projected if halvings == 0 else pos + lam * d
             if halvings == 0:
                 trace_c = grad_at(cand)[0]
@@ -366,11 +369,9 @@ def sequential_pgd_loop(
             if not np.isnan(trace_c):
                 pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
                 if pen_c <= ref + positioning._ARMIJO * lam * slope:
-                    accepted = True
                     break
-            lam *= 0.5
-        if not accepted:
-            accepts.append(positioning._MAX_HALVINGS)
+        else:
+            accepts.append(None)
             status = positioning._STATUS_STALLED
             break
         accepts.append(halvings)
@@ -411,7 +412,7 @@ def line_search_cases(seed, count):
         yield centers, anchors, centers, radius, lo, hi, directions, amplitudes, 2 * np.pi, rho
 
 
-def test_stacked_line_search_matches_sequential_reference(monkeypatch):
+def test_line_search_matches_sequential_reference(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     accepts = []
     for args in line_search_cases(31, 120):
@@ -420,12 +421,52 @@ def test_stacked_line_search_matches_sequential_reference(monkeypatch):
         assert np.array_equal(pos, ref_pos)
         assert np.array_equal(trace, ref_trace, equal_nan=True)
         assert (iters, status) == (ref_iters, ref_status)
-    # the cases reach every branch of the search: a step accepted among the
-    # single trials, one accepted in the stacked tail, and a stall
-    single = positioning._SINGLE_HALVINGS
-    assert any(a < single for a in accepts)
-    assert any(single <= a < positioning._MAX_HALVINGS for a in accepts)
-    assert positioning._MAX_HALVINGS in accepts
+    # the cases reach every branch of the search: a step accepted at the
+    # first trial, one accepted after halving, and a stall
+    assert 0 in accepts
+    assert any(a is not None and a > 0 for a in accepts)
+    assert None in accepts
+
+
+def test_stall_scores_only_moves_beyond_tolerance(monkeypatch):
+    # a warm start at rho = 0 that is already at its optimum: the search
+    # stalls before its first step, and every candidate it scores on the
+    # way moves some antenna by more than the convergence tolerance
+    scenario = default_scenario(max_speed_wl_s=18)
+    start = optimize_positions(scenario, 0.8).deployment.coords
+    lo, hi = scenario.region_bounds()
+    scored = []
+    trace_at, trace_and_grad = kernels.trace_at, kernels.trace_and_grad
+
+    def recording(kernel, name):
+        def wrapped(positions, *args):
+            scored.append((name, positions.copy()))
+            return kernel(positions, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(kernels, "trace_at", recording(trace_at, "trace_at"))
+    monkeypatch.setattr(kernels, "trace_and_grad", recording(trace_and_grad, "grad"))
+    _, _, iters, status = positioning._pgd_loop(
+        start,
+        start,
+        scenario.initial_positions.coords,
+        scenario.max_speed * 0.88,
+        lo,
+        hi,
+        scenario.direction_vectors(),
+        scenario.amplitudes(),
+        scenario.wavenumber,
+        0.0,
+    )
+    assert (iters, status) == (0, positioning._STATUS_STALLED)
+    # the first call scores the start itself; the rest are candidates
+    assert scored[0][0] == "grad" and np.array_equal(scored[0][1], start)
+    candidates = [positions for _, positions in scored[1:]]
+    assert sum(name == "trace_at" for name, _ in scored) >= 1
+    for positions in candidates:
+        assert positions.shape == start.shape
+        assert np.linalg.norm(positions - start, axis=1).max() > positioning._GRAD_TOL
 
 
 def test_pgd_loop_output_is_feasible(monkeypatch):
