@@ -10,9 +10,18 @@ and ``wavenumber`` is 2*pi/wavelength. Entry (n, k) of the channel matrix is
 channels; they return NaN objectives plus the measured condition number and
 leave error handling to the wrappers.
 
-``project_deployment`` also takes a stack of deployments, ``(..., N, 2)``,
-and projects each slice as one call per slice would; ``channel_matrix``,
-``trace_at`` and ``trace_and_grad`` take (N, 2) only.
+``trace_at``, ``trace_and_grad`` and ``project_deployment`` also take a
+stack of deployments, ``(..., N, 2)``, and return one result per slice,
+equal bit for bit to one call per slice: the placement solver runs its
+restarts as lanes of one stack, in lockstep. ``channel_matrix`` takes
+(N, 2) only.
+
+The trace kernels call LAPACK's Hermitian eigensolvers through the
+gufuncs behind ``np.linalg.eigh`` and ``np.linalg.eigvalsh``: those
+functions check and convert their argument on every call, which costs more
+than the 4 x 4 solve itself. The results are the same bit for bit; a solve
+that does not converge gives NaN eigenvalues, so a NaN trace, where the
+public functions raise.
 
 ``project_deployment`` keeps the circle/box-edge crossings of its last
 ``_CROSSINGS_MEMO_SIZE`` (16) constraint sets in a memo keyed on the values
@@ -25,6 +34,7 @@ import functools
 import struct
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -57,47 +67,68 @@ def channel_matrix(positions, directions, amplitudes, wavenumber):
 
 def _gram_spectrum(positions, directions, amplitudes, wavenumber, cond_limit, vectors):
     """Channel H, ascending Gram eigenvalues w, eigenvectors V (None unless
-    ``vectors``), tr(G^-1) and cond(G). The trace is NaN when G is singular
-    or worse conditioned than ``cond_limit``."""
+    ``vectors``), tr(G^-1), cond(G) and the mask of NaN traces (None when no
+    trace is NaN) of each (N, 2) slice of ``positions``. The trace is NaN
+    where G is singular or worse conditioned than ``cond_limit``; a
+    singular slice has an infinite cond."""
     H = _channel(positions, directions, amplitudes, wavenumber)
-    G = H.conj().T @ H
+    G = H.conj().swapaxes(-1, -2) @ H
     if vectors:
-        w, V = np.linalg.eigh(G)
+        w, V = _umath_linalg.eigh_lo(G, signature="D->dD")
     else:
-        w, V = np.linalg.eigvalsh(G), None
-    if w[0] <= 0.0:
-        return H, w, V, np.nan, np.inf
-    cond = w[-1] / w[0]
-    trace = (1.0 / w).sum() if cond <= cond_limit else np.nan
-    return H, w, V, trace, cond
+        w, V = _umath_linalg.eigvalsh_lo(G, signature="D->d"), None
+    # the common case, every slice well conditioned, needs no masks; it is
+    # tested on Python floats, the cheapest test of a few slices, and the
+    # kept last axis makes even an (N, 2) call's values a list
+    low = w[..., :1]
+    if min(low.ravel().tolist()) > 0.0:
+        cond = w[..., -1:] / low
+        if max(cond.ravel().tolist()) <= cond_limit:
+            # [()] turns the 0-d cond of an (N, 2) call into a scalar
+            return H, w, V, np.add.reduce(1.0 / w, axis=-1), cond[..., 0][()], None
+    singular = w[..., 0] <= 0.0
+    # arithmetic on NaN raises no floating-point warning, so a singular
+    # slice computes on with NaN eigenvalues to a NaN trace
+    safe = np.where(singular[..., None], np.nan, w)
+    cond = np.where(singular, np.inf, safe[..., -1] / safe[..., 0])
+    nan = ~(cond <= cond_limit)
+    trace = np.where(nan, np.nan, np.add.reduce(1.0 / safe, axis=-1))
+    # [()] turns the 0-d results of an (N, 2) call into scalars
+    return H, w, V, trace[()], cond[()], nan
 
 
 def trace_at(positions, directions, amplitudes, wavenumber, cond_limit):
-    """(tr(G^-1), cond(G)) of one (N, 2) deployment; the trace is NaN past
-    ``cond_limit``, and NaN with an infinite cond where G is singular."""
-    _, _, _, trace, cond = _gram_spectrum(
+    """(tr(G^-1), cond(G)) of a deployment, or arrays of shape (...) for a
+    (..., N, 2) stack; the trace is NaN past ``cond_limit``, and NaN with an
+    infinite cond where G is singular."""
+    _, _, _, trace, cond, _ = _gram_spectrum(
         positions, directions, amplitudes, wavenumber, cond_limit, False
     )
     return trace, cond
 
 
 def trace_and_grad(positions, directions, amplitudes, wavenumber, cond_limit):
-    """(tr(G^-1), its (N, 2) gradient, cond(G)); the gradient is zero
-    where the trace is NaN.
+    """(tr(G^-1), its gradient shaped like ``positions``, cond(G)); the
+    gradient of a slice is zero where its trace is NaN.
 
     Row n of the gradient is ``-2 * wavenumber * sum_k directions[k] *
     Im([G^-2 H^H]_{k,n} H[n, k])``, with G^-2 = V diag(w^-2) V^H from the
     same eigendecomposition that gives the trace.
     """
-    H, w, V, trace, cond = _gram_spectrum(
+    H, w, V, trace, cond, nan = _gram_spectrum(
         positions, directions, amplitudes, wavenumber, cond_limit, True
     )
-    if np.isnan(trace):
-        return trace, np.zeros(positions.shape), cond
+    if nan is not None:
+        # unit eigenvalues keep the slices with a NaN trace free of
+        # floating-point warnings; their gradient is zeroed below
+        w = np.where(nan[..., None], 1.0, w)
     # H G^-2 is the conjugate transpose of G^-2 H^H
-    HG2 = ((H @ V) / w**2) @ V.conj().T
+    HG2 = ((H @ V) / w[..., None, :] ** 2) @ V.conj().swapaxes(-1, -2)
     im = (HG2 * H.conj()).imag
-    return trace, 2.0 * wavenumber * (im @ directions), cond
+    grad = 2.0 * wavenumber * (im @ directions)
+    if nan is not None:
+        grad = np.where(nan[..., None, None], 0.0, grad)
+    return trace, grad, cond
 
 
 def project_deployment(points, centers, radius, lo, hi):

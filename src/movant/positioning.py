@@ -229,6 +229,19 @@ def _max_feasible_step(points, i, move, min_spacing, lo, hi) -> float:
     return max(alpha, 0.0)
 
 
+def _lane_sums(x: np.ndarray) -> list:
+    """The sum of each lane of a C-contiguous (L, N, 2) stack: NumPy adds
+    the two reduced axes as one run, so each lane sums bit for bit as a
+    flat (N, 2) ``sum`` would."""
+    return np.add.reduce(x, axis=(1, 2)).tolist()
+
+
+def _max_row_norms(x: np.ndarray) -> list:
+    """The largest row norm of each lane of an (L, N, 2) stack; sqrt is
+    monotone, so this is bit for bit the largest of the row norms."""
+    return np.sqrt(np.maximum.reduce(np.add.reduce(x * x, axis=-1), axis=-1)).tolist()
+
+
 def _pgd_loop(
     start: np.ndarray,
     anchors: np.ndarray,
@@ -261,73 +274,155 @@ def _pgd_loop(
     would end the loop as converged, so a stall costs about
     log2(max |d| / ``_GRAD_TOL``) trials.
 
-    The first trial is scored with ``trace_and_grad``, whose gradient is
-    kept if it is accepted; each halving after it is scored alone with
-    ``trace_at``.
+    ``start`` and ``anchors`` may also be (L, N, 2) stacks of lanes that
+    share everything else; the result is then a list of one (positions,
+    trace, iterations, status) tuple per lane. Each lane keeps its own
+    step, memory, line search, best iterate, iteration count and status,
+    and the lanes run in lockstep: the first trials of all lanes are scored
+    in one ``trace_and_grad`` call, each halving of the lanes still
+    searching in one ``trace_at`` call, and the lanes that accepted a
+    halved step get their gradient in one more ``trace_and_grad`` call. A
+    lane that ends leaves the stack, and each lane comes out bit for bit as
+    it would alone. An (N, 2) call runs as a stack of one lane.
     """
-    proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
-    score = lambda pts: kernels.trace_at(
-        pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-    )[0]
-    score_and_grad = lambda pts: kernels.trace_and_grad(
-        pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-    )[:2]
+    stacked = start.ndim == 3
+    if not stacked:
+        start, anchors = start[None], anchors[None]
+    # the lanes project as rows against their centers repeated once per
+    # lane, k lanes against the first k repeats (one entry of the
+    # projection's memo per lane count): broadcasting the (N, 2) centers
+    # over a lane axis would cost the projection a few microseconds a call
+    center_rows = np.concatenate([centers] * len(start))
+    proj = lambda pts: kernels.project_deployment(
+        pts.reshape(-1, 2), center_rows[: pts.size // 2], radius, lo, hi
+    ).reshape(pts.shape)
+    channel = (directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT)
+    # per lane, (positions, trace, iterations, status) once it has ended
+    result = [None] * len(start)
+
     pos = proj(start)
-    trace, grad = score_and_grad(pos)
-    if np.isnan(trace):
-        return pos, math.nan, 0, _STATUS_SINGULAR
-    penalized = trace + rho * float(((pos - anchors) ** 2).sum())
+    trace, grad, _ = kernels.trace_and_grad(pos, *channel)
     g = grad + 2.0 * rho * (pos - anchors)
-    recent = collections.deque([penalized], maxlen=_NONMONOTONE_MEMORY)
-    best = (penalized, pos, trace)
-    eta = _PGD_STEP
-    status = _STATUS_MAX_ITERS
-    iters = 0
-    for _ in range(_PGD_MAX_ITERS):
-        projected = proj(pos - eta * g)
+    # the lanes still in the stack, in the order of its rows: their index,
+    # recent penalized values, best (penalized, positions, trace) and step
+    lanes, recent, best, singular = [], [], [], []
+    for i, (t, q) in enumerate(zip(trace.tolist(), _lane_sums((pos - anchors) ** 2))):
+        penalized = t + rho * q
+        lanes.append(i)
+        recent.append(collections.deque([penalized], maxlen=_NONMONOTONE_MEMORY))
+        best.append((penalized, pos[i], t))
+        singular.append(math.isnan(t))
+    eta = [_PGD_STEP] * len(start)
+
+    def leave(ended, status, iters):
+        """Record the lanes flagged in ``ended`` and drop them from the
+        stack; returns the rows of the lanes that stay."""
+        nonlocal lanes, recent, best, eta, pos, g, anchors
+        keep = []
+        for i, lane in enumerate(lanes):
+            if ended[i]:
+                result[lane] = (best[i][1], best[i][2], iters, status)
+            else:
+                keep.append(i)
+        if not keep:
+            lanes = []
+            return keep
+        lanes, recent, best, eta = ([x[i] for i in keep] for x in (lanes, recent, best, eta))
+        pos, g, anchors = pos[keep], g[keep], anchors[keep]
+        return keep
+
+    if any(singular):
+        leave(singular, _STATUS_SINGULAR, 0)
+    for it in range(_PGD_MAX_ITERS):
+        if not lanes:
+            break
+        projected = proj(pos - np.array(eta)[:, None, None] * g)
         d = projected - pos
-        reach = np.linalg.norm(d, axis=1).max()
-        if reach <= _GRAD_TOL:
-            status = _STATUS_CONVERGED
-            break
-        # strict decrease beyond float noise, so iterates at the noise floor
-        # stall out instead of bouncing at constant value
-        ref = max(recent)
-        ref -= 1e-12 * abs(ref)
-        slope = float((g * d).sum())
-        cand, lam = projected, 1.0
-        trace_c, grad_c = score_and_grad(cand)
-        while True:
+        reach = _max_row_norms(d)
+        if min(reach) <= _GRAD_TOL:
+            keep = leave([r <= _GRAD_TOL for r in reach], _STATUS_CONVERGED, it)
+            if not keep:
+                break
+            projected, d, reach = projected[keep], d[keep], [reach[i] for i in keep]
+        slope = _lane_sums(g * d)
+        cand = projected
+        trace_c, grad_c, _ = kernels.trace_and_grad(cand, *channel)
+        trace_c = trace_c.tolist()
+        pen_c, ref, searching = [], [], []
+        for i, (t, q) in enumerate(zip(trace_c, _lane_sums((cand - anchors) ** 2))):
+            # strict decrease beyond float noise, so iterates at the noise
+            # floor stall out instead of bouncing at constant value
+            r = max(recent[i])
+            ref.append(r - 1e-12 * abs(r))
+            pen_c.append(t + rho * q)
             # a NaN trace fails the comparison
-            pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
-            if pen_c <= ref + _ARMIJO * lam * slope:
-                break
+            if not pen_c[i] <= ref[i] + _ARMIJO * slope[i]:
+                searching.append(i)
+        # lanes that accept a halved step need the gradient there
+        halved = [False] * len(lanes)
+        stalled = [False] * len(lanes)
+        lam = 1.0
+        while searching:
             lam *= 0.5
-            if lam * reach <= _GRAD_TOL:
-                status = _STATUS_STALLED
+            rows = []
+            for i in searching:
+                halved[i] = True
+                if lam * reach[i] <= _GRAD_TOL:
+                    stalled[i] = True
+                else:
+                    rows.append(i)
+            if not rows:
                 break
-            cand = pos + lam * d
-            trace_c, grad_c = score(cand), None
-        if status == _STATUS_STALLED:
-            break
-        s = cand - pos
-        pos, penalized, trace = cand, pen_c, trace_c
-        recent.append(penalized)
-        if penalized < best[0]:
-            best = (penalized, pos, trace)
-        iters += 1
-        if np.linalg.norm(s, axis=1).max() <= _GRAD_TOL:
-            status = _STATUS_CONVERGED
-            break
-        if grad_c is None:
-            _, grad_c = score_and_grad(pos)
+            # a basic slice spares the copies when every lane is searching
+            sel = rows if len(rows) < len(lanes) else slice(None)
+            trial = pos[sel] + lam * d[sel]
+            trace_t = kernels.trace_at(trial, *channel)[0].tolist()
+            pen_t = _lane_sums((trial - anchors[sel]) ** 2)
+            searching = []
+            for j, i in enumerate(rows):
+                pen = trace_t[j] + rho * pen_t[j]
+                if pen <= ref[i] + _ARMIJO * lam * slope[i]:
+                    cand[i], trace_c[i], pen_c[i] = trial[j], trace_t[j], pen
+                else:
+                    searching.append(i)
+        if any(stalled):
+            keep = leave(stalled, _STATUS_STALLED, it)
+            if not keep:
+                break
+            cand, grad_c, d = cand[keep], grad_c[keep], d[keep]
+            pen_c, trace_c, halved, reach = (
+                [x[i] for i in keep] for x in (pen_c, trace_c, halved, reach)
+            )
+        if any(halved):
+            s = cand - pos
+            moved = _max_row_norms(s)
+        else:
+            # every lane took its full step: the move is d, whose largest
+            # row norm is reach
+            s, moved = d, reach
+        pos = cand
+        for i, p in enumerate(pen_c):
+            recent[i].append(p)
+            if p < best[i][0]:
+                best[i] = (p, pos[i], trace_c[i])
+        if min(moved) <= _GRAD_TOL:
+            keep = leave([m <= _GRAD_TOL for m in moved], _STATUS_CONVERGED, it + 1)
+            if not keep:
+                break
+            s, grad_c, halved = s[keep], grad_c[keep], [halved[i] for i in keep]
+        if any(halved):
+            rows = [i for i, h in enumerate(halved) if h]
+            grad_c[rows] = kernels.trace_and_grad(pos[rows], *channel)[1]
         g_new = grad_c + 2.0 * rho * (pos - anchors)
-        sy = float((s * (g_new - g)).sum())
         # a nonpositive curvature along the move gives no spectral step
-        eta = float((s * s).sum()) / sy if sy > 0.0 else 2.0 * eta
-        eta = min(max(eta, _STEP_MIN), _STEP_MAX)
+        eta = [
+            min(max(a / b if b > 0.0 else 2.0 * e, _STEP_MIN), _STEP_MAX)
+            for a, b, e in zip(_lane_sums(s * s), _lane_sums(s * (g_new - g)), eta)
+        ]
         g = g_new
-    return best[1], best[2], iters, status
+    else:
+        leave([True] * len(lanes), _STATUS_MAX_ITERS, _PGD_MAX_ITERS)
+    return result if stacked else result[0]
 
 
 def optimize_positions(
@@ -347,7 +442,10 @@ def optimize_positions(
     its objective never exceeds the objective of the initial
     deployment. Optional multi-starts jitter the starting point
     deterministically; the best feasible result wins (ties keep the earliest
-    restart).
+    restart). The restarts run as lanes of one lockstep solve, each outer
+    round one stacked ``_pgd_loop`` over the lanes still running, and every
+    lane ends as the same restart run alone would, bit for bit; with several
+    failing lanes, the first error in lockstep order is the one raised.
     """
     if t_mov < 0:
         raise ValueError("t_mov must be nonnegative")
@@ -372,70 +470,86 @@ def optimize_positions(
     d_min = scenario.min_spacing
     spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
 
-    # the initial deployment is feasible for every duration: never do worse
+    # the jitters are drawn in restart order
+    rng = np.random.default_rng(0)
+    jitter_scale = min(radius, scenario.region_side / 4.0)
+    starts = [initial if start is None else as_positions(start)]
+    starts += [
+        initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
+        for _ in range(1, restarts)
+    ]
+    pts = kernels.project_deployment(np.array(starts), initial, radius, lo, hi)
+    traces, _ = kernels.trace_at(
+        pts, directions, amplitudes, scenario.wavenumber, SINGULAR_COND_LIMIT
+    )
+    # per lane: its best spacing-feasible objective and deployment, its
+    # gap history and its inner iterations, outer rounds and convergence
+    run_obj = [math.inf] * restarts
+    run_pts = [None] * restarts
+    for lane, trace in enumerate(traces.tolist()):
+        if spacing_ok(pts[lane]) and not math.isnan(trace):
+            run_obj[lane], run_pts[lane] = trace, pts[lane].copy()
+    gaps = [[] for _ in range(restarts)]
+    inner_total = [0] * restarts
+    outers = [0] * restarts
+    converged = [False] * restarts
+
+    separate = lambda p: separate_anchors(
+        p, d_min, region_side=scenario.region_side, topology=scenario.topology
+    )
+    anchors = np.array([separate(p) for p in pts])
+    # first round descends the raw objective; the anchor pull only kicks
+    # in once re-separation shows which spacing constraints bind; every
+    # lane still running is in the same round, so the lanes share rho
+    rho = 0.0
+    # the lanes still running, in the order of the rows of pts and anchors
+    live = list(range(restarts))
+    for outer in range(1, _AO_MAX_ITERS + 1):
+        found = _pgd_loop(
+            pts,
+            anchors,
+            initial,
+            radius,
+            lo,
+            hi,
+            directions,
+            amplitudes,
+            scenario.wavenumber,
+            rho,
+        )
+        if any(status == _STATUS_SINGULAR for *_, status in found):
+            raise SingularChannel("channel is singular at the starting deployment")
+        running, next_pts, next_anchors = [], [], []
+        for lane, (p, trace, steps, _) in zip(live, found):
+            inner_total[lane] += steps
+            outers[lane] = outer
+            a = separate(p)
+            gap = float(np.linalg.norm(p - a, axis=1).max())
+            gaps[lane].append(gap)
+            if spacing_ok(p) and trace < run_obj[lane]:
+                run_obj[lane], run_pts[lane] = trace, p.copy()
+            if gap <= FEASIBILITY_TOL / 2.0:
+                converged[lane] = True
+            else:
+                running.append(lane)
+                next_pts.append(p)
+                next_anchors.append(a)
+        if not running:
+            break
+        live, pts, anchors = running, np.array(next_pts), np.array(next_anchors)
+        rho = _RHO_INIT if rho == 0.0 else rho * _RHO_GROWTH
+
+    # the initial deployment is feasible for every duration: never do
+    # worse; ties keep the earliest restart
     best_obj = f_initial
     best_pts = initial
     best_run = (0, 0, True, ())
-    rng = np.random.default_rng(0)
-    jitter_scale = min(radius, scenario.region_side / 4.0)
-
-    for restart in range(restarts):
-        if restart == 0:
-            pts = initial if start is None else as_positions(start)
-        else:
-            pts = initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
-        pts = kernels.project_deployment(pts, initial, radius, lo, hi)
-        run_obj = math.inf
-        run_pts = None
-        if spacing_ok(pts):
-            trace, _ = kernels.trace_at(
-                pts, directions, amplitudes, scenario.wavenumber, SINGULAR_COND_LIMIT
-            )
-            if not np.isnan(trace):
-                run_obj, run_pts = float(trace), pts.copy()
-
-        anchors = separate_anchors(
-            pts, d_min, region_side=scenario.region_side, topology=scenario.topology
-        )
-        # first round descends the raw objective; the anchor pull only kicks
-        # in once re-separation shows which spacing constraints bind
-        rho = 0.0
-        gaps = []
-        inner_total = 0
-        converged = False
-        outer = 0
-        for outer in range(1, _AO_MAX_ITERS + 1):
-            pts, trace, inner, status = _pgd_loop(
-                pts,
-                anchors,
-                initial,
-                radius,
-                lo,
-                hi,
-                directions,
-                amplitudes,
-                scenario.wavenumber,
-                rho,
-            )
-            if status == _STATUS_SINGULAR:
-                raise SingularChannel("channel is singular at the starting deployment")
-            inner_total += inner
-            anchors = separate_anchors(
-                pts, d_min, region_side=scenario.region_side, topology=scenario.topology
-            )
-            gap = float(np.linalg.norm(pts - anchors, axis=1).max())
-            gaps.append(gap)
-            if spacing_ok(pts) and trace < run_obj:
-                run_obj, run_pts = float(trace), pts.copy()
-            if gap <= FEASIBILITY_TOL / 2.0:
-                converged = True
-                break
-            rho = _RHO_INIT if rho == 0.0 else rho * _RHO_GROWTH
-        if run_pts is not None and run_obj < best_obj:
-            best_obj, best_pts = run_obj, run_pts
-            best_run = (outer, inner_total, converged, tuple(gaps))
-        elif restart == 0 and best_pts is initial:
-            best_run = (outer, inner_total, converged, tuple(gaps))
+    for lane in range(restarts):
+        run = (outers[lane], inner_total[lane], converged[lane], tuple(gaps[lane]))
+        if run_pts[lane] is not None and run_obj[lane] < best_obj:
+            best_obj, best_pts, best_run = run_obj[lane], run_pts[lane], run
+        elif lane == 0:
+            best_run = run
 
     violation = max(0.0, d_min - min_pair_distance(best_pts))
     return OptimizeOutcome(

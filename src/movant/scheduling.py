@@ -109,7 +109,8 @@ def _solve_duration(
 def _pick_start(scenario: Scenario, t_mov: float, guide, previous):
     """Warm start for one duration solve: the previous grid solution or the
     speed-free optimum pulled into the reachable set, whichever has the lower
-    objective. Both are cheap single evaluations, not optimizer runs."""
+    objective (the first on a tie, and the first when neither objective is
+    finite). Both are scored in one stacked evaluation, not optimizer runs."""
     candidates = []
     if previous is not None:
         candidates.append(previous.coords)
@@ -121,16 +122,18 @@ def _pick_start(scenario: Scenario, t_mov: float, guide, previous):
         candidates.append(pulled)
     if not candidates:
         return None
+    traces, _ = kernels.trace_at(
+        np.stack(candidates),
+        scenario.direction_vectors(),
+        scenario.amplitudes(),
+        scenario.wavenumber,
+        SINGULAR_COND_LIMIT,
+    )
     best = None
     best_trace = math.inf
-    directions = scenario.direction_vectors()
-    amplitudes = scenario.amplitudes()
-    for cand in candidates:
-        trace, _ = kernels.trace_at(
-            cand, directions, amplitudes, scenario.wavenumber, SINGULAR_COND_LIMIT
-        )
-        if not np.isnan(trace) and trace < best_trace:
-            best_trace, best = float(trace), cand
+    for cand, trace in zip(candidates, traces.tolist()):
+        if not math.isnan(trace) and trace < best_trace:
+            best_trace, best = trace, cand
     return best if best is not None else candidates[0]
 
 

@@ -286,6 +286,57 @@ def test_trace_is_nan_when_singular_or_past_cond_limit():
             assert np.isnan(trace) and cond == np.inf
 
 
+def test_stacked_trace_kernels_match_per_slice_calls():
+    for seed, (n, k) in enumerate([(1, 1), (2, 2), (5, 4), (8, 4), (9, 9)]):
+        _, dirs, _, wn = inputs(40 + seed, n, k)
+        amps = np.ones(k)
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(0, 8, (3, 4, n, 2))
+        # all antennas at the origin give G = n * ones((k, k)): its smallest
+        # eigenvalue is exactly zero for k > 1
+        stack[1, 2] = 0.0
+        conds = kernels.trace_at(stack, dirs, amps, wn, 1e12)[1]
+        conds = np.sort(conds[np.isfinite(conds)])
+        # a limit among the slices' own condition numbers puts some past it
+        for limit in (1e12, conds[len(conds) // 2]):
+            traces, conds_at = kernels.trace_at(stack, dirs, amps, wn, limit)
+            traces_g, grads, conds_g = kernels.trace_and_grad(stack, dirs, amps, wn, limit)
+            assert traces.shape == conds_at.shape == traces_g.shape == conds_g.shape == (3, 4)
+            assert grads.shape == stack.shape
+            for idx in np.ndindex(3, 4):
+                trace, cond = kernels.trace_at(stack[idx], dirs, amps, wn, limit)
+                assert np.array_equal(traces[idx], trace, equal_nan=True)
+                assert conds_at[idx] == cond
+                trace, grad, cond = kernels.trace_and_grad(stack[idx], dirs, amps, wn, limit)
+                assert np.array_equal(traces_g[idx], trace, equal_nan=True)
+                assert conds_g[idx] == cond and np.array_equal(grads[idx], grad)
+            assert np.isfinite(traces).any() and np.isfinite(traces_g).any()
+            for t, g, c in ((traces, grads, conds_at), (traces_g, grads, conds_g)):
+                assert np.array_equal(np.isnan(t), ~(c <= limit))
+                assert not g[np.isnan(t)].any()
+            if k > 1:
+                assert np.isnan(traces[1, 2]) and conds_at[1, 2] == np.inf
+                assert np.isnan(traces_g[1, 2]) and conds_g[1, 2] == np.inf
+                if limit < 1e12:
+                    past = np.isfinite(conds_g) & (conds_g > limit)
+                    assert past.any() and np.isnan(traces_g[past]).all()
+
+
+def test_spectrum_matches_numpy_eigensolvers():
+    # the kernels call LAPACK through the gufuncs behind np.linalg.eigh and
+    # np.linalg.eigvalsh; the public functions are the reference
+    for seed, (n, k) in enumerate([(1, 1), (5, 4), (9, 9)]):
+        pos, dirs, amps, wn = inputs(60 + seed, n, k)
+        stack = pos + np.random.default_rng(seed).normal(0.0, 1.0, (3, n, 2))
+        for positions in (pos, stack):
+            H, w, V, *_ = kernels._gram_spectrum(positions, dirs, amps, wn, 1e12, True)
+            G = np.swapaxes(H.conj(), -1, -2) @ H
+            w_ref, V_ref = np.linalg.eigh(G)
+            assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+            _, w, V, *_ = kernels._gram_spectrum(positions, dirs, amps, wn, 1e12, False)
+            assert V is None and np.array_equal(w, np.linalg.eigvalsh(G))
+
+
 def test_stacked_projection_matches_per_slice_calls():
     rng = np.random.default_rng(13)
     for centers, radius, lo, hi in (case[1:] for case in projection_cases(14, 200, 5)):

@@ -5,17 +5,25 @@ import pytest
 
 from movant import harness, kernels, positioning
 from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, trace_objective
-from movant.errors import InfeasibleSpacing
-from movant.harness import default_scenario
+from movant.errors import InfeasibleSpacing, SingularChannel
+from movant.harness import SweepParameter, default_scenario, scenario_variant
 from movant.positioning import (
     FEASIBILITY_TOL,
+    OptimizeOutcome,
     PenaltyConfig,
     optimize_positions,
     project_box_disk,
     separate_anchors,
     unconstrained_deploy,
 )
-from movant.scenario import Deployment, Scenario, Topology, two_antenna_line_scenario
+from movant.scenario import (
+    Deployment,
+    Scenario,
+    Topology,
+    as_positions,
+    min_pair_distance,
+    two_antenna_line_scenario,
+)
 
 from conftest import random_instance
 
@@ -428,6 +436,217 @@ def test_line_search_matches_sequential_reference(monkeypatch):
     assert None in accepts
 
 
+def lane_stacks(seed, count):
+    """Three lanes per ``line_search_cases`` case, sharing its centers,
+    radius, box, channel and rho: the case's own start and anchors, and two
+    starts jittered by about the radius, each with anchors of its own."""
+    rng = np.random.default_rng(seed)
+    for centers, anchors, *shared in line_search_cases(seed, count):
+        radius, lo, hi = shared[1:4]
+        starts = [centers] + [
+            np.clip(centers + rng.normal(0.0, radius, centers.shape), lo, hi) for _ in range(2)
+        ]
+        anchor_sets = [anchors] + [
+            np.clip(anchors + rng.normal(0.0, 0.5, anchors.shape), lo, hi) for _ in range(2)
+        ]
+        yield np.stack(starts), np.stack(anchor_sets), shared
+
+
+def test_lanes_match_single_lane_loops(monkeypatch):
+    monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
+    # the number of lanes in each stacked halving call
+    halving_lanes = []
+    trace_at = kernels.trace_at
+
+    def recording(positions, *args):
+        if positions.ndim == 3:
+            halving_lanes.append(len(positions))
+        return trace_at(positions, *args)
+
+    accepts, ends = [], []
+    for starts, anchors, shared in lane_stacks(31, 120):
+        monkeypatch.setattr(kernels, "trace_at", recording)
+        lanes = positioning._pgd_loop(starts, anchors, *shared)
+        monkeypatch.setattr(kernels, "trace_at", trace_at)
+        assert len(lanes) == len(starts)
+        for (pos, trace, iters, status), start, anchor in zip(lanes, starts, anchors):
+            alone = positioning._pgd_loop(start, anchor, *shared)
+            assert np.array_equal(pos, alone[0])
+            assert np.array_equal(trace, alone[1], equal_nan=True)
+            assert (iters, status) == alone[2:]
+            sequential_pgd_loop(start, anchor, *shared, accepts)
+        ends.append([(iters, status) for *_, iters, status in lanes])
+    # the lanes accept first trials and halved steps, stall and hit the cap,
+    # end at different steps of one stack, and halve together in one call
+    assert 0 in accepts and any(a is not None and a > 0 for a in accepts)
+    statuses = {status for lanes in ends for _, status in lanes}
+    assert {
+        positioning._STATUS_CONVERGED,
+        positioning._STATUS_STALLED,
+        positioning._STATUS_MAX_ITERS,
+    } <= statuses
+    assert any(len(set(lanes)) == len(lanes) for lanes in ends)
+    assert max(halving_lanes) > 1
+
+
+def test_singular_lane_leaves_the_others_running():
+    scenario = default_scenario()
+    centers = scenario.initial_positions.coords
+    lo, hi = scenario.region_bounds()
+    # every antenna at one point makes the Gram matrix singular
+    starts = np.stack([centers, np.full_like(centers, 5.0), centers + [0.0, 1.0]])
+    shared = (
+        centers,
+        20.0,
+        lo,
+        hi,
+        scenario.direction_vectors(),
+        scenario.amplitudes(),
+        scenario.wavenumber,
+        0.0,
+    )
+    lanes = positioning._pgd_loop(starts, starts, *shared)
+    for lane, start in zip(lanes, starts):
+        alone = positioning._pgd_loop(start, start, *shared)
+        assert np.array_equal(lane[0], alone[0])
+        assert np.array_equal(lane[1], alone[1], equal_nan=True)
+        assert lane[2:] == alone[2:]
+    assert [status for *_, status in lanes] == [
+        positioning._STATUS_CONVERGED,
+        positioning._STATUS_SINGULAR,
+        positioning._STATUS_CONVERGED,
+    ]
+
+
+def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_override=None):
+    """Reference ``optimize_positions``: its restarts run one after another,
+    each an (N, 2) ``_pgd_loop`` per outer round, with the jitters drawn in
+    restart order; the best feasible result wins, ties keep the earliest
+    restart and the initial deployment is the floor."""
+    radius = scenario.max_speed * t_mov if radius_override is None else float(radius_override)
+    initial = scenario.initial_positions.coords
+    f_initial = trace_objective(scenario, initial)
+    lo, hi = scenario.region_bounds()
+    directions = scenario.direction_vectors()
+    amplitudes = scenario.amplitudes()
+    d_min = scenario.min_spacing
+    spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
+    separate = lambda pts: separate_anchors(
+        pts, d_min, region_side=scenario.region_side, topology=scenario.topology
+    )
+    best_obj, best_pts, best_run = f_initial, initial, (0, 0, True, ())
+    rng = np.random.default_rng(0)
+    jitter_scale = min(radius, scenario.region_side / 4.0)
+    for restart in range(restarts):
+        if restart == 0:
+            pts = initial if start is None else as_positions(start)
+        else:
+            pts = initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
+        pts = kernels.project_deployment(pts, initial, radius, lo, hi)
+        run_obj, run_pts = math.inf, None
+        if spacing_ok(pts):
+            trace, _ = kernels.trace_at(
+                pts, directions, amplitudes, scenario.wavenumber, SINGULAR_COND_LIMIT
+            )
+            if not np.isnan(trace):
+                run_obj, run_pts = float(trace), pts.copy()
+        anchors = separate(pts)
+        rho, gaps, inner_total, converged = 0.0, [], 0, False
+        for outer in range(1, positioning._AO_MAX_ITERS + 1):
+            pts, trace, inner, status = positioning._pgd_loop(
+                pts, anchors, initial, radius, lo, hi, directions, amplitudes,
+                scenario.wavenumber, rho,
+            )
+            if status == positioning._STATUS_SINGULAR:
+                raise SingularChannel("channel is singular at the starting deployment")
+            inner_total += inner
+            anchors = separate(pts)
+            gap = float(np.linalg.norm(pts - anchors, axis=1).max())
+            gaps.append(gap)
+            if spacing_ok(pts) and trace < run_obj:
+                run_obj, run_pts = float(trace), pts.copy()
+            if gap <= FEASIBILITY_TOL / 2.0:
+                converged = True
+                break
+            rho = positioning._RHO_INIT if rho == 0.0 else rho * positioning._RHO_GROWTH
+        run = (outer, inner_total, converged, tuple(gaps))
+        if run_pts is not None and run_obj < best_obj:
+            best_obj, best_pts, best_run = run_obj, run_pts, run
+        elif restart == 0:
+            best_run = run
+    return OptimizeOutcome(
+        deployment=Deployment(best_pts),
+        objective=best_obj,
+        outer_iterations=best_run[0],
+        inner_iterations=best_run[1],
+        max_constraint_violation=max(0.0, d_min - min_pair_distance(best_pts)),
+        converged=best_run[2],
+        gap_history=best_run[3],
+    )
+
+
+def restart_cases():
+    """(scenario, t_mov, restarts, start, radius_override) for the lane
+    comparison: the default scenario at three speeds, its speed-free solve,
+    a warm start, eight antennas (several outer rounds), the segment
+    topology with binding spacing, and random instances."""
+    base = default_scenario(max_speed_wl_s=6)
+    warm = optimize_positions(base, 0.4).deployment
+    eight = scenario_variant(base, SweepParameter.NUM_ANTENNAS, 8)
+    yield default_scenario(max_speed_wl_s=2), 0.8, 4, None, None
+    yield base, 0.56, 4, None, None
+    yield default_scenario(max_speed_wl_s=18), 0.4, 3, None, None
+    yield base, 0.0, 4, None, base.region_side * math.sqrt(2.0)
+    yield base, 0.48, 4, warm, None
+    yield eight, 0.4, 4, None, None
+    yield eight, 0.0, 2, None, eight.region_side * math.sqrt(2.0)
+    line = two_antenna_line_scenario(4.4, 5.6, spatial_freq=np.pi, min_spacing=1.2, max_speed=0.5)
+    yield line, 1.0, 5, None, None
+    rng = np.random.default_rng(71)
+    for _ in range(6):
+        s = random_instance(rng, n_max=5, k_max=3)
+        yield s.with_(min_spacing=0.3), float(rng.uniform(0.2, 2.0)), 3, None, None
+
+
+def test_restart_lanes_match_sequential_restarts():
+    rounds = []
+    for scenario, t_mov, restarts, start, radius in restart_cases():
+        config = PenaltyConfig(restarts=restarts)
+        try:
+            expected = sequential_optimize_positions(scenario, t_mov, restarts, start, radius)
+        except InfeasibleSpacing:
+            with pytest.raises(InfeasibleSpacing):
+                optimize_positions(scenario, t_mov, config, start=start, radius_override=radius)
+            continue
+        got = optimize_positions(scenario, t_mov, config, start=start, radius_override=radius)
+        assert np.array_equal(got.deployment.coords, expected.deployment.coords)
+        for name in (
+            "objective",
+            "outer_iterations",
+            "inner_iterations",
+            "max_constraint_violation",
+            "converged",
+            "gap_history",
+        ):
+            assert getattr(got, name) == getattr(expected, name), name
+        rounds.append(got.outer_iterations)
+    # some winning restarts need several outer rounds
+    assert max(rounds) > 1
+
+
+def test_singular_restart_lane_raises():
+    scenario = default_scenario()
+    # every antenna at one point makes the first lane's channel singular
+    start = np.full_like(scenario.initial_positions.coords, 5.0)
+    config = PenaltyConfig(restarts=3)
+    for solve in (
+        lambda: optimize_positions(scenario, 10.0, config, start=start),
+        lambda: sequential_optimize_positions(scenario, 10.0, 3, start),
+    ):
+        with pytest.raises(SingularChannel):
+            solve()
+
+
 def test_stall_scores_only_moves_beyond_tolerance(monkeypatch):
     # a warm start at rho = 0 that is already at its optimum: the search
     # stalls before its first step, and every candidate it scores on the
@@ -439,8 +658,9 @@ def test_stall_scores_only_moves_beyond_tolerance(monkeypatch):
     trace_at, trace_and_grad = kernels.trace_at, kernels.trace_and_grad
 
     def recording(kernel, name):
+        # the loop scores stacks of lanes: record each (N, 2) slice
         def wrapped(positions, *args):
-            scored.append((name, positions.copy()))
+            scored.extend((name, p.copy()) for p in positions.reshape(-1, *start.shape))
             return kernel(positions, *args)
 
         return wrapped
@@ -488,12 +708,14 @@ def test_pgd_loop_output_is_feasible(monkeypatch):
 def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
     # each of these solves ran a PGD loop into the 500-iteration cap under
     # the former double-or-halve step rule; None is UpperBound's speed-free
-    # solve with its boosted restarts
+    # solve with its boosted restarts, whose loops run as lanes of one stack
     statuses = []
 
     def recording(*args, **kwargs):
         result = pgd_loop(*args, **kwargs)
-        statuses.append(result[3])
+        # a stacked call returns one (positions, trace, iterations, status)
+        # tuple per lane
+        statuses.extend(status for *_, status in (result if args[0].ndim == 3 else [result]))
         return result
 
     pgd_loop = positioning._pgd_loop

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import movant.scheduling as scheduling
-from movant.channel import achievable_rate, effective_throughput
+from movant import kernels
+from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, effective_throughput
 from movant.errors import FitDiverged, SingularChannel
 from movant.scheduling import (
     FitKind,
@@ -13,6 +14,8 @@ from movant.scheduling import (
     general_search,
     rate_at_duration,
 )
+from movant.harness import default_scenario
+from movant.scenario import Deployment
 
 
 def closed_form_throughput(gap, t, interval=5.0):
@@ -283,3 +286,79 @@ def test_fitting_method_falls_back_when_fits_diverge(case_wide, monkeypatch):
     assert report.best_t_mov in sampled
     best = max(report.curve, key=lambda p: p.throughput)
     assert report.best_throughput == best.throughput
+
+
+def reference_pick_start(scenario, t_mov, guide, previous):
+    """``_pick_start`` scoring one candidate per ``trace_at`` call: the
+    first candidate with the lowest non-NaN trace wins, and the first
+    candidate when every trace is NaN."""
+    candidates = []
+    if previous is not None:
+        candidates.append(previous.coords)
+    if guide is not None:
+        lo, hi = scenario.region_bounds()
+        candidates.append(
+            kernels.project_deployment(
+                guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
+            )
+        )
+    if not candidates:
+        return None
+    best, best_trace = None, np.inf
+    for cand in candidates:
+        trace, _ = kernels.trace_at(
+            cand,
+            scenario.direction_vectors(),
+            scenario.amplitudes(),
+            scenario.wavenumber,
+            SINGULAR_COND_LIMIT,
+        )
+        if not np.isnan(trace) and trace < best_trace:
+            best_trace, best = float(trace), cand
+    return best if best is not None else candidates[0]
+
+
+def test_pick_start_scores_candidates_in_one_stacked_call(monkeypatch):
+    scenario = default_scenario(max_speed_wl_s=6)
+    initial = scenario.initial_positions
+    lo, hi = scenario.region_bounds()
+    guide = Deployment(initial.coords + [[0.5, 0.5]] * len(initial))
+    previous = Deployment(initial.coords + [[0.0, 0.3]] * len(initial))
+    # every antenna at one point: a singular channel and a NaN trace
+    singular = Deployment(np.full(initial.coords.shape, 5.0))
+    # the guide pulled into the disks of t = 0.05, given again as the
+    # previous solution: a tie
+    tied = Deployment(kernels.project_deployment(guide.coords, initial.coords, 0.3, lo, hi))
+    cases = [
+        (0.05, guide, previous),
+        (0.05, guide, tied),
+        (0.05, guide, singular),
+        (10.0, singular, previous),
+        (10.0, singular, singular),
+        (0.05, None, previous),
+        (0.05, guide, None),
+        (0.05, None, None),
+    ]
+    calls = []
+    trace_at = kernels.trace_at
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return trace_at(*args)
+
+    picked = []
+    for t_mov, g, prev in cases:
+        expected = reference_pick_start(scenario, t_mov, g, prev)
+        monkeypatch.setattr(kernels, "trace_at", counting)
+        calls.clear()
+        got = scheduling._pick_start(scenario, t_mov, g, prev)
+        monkeypatch.setattr(kernels, "trace_at", trace_at)
+        if expected is None:
+            assert got is None and not calls
+            continue
+        assert np.array_equal(got, expected)
+        assert len(calls) == 1
+        picked.append(prev is not None and got is prev.coords)
+    # the tie and the all-NaN pair keep the previous solution, the first
+    # candidate; a singular previous solution loses to the guide
+    assert picked[1] and picked[4] and not picked[2]
