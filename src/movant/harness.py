@@ -14,18 +14,11 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import achievable_rate
 from .errors import MovantError, SingularChannel
 from .gradients import fd_gradient, grad_rate, grad_trace
 from .positioning import PenaltyConfig, optimize_positions, project_box_disk, unconstrained_deploy
 from .scenario import Deployment, Scenario, Topology, linear_from_dbm
-from .scheduling import (
-    CurvePoint,
-    SearchMethod,
-    TradeoffReport,
-    fitting_method,
-    general_search,
-)
+from .scheduling import TradeoffReport, _fixed_duration_report, fitting_method, general_search
 from .stationarity import ThresholdReport, speed_threshold
 
 __all__ = [
@@ -233,23 +226,6 @@ def scenario_variant(base: Scenario, parameter: SweepParameter, value) -> Scenar
             num_antennas=n, initial_positions=Deployment.from_x(xs)
         )
     raise ValueError(f"unknown sweep parameter {parameter}")
-
-
-def _fixed_duration_report(
-    scenario: Scenario, t_mov: float, deployment: Deployment, converged: bool
-) -> TradeoffReport:
-    rate = achievable_rate(scenario, deployment)
-    throughput = (scenario.interval - t_mov) * rate
-    return TradeoffReport(
-        best_t_mov=t_mov,
-        best_deployment=deployment,
-        best_rate=rate,
-        best_throughput=throughput,
-        curve=(CurvePoint(t_mov, rate, throughput),),
-        method=SearchMethod.STATIONARY,
-        t_mov_max=t_mov,
-        converged=converged,
-    )
 
 
 def run_scheme(

@@ -5,7 +5,7 @@ rate-duration pairs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -106,22 +106,17 @@ def _solve_duration(
     return rate, outcome
 
 
-def _pick_start(scenario: Scenario, t_mov: float, guide, previous):
-    """Warm start for one duration solve: the previous grid solution or the
-    speed-free optimum pulled into the reachable set, whichever has the lower
-    objective (the first on a tie, and the first when neither objective is
-    finite). Both are scored in one stacked evaluation, not optimizer runs."""
-    candidates = []
-    if previous is not None:
-        candidates.append(previous.coords)
-    if guide is not None:
-        lo, hi = scenario.region_bounds()
-        pulled = kernels.project_deployment(
-            guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
-        )
-        candidates.append(pulled)
-    if not candidates:
-        return None
+def _pick_start(scenario: Scenario, t_mov: float, guide: Deployment, previous):
+    """Warm start for one duration solve: the previous solution (if any) or
+    the speed-free optimum ``guide`` pulled into the reachable set, whichever
+    has the lower objective (the first on a tie, and the first when neither
+    objective is finite). Both are scored in one stacked evaluation, not
+    optimizer runs."""
+    lo, hi = scenario.region_bounds()
+    pulled = kernels.project_deployment(
+        guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
+    )
+    candidates = [pulled] if previous is None else [previous.coords, pulled]
     traces, _ = kernels.trace_at(
         np.stack(candidates),
         scenario.direction_vectors(),
@@ -135,6 +130,77 @@ def _pick_start(scenario: Scenario, t_mov: float, guide, previous):
         if not math.isnan(trace) and trace < best_trace:
             best_trace, best = trace, cand
     return best if best is not None else candidates[0]
+
+
+def _fixed_duration_report(
+    scenario: Scenario, t_mov: float, deployment: Deployment, converged: bool
+) -> TradeoffReport:
+    """Report of one deployment held for a fixed movement duration."""
+    rate = achievable_rate(scenario, deployment)
+    throughput = (scenario.interval - t_mov) * rate
+    return TradeoffReport(
+        best_t_mov=t_mov,
+        best_deployment=deployment,
+        best_rate=rate,
+        best_throughput=throughput,
+        curve=(CurvePoint(t_mov, rate, throughput),),
+        method=SearchMethod.STATIONARY,
+        t_mov_max=t_mov,
+        converged=converged,
+    )
+
+
+def _duration_chain(
+    scenario: Scenario,
+    durations: list,
+    config: PenaltyConfig | None,
+    guide: Deployment,
+    method: SearchMethod,
+    t_mov_max: float,
+) -> tuple[TradeoffReport, list]:
+    """Solve the increasing ``durations`` in turn and report the throughput
+    maximizer (the first duration on a tie), with the (t, deployment) pair of
+    every solved duration.
+
+    Each solve warm-starts through ``_pick_start`` from the previous solution
+    and ``guide``; both stay feasible because the reachable disks only grow.
+    A duration whose solve raises a ``MovantError`` or ``ValueError`` is
+    recorded in ``failures`` with a NaN curve point and skipped; other errors
+    propagate, and so does a chain in which every duration fails.
+    """
+    curve = []
+    failures = []
+    solved = []
+    best = None  # (throughput, t, rate, deployment, converged)
+    warm = None
+    for t in durations:
+        try:
+            start = _pick_start(scenario, t, guide, warm)
+            rate, outcome = _solve_duration(scenario, t, config, start=start)
+        except (MovantError, ValueError) as exc:
+            failures.append((t, str(exc)))
+            curve.append(CurvePoint(t, math.nan, math.nan))
+            continue
+        warm = outcome.deployment
+        solved.append((t, warm))
+        throughput = (scenario.interval - t) * rate
+        curve.append(CurvePoint(t, rate, throughput))
+        if best is None or throughput > best[0]:
+            best = (throughput, t, rate, warm, outcome.converged)
+    if best is None:
+        raise MovantError("every duration sample failed")
+    report = TradeoffReport(
+        best_t_mov=best[1],
+        best_deployment=best[3],
+        best_rate=best[2],
+        best_throughput=best[0],
+        curve=tuple(curve),
+        method=method,
+        t_mov_max=t_mov_max,
+        converged=best[4],
+        failures=tuple(failures),
+    )
+    return report, solved
 
 
 def rate_at_duration(
@@ -161,12 +227,17 @@ def general_search(
     the previous solution or from the speed-free optimum pulled into the
     reachable set, whichever evaluates better (both remain feasible because
     the reachable disks only grow). A duration whose solve raises a
-    ``MovantError`` or ``ValueError`` is recorded and skipped; other errors
-    propagate. ``guide_config`` tunes the one-off speed-free solve.
+    ``MovantError`` or ``ValueError`` is recorded in ``failures`` and
+    skipped; other errors propagate. ``guide_config`` tunes the one-off
+    speed-free solve, so the position optimizer runs once per grid point plus
+    once. At zero speed the antennas cannot move: the initial deployment is
+    reported at duration 0 without running the optimizer.
     """
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
     if step <= 0:
         raise ValueError("grid_step must be positive")
+    if scenario.max_speed == 0:
+        return _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)
     durations = []
     t = 0.0
     index = 0
@@ -175,40 +246,11 @@ def general_search(
         index += 1
         t = index * step
 
-    guide = None
-    if scenario.max_speed > 0:
-        guide = unconstrained_deploy(scenario, config=guide_config or config).deployment
-
-    curve = []
-    failures = []
-    best = None  # (throughput, t, rate, deployment, converged)
-    warm = None
-    for t in durations:
-        try:
-            start = _pick_start(scenario, t, guide, warm)
-            rate, outcome = _solve_duration(scenario, t, config, start=start)
-        except (MovantError, ValueError) as exc:
-            failures.append((t, str(exc)))
-            curve.append(CurvePoint(t, math.nan, math.nan))
-            continue
-        warm = outcome.deployment
-        throughput = (scenario.interval - t) * rate
-        curve.append(CurvePoint(t, rate, throughput))
-        if best is None or throughput > best[0]:
-            best = (throughput, t, rate, outcome.deployment, outcome.converged)
-    if best is None:
-        raise MovantError("every duration sample failed")
-    return TradeoffReport(
-        best_t_mov=best[1],
-        best_deployment=best[3],
-        best_rate=best[2],
-        best_throughput=best[0],
-        curve=tuple(curve),
-        method=SearchMethod.GENERAL_SEARCH,
-        t_mov_max=scenario.interval,
-        converged=best[4],
-        failures=tuple(failures),
+    guide = unconstrained_deploy(scenario, config=guide_config or config).deployment
+    report, _ = _duration_chain(
+        scenario, durations, config, guide, SearchMethod.GENERAL_SEARCH, scenario.interval
     )
+    return report
 
 
 def compute_t_mov_max(
@@ -341,85 +383,59 @@ def fitting_method(
 ) -> TradeoffReport:
     """Low-cost duration selection from a handful of sampled rates.
 
-    Samples ``samples`` uniformly spaced durations on [0, t_mov_max], fits
-    both model kinds, keeps the lower-SSE fit and maximizes
-    (interval - t) * g(t) by a dense one-dimensional search. The chosen
-    duration is then re-optimized for real, so the reported throughput is
-    never a model extrapolation. If both fits diverge, the best of the
-    sampled durations is returned instead. In total the position optimizer
-    runs ``samples + 2`` times: the speed-free solve, one run per sample,
-    and the final re-optimization.
+    Runs the grid search's warm-started chain on ``samples`` uniformly spaced
+    durations on [0, t_mov_max], with the same failure policy: a sample whose
+    solve raises a ``MovantError`` or ``ValueError`` is recorded in
+    ``failures`` with a NaN rate. Both model kinds are fitted to the samples
+    that succeeded, the lower-SSE fit is kept and (interval - t) * g(t) is
+    maximized by a dense one-dimensional search. The chosen duration is then
+    re-optimized for real, warm-started from the nearest lower solved sample,
+    so the reported throughput is never a model extrapolation. If no fit
+    survives, the best of the sampled durations is returned instead. In total
+    the position optimizer runs at most ``samples + 2`` times: the speed-free
+    solve, one run per sample, and the final re-optimization. At zero speed,
+    or when the initial deployment is already speed-free optimal, the initial
+    deployment is reported at duration 0 after at most the speed-free solve.
     """
     if samples < 4:
         raise ValueError("need at least 4 samples")
-    t_max, a_star = compute_t_mov_max(scenario, config=guide_config or config)
-
+    t_max = 0.0
+    if scenario.max_speed > 0:
+        t_max, a_star = compute_t_mov_max(scenario, config=guide_config or config)
     if t_max <= 1e-12:
-        rate = achievable_rate(scenario, scenario.initial_positions)
-        throughput = scenario.interval * rate
-        return TradeoffReport(
-            best_t_mov=0.0,
-            best_deployment=scenario.initial_positions,
-            best_rate=rate,
-            best_throughput=throughput,
-            curve=(CurvePoint(0.0, rate, throughput),),
-            method=SearchMethod.STATIONARY,
-            t_mov_max=t_max,
-        )
+        stay = _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)
+        return replace(stay, t_mov_max=t_max)
 
-    times = np.linspace(0.0, t_max, samples)
-    curve = []
-    solutions = []
-    warm = None
-    for t in times:
-        start = _pick_start(scenario, float(t), a_star, warm)
-        rate, outcome = _solve_duration(scenario, float(t), config, start=start)
-        warm = outcome.deployment
-        curve.append(CurvePoint(float(t), rate, (scenario.interval - t) * rate))
-        solutions.append(outcome)
-
-    pairs = [(p.t_mov, p.rate) for p in curve]
+    times = np.linspace(0.0, t_max, samples).tolist()
+    sampled, solved = _duration_chain(
+        scenario, times, config, a_star, SearchMethod.FITTING, t_max
+    )
+    pairs = [(p.t_mov, p.rate) for p in sampled.curve if not math.isnan(p.rate)]
     fits = []
     for kind in (FitKind.QUADRATIC, FitKind.SIGMOIDAL):
         try:
             fits.append(fit_rate_model(pairs, kind))
-        except FitDiverged:
+        except (FitDiverged, ValueError):  # ValueError: too few samples succeeded
             continue
-
     if not fits:
-        # fall back to the best sampled duration
-        best = max(curve, key=lambda p: (p.throughput, -p.t_mov))
-        idx = curve.index(best)
-        return TradeoffReport(
-            best_t_mov=best.t_mov,
-            best_deployment=solutions[idx].deployment,
-            best_rate=best.rate,
-            best_throughput=best.throughput,
-            curve=tuple(curve),
-            method=SearchMethod.FITTING,
-            t_mov_max=t_max,
-            converged=solutions[idx].converged,
-        )
+        return sampled
 
     fit = min(fits, key=lambda f: f.residual_sse)
     grid = np.linspace(0.0, t_max, DENSE_SEARCH_POINTS + 1)
     approx = (scenario.interval - grid) * fit.predict(grid)
     t_hat = float(grid[np.argmax(approx)])
 
-    lower = times[times <= t_hat + 1e-12]
-    nearest = int(np.argmin(np.abs(times - lower[-1]))) if len(lower) else 0
-    start = _pick_start(scenario, t_hat, a_star, solutions[nearest].deployment)
+    previous = next((d for t, d in reversed(solved) if t <= t_hat + 1e-12), None)
+    start = _pick_start(scenario, t_hat, a_star, previous)
     rate, outcome = _solve_duration(scenario, t_hat, config, start=start)
     throughput = (scenario.interval - t_hat) * rate
-    curve.append(CurvePoint(t_hat, rate, throughput))
-    return TradeoffReport(
+    return replace(
+        sampled,
         best_t_mov=t_hat,
         best_deployment=outcome.deployment,
         best_rate=rate,
         best_throughput=throughput,
-        curve=tuple(curve),
-        method=SearchMethod.FITTING,
-        t_mov_max=t_max,
+        curve=sampled.curve + (CurvePoint(t_hat, rate, throughput),),
         fit=fit,
         converged=outcome.converged,
     )

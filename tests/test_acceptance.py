@@ -3,10 +3,11 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Criterion 7's final clause (grid search within 3% of the instantaneous
 upper bound at 18 wavelengths/s) is asserted as documented and is expected
-to fail: the user geometry of the default scenario needs roughly an
-8-wavelength aperture before the users decouple, so reaching upper-bound
-rates costs about 0.4 s of an 8 s interval no matter how good the
-optimizer is, capping the ratio near 0.95. The assertion message carries
+to fail: the user geometry of the default scenario needs several
+wavelengths of aperture before the users decouple, so reaching upper-bound
+rates costs part of the 8 s interval, and the placement solver's local
+optima cost more (a cold solve at t = 0.32 s reaches 0.9537 of the upper
+bound, the warm-started grid search 0.9455). The assertion message carries
 the measured number.
 """
 
@@ -172,7 +173,8 @@ def test_criterion_07_scheme_ordering_and_upper_bound_gap():
     assert ratio >= 0.97, (
         f"grid search reaches {ratio:.4f} of the upper bound at 18 wavelengths/s; "
         "the default user geometry needs several wavelengths of aperture before "
-        "the users decouple, so the travel time alone caps this ratio near 0.95 "
+        "the users decouple, which costs travel time, and part of the gap is "
+        "solver quality: a cold solve at t = 0.32 s reaches 0.9537 "
         "(see the known-limitations note in the README)"
     )
     report(7, "scheme ordering and upper-bound gap", elapsed, 600.0)

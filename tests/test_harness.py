@@ -161,6 +161,16 @@ class TestSweeps:
         good = rows[2].split(",")
         assert good[-1] == ""
 
+    def test_zero_speed_sweep_runs_every_scheme(self, default_2d):
+        spec = SweepSpec(SweepParameter.VMAX, (0.0,), tuple(SchemeId))
+        rows = run_sweep(default_2d, spec, QUICK)
+        cells = {row.split(",")[1]: row.split(",") for row in rows[1:]}
+        assert len(cells) == len(SchemeId)
+        assert all(cell[-1] == "" for cell in cells.values()), rows
+        # neither scheduler can move: both report the static deployment
+        for scheme in ("OTGM", "OTFM"):
+            assert cells[scheme][2:] == cells["Static"][2:]
+
     def test_programming_errors_propagate(self, default_2d, monkeypatch):
         def broken(scenario, scheme, run_config=None):
             raise TypeError("synthetic programming error")

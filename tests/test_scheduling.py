@@ -40,14 +40,6 @@ class TestRateAtDuration:
 
 
 class TestGeneralSearch:
-    def test_no_movement_possible_stays_at_zero(self, case_wide):
-        frozen = case_wide.with_(max_speed=0.0)
-        report = general_search(frozen, grid_step=0.5)
-        assert report.best_t_mov == 0.0
-        assert report.best_throughput == pytest.approx(
-            5.0 * achievable_rate(frozen, frozen.initial_positions)
-        )
-
     def test_wide_gap_matches_dense_closed_form(self, case_wide):
         report = general_search(case_wide, grid_step=0.01)
         dense_t = np.linspace(0, 2, 200001)
@@ -190,19 +182,7 @@ class TestFittingMethod:
         assert report.method is SearchMethod.STATIONARY
 
     def test_optimizer_call_budget(self, case_wide, monkeypatch):
-        import movant.positioning as positioning
-
-        calls = {"count": 0}
-        original = positioning.optimize_positions
-
-        def counting(*args, **kwargs):
-            calls["count"] += 1
-            return original(*args, **kwargs)
-
-        # patch both the defining module (used by unconstrained_deploy) and
-        # the scheduler's imported name so every solver run is counted
-        monkeypatch.setattr(positioning, "optimize_positions", counting)
-        monkeypatch.setattr(scheduling, "optimize_positions", counting)
+        calls = count_optimizer_runs(monkeypatch)
         samples = 5
         fitting_method(case_wide, samples=samples)
         assert calls["count"] <= samples + 2
@@ -240,22 +220,63 @@ def test_unconstrained_solve_shared_by_schedulers(case_wide):
     assert np.array_equal(a1.coords, a2.coords)
 
 
-def test_general_search_isolates_failed_samples(case_wide, monkeypatch):
-    original = scheduling._solve_duration
+SCHEDULERS = {
+    "general_search": lambda s: general_search(s, grid_step=0.5),
+    "fitting_method": lambda s: fitting_method(s, samples=5),
+}
 
+
+def count_optimizer_runs(monkeypatch) -> dict:
+    """Count every position-optimizer run from here on: the defining module
+    (used by unconstrained_deploy) and the scheduler's imported name."""
+    import movant.positioning as positioning
+
+    calls = {"count": 0}
+    original = positioning.optimize_positions
+
+    def counting(*args, **kwargs):
+        calls["count"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(positioning, "optimize_positions", counting)
+    monkeypatch.setattr(scheduling, "optimize_positions", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_no_movement_possible_stays_at_zero(case_wide, monkeypatch, name):
+    frozen = case_wide.with_(max_speed=0.0)
+    calls = count_optimizer_runs(monkeypatch)
+    report = SCHEDULERS[name](frozen)
+    assert calls["count"] == 0
+    assert report.best_t_mov == 0.0
+    assert report.best_throughput == pytest.approx(
+        5.0 * achievable_rate(frozen, frozen.initial_positions)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_schedulers_isolate_failed_samples(case_wide, monkeypatch, name):
+    original = scheduling._solve_duration
+    calls = []
+
+    # the third duration solved: t = 1.0 on the grid, the middle sample of
+    # the fitting method
     def flaky(scenario, t_mov, config, start=None):
-        if abs(t_mov - 1.0) < 1e-12:
+        calls.append(t_mov)
+        if len(calls) == 3:
             raise SingularChannel("synthetic solver failure")
         return original(scenario, t_mov, config, start=start)
 
     monkeypatch.setattr(scheduling, "_solve_duration", flaky)
-    report = general_search(case_wide, grid_step=0.5)
-    assert len(report.failures) == 1
-    assert report.failures[0][0] == 1.0
-    failed = [p for p in report.curve if p.t_mov == 1.0]
+    report = SCHEDULERS[name](case_wide)
+    failed_t = calls[2]
+    assert report.failures == ((failed_t, "synthetic solver failure"),)
+    failed = [p for p in report.curve if p.t_mov == failed_t]
     assert len(failed) == 1 and np.isnan(failed[0].rate)
-    assert report.best_t_mov != 1.0
+    assert report.best_t_mov != failed_t
     assert np.isfinite(report.best_throughput)
+    assert np.isfinite(report.best_rate)
 
 
 def test_general_search_propagates_programming_errors(case_wide, monkeypatch):
@@ -292,18 +313,11 @@ def reference_pick_start(scenario, t_mov, guide, previous):
     """``_pick_start`` scoring one candidate per ``trace_at`` call: the
     first candidate with the lowest non-NaN trace wins, and the first
     candidate when every trace is NaN."""
-    candidates = []
-    if previous is not None:
-        candidates.append(previous.coords)
-    if guide is not None:
-        lo, hi = scenario.region_bounds()
-        candidates.append(
-            kernels.project_deployment(
-                guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
-            )
-        )
-    if not candidates:
-        return None
+    lo, hi = scenario.region_bounds()
+    pulled = kernels.project_deployment(
+        guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
+    )
+    candidates = [pulled] if previous is None else [previous.coords, pulled]
     best, best_trace = None, np.inf
     for cand in candidates:
         trace, _ = kernels.trace_at(
@@ -335,9 +349,7 @@ def test_pick_start_scores_candidates_in_one_stacked_call(monkeypatch):
         (0.05, guide, singular),
         (10.0, singular, previous),
         (10.0, singular, singular),
-        (0.05, None, previous),
         (0.05, guide, None),
-        (0.05, None, None),
     ]
     calls = []
     trace_at = kernels.trace_at
@@ -353,9 +365,6 @@ def test_pick_start_scores_candidates_in_one_stacked_call(monkeypatch):
         calls.clear()
         got = scheduling._pick_start(scenario, t_mov, g, prev)
         monkeypatch.setattr(kernels, "trace_at", trace_at)
-        if expected is None:
-            assert got is None and not calls
-            continue
         assert np.array_equal(got, expected)
         assert len(calls) == 1
         picked.append(prev is not None and got is prev.coords)

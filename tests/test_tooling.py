@@ -1,10 +1,13 @@
 """The committed benchmark's own checks, run as the benchmark runs them, so
-a solver change that its self-tests or answer checks reject fails here."""
+a change that its self-tests or answer checks reject, or that breaks the
+calls its workloads make into movant, fails here."""
 
 import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -21,8 +24,9 @@ def test_layerbench_self_tests_pass():
     assert "0 self-test failures" in done.stdout
 
 
-def test_layerbench_stay_or_move_answers_are_correct():
-    done = run("layerbench/run.py", "--workload", "stay_or_move", "--seed", "1", "--seconds", "0")
+@pytest.mark.parametrize("workload", ["grid_search", "stay_or_move", "antenna_sweep"])
+def test_layerbench_answers_are_correct(workload):
+    done = run("layerbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0")
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stderr
