@@ -118,26 +118,14 @@ def trace_objective(scenario: Scenario, deployment) -> float:
 
 
 def zf_beamformer(scenario: Scenario, deployment, k: int) -> np.ndarray:
-    """Unit-norm zero-forcing beamformer for user ``k``.
-
-    Projects user k's conjugate channel onto the orthogonal complement of all
-    other users' channels, then normalizes. For a single user this reduces to
-    the matched filter.
+    """Unit-norm zero-forcing beamformer for user ``k``: column k of
+    H G^-1, normalized. It is user k's conjugate channel projected onto the
+    orthogonal complement of all other users' channels; for a single user
+    it is the matched filter.
     """
     state = channel_state(scenario, deployment)
-    h_k = state.H[:, k]  # conjugate transpose of the channel row
-    if scenario.num_users == 1:
-        return h_k / np.linalg.norm(h_k)
-    B = np.delete(state.H, k, axis=1)
-    A = np.conj(B.T) @ B
-    eigvals = np.linalg.eigvalsh(A)
-    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > SINGULAR_COND_LIMIT:
-        raise SingularChannel("interfering channels are linearly dependent")
-    w = h_k - B @ np.linalg.solve(A, np.conj(B.T) @ h_k)
-    norm = np.linalg.norm(w)
-    if norm < 1e-12 * np.linalg.norm(h_k):
-        raise SingularChannel("channel lies in the interferers' span")
-    return w / norm
+    w = state.H @ state.G_inv[:, k]
+    return w / np.linalg.norm(w)
 
 
 def optimal_power(scenario: Scenario, deployment) -> np.ndarray:

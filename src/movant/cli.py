@@ -25,7 +25,6 @@ from .harness import (
     threshold_summary,
     write_csv,
 )
-from .positioning import PenaltyConfig
 from .stationarity import SpecialCase, verify_threshold
 
 
@@ -50,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument("--grid-step", type=float, help="duration grid step in seconds")
     p_opt.add_argument("--samples", type=int, default=5, help="fitting sample count")
-    p_opt.add_argument("--restarts", type=int, default=1, help="optimizer multi-starts")
     p_opt.add_argument("--out", help="write the result as a one-row CSV")
 
     p_sweep = sub.add_parser("sweep", help="sweep a scenario parameter over a grid")
@@ -68,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--grid-step", type=float, help="duration grid step in seconds")
     p_sweep.add_argument("--samples", type=int, default=5)
-    p_sweep.add_argument("--restarts", type=int, default=1)
     p_sweep.add_argument("--out", help="CSV output path (default: stdout)")
 
     p_thr = sub.add_parser("thresholds", help="stay/move thresholds at the start")
@@ -99,12 +96,7 @@ def _scenario_from_args(args):
 
 
 def _run_config_from_args(args) -> RunConfig:
-    penalty = PenaltyConfig(restarts=getattr(args, "restarts", 1))
-    return RunConfig(
-        grid_step=getattr(args, "grid_step", None),
-        samples=getattr(args, "samples", 5),
-        penalty=penalty,
-    )
+    return RunConfig(grid_step=args.grid_step, samples=args.samples)
 
 
 def _parse_speed_grid(text: str) -> np.ndarray:

@@ -9,14 +9,20 @@ and powers are dBm (converted to linear watts internally).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import MovantError, SingularChannel
 from .gradients import fd_gradient, grad_rate, grad_trace
-from .positioning import PenaltyConfig, optimize_positions, project_box_disk, unconstrained_deploy
+from .positioning import (
+    OptimizeOutcome,
+    PenaltyConfig,
+    optimize_positions,
+    project_box_disk,
+    unconstrained_deploy,
+)
 from .scenario import Deployment, Scenario, Topology, linear_from_dbm
 from .scheduling import TradeoffReport, _fixed_duration_report, fitting_method, general_search
 from .stationarity import ThresholdReport, speed_threshold
@@ -78,11 +84,10 @@ class RunConfig:
 
     grid_step: float | None = None  # duration grid step; None = interval/400
     samples: int = 5
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
 
 
-# fewest restarts of the speed-free solves that guide OTGM and OTFM and
-# give UpperBound its deployment
+# fewest restarts of the speed-free solve that guides OTGM and OTFM and
+# gives UpperBound its deployment
 _UNCONSTRAINED_RESTARTS = 4
 
 CSV_HEADER = "param,scheme,t_mov,rate_bps_hz,throughput_b_hz,converged,error"
@@ -228,28 +233,32 @@ def scenario_variant(base: Scenario, parameter: SweepParameter, value) -> Scenar
     raise ValueError(f"unknown sweep parameter {parameter}")
 
 
+def _speed_free(scenario: Scenario) -> OptimizeOutcome:
+    return unconstrained_deploy(scenario, config=PenaltyConfig(restarts=_UNCONSTRAINED_RESTARTS))
+
+
 def run_scheme(
     scenario: Scenario, scheme: SchemeId, run_config: RunConfig | None = None
 ) -> TradeoffReport:
-    """Execute one benchmark scheme on a scenario."""
+    """Execute one benchmark scheme on a scenario.
+
+    OTGM, OTFM and UpperBound make one multi-start speed-free solve: it is
+    UpperBound's deployment and the guide passed to the schedulers, whose
+    duration solves are single-start. At zero speed the schedulers solve
+    nothing, so they get no guide.
+    """
     rc = run_config or RunConfig()
-    boosted = replace(
-        rc.penalty, restarts=max(rc.penalty.restarts, _UNCONSTRAINED_RESTARTS)
-    )
-    if scheme is SchemeId.OTGM:
-        return general_search(
-            scenario, grid_step=rc.grid_step, config=rc.penalty, guide_config=boosted
-        )
-    if scheme is SchemeId.OTFM:
-        return fitting_method(
-            scenario, samples=rc.samples, config=rc.penalty, guide_config=boosted
-        )
+    if scheme is SchemeId.OTGM or scheme is SchemeId.OTFM:
+        guide = _speed_free(scenario).deployment if scenario.max_speed > 0 else None
+        if scheme is SchemeId.OTGM:
+            return general_search(scenario, grid_step=rc.grid_step, guide=guide)
+        return fitting_method(scenario, samples=rc.samples, guide=guide)
     if scheme is SchemeId.UPPER_BOUND:
-        outcome = unconstrained_deploy(scenario, config=boosted)
+        outcome = _speed_free(scenario)
         return _fixed_duration_report(scenario, 0.0, outcome.deployment, outcome.converged)
     if scheme is SchemeId.FMD_OAD:
         t_mov = 0.2 * scenario.interval
-        outcome = optimize_positions(scenario, t_mov, config=rc.penalty)
+        outcome = optimize_positions(scenario, t_mov)
         return _fixed_duration_report(scenario, t_mov, outcome.deployment, outcome.converged)
     if scheme is SchemeId.STATIC:
         return _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)

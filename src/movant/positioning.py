@@ -255,8 +255,10 @@ def _pgd_loop(
     rho: float,
 ):
     """Spectral projected gradient on trace + rho * ||pos - anchors||^2
-    (SPG2 of Birgin, Martinez and Raydan, 2000). Returns the best iterate
-    seen as (positions, trace, iterations, status).
+    (SPG2 of Birgin, Martinez and Raydan, 2000), run on (L, N, 2) stacks
+    ``start`` and ``anchors`` of lanes that share everything else. Returns
+    the best iterate seen by each lane, as a list of one (positions, trace,
+    iterations, status) tuple per lane.
 
     Each iteration projects once, ``d = P(pos - eta g) - pos``, and tries
     ``pos + lam d`` for lam = 1, 1/2, 1/4, ...: lam = 1 is the projected
@@ -274,20 +276,14 @@ def _pgd_loop(
     would end the loop as converged, so a stall costs about
     log2(max |d| / ``_GRAD_TOL``) trials.
 
-    ``start`` and ``anchors`` may also be (L, N, 2) stacks of lanes that
-    share everything else; the result is then a list of one (positions,
-    trace, iterations, status) tuple per lane. Each lane keeps its own
-    step, memory, line search, best iterate, iteration count and status,
-    and the lanes run in lockstep: the first trials of all lanes are scored
-    in one ``trace_and_grad`` call, each halving of the lanes still
-    searching in one ``trace_at`` call, and the lanes that accepted a
-    halved step get their gradient in one more ``trace_and_grad`` call. A
-    lane that ends leaves the stack, and each lane comes out bit for bit as
-    it would alone. An (N, 2) call runs as a stack of one lane.
+    Each lane keeps its own step, memory, line search, best iterate,
+    iteration count and status, and the lanes run in lockstep: the first
+    trials of all lanes are scored in one ``trace_and_grad`` call, each
+    halving of the lanes still searching in one ``trace_at`` call, and the
+    lanes that accepted a halved step get their gradient in one more
+    ``trace_and_grad`` call. A lane that ends leaves the stack, and each
+    lane comes out bit for bit as it would alone.
     """
-    stacked = start.ndim == 3
-    if not stacked:
-        start, anchors = start[None], anchors[None]
     # the lanes project as rows against their centers repeated once per
     # lane, k lanes against the first k repeats (one entry of the
     # projection's memo per lane count): broadcasting the (N, 2) centers
@@ -422,7 +418,7 @@ def _pgd_loop(
         g = g_new
     else:
         leave([True] * len(lanes), _STATUS_MAX_ITERS, _PGD_MAX_ITERS)
-    return result if stacked else result[0]
+    return result
 
 
 def optimize_positions(
@@ -439,13 +435,15 @@ def optimize_positions(
     ``FEASIBILITY_TOL``. The returned deployment lies in the region
     exactly, in the disks up to rounding (within 2 ulps of its largest
     coordinate) and keeps the pairwise spacing within ``FEASIBILITY_TOL``;
-    its objective never exceeds the objective of the initial
-    deployment. Optional multi-starts jitter the starting point
-    deterministically; the best feasible result wins (ties keep the earliest
-    restart). The restarts run as lanes of one lockstep solve, each outer
-    round one stacked ``_pgd_loop`` over the lanes still running, and every
-    lane ends as the same restart run alone would, bit for bit; with several
-    failing lanes, the first error in lockstep order is the one raised.
+    its objective never exceeds the objective of the initial deployment. A
+    solve has converged only if the winning restart closed that gap and none
+    of its gradient loops hit the iteration cap. Optional multi-starts
+    jitter the starting point deterministically; the best feasible result
+    wins (ties keep the earliest restart). The restarts run as lanes of one
+    lockstep solve, each outer round one stacked ``_pgd_loop`` over the
+    lanes still running, and every lane ends as the same restart run alone
+    would, bit for bit; with several failing lanes, the first error in
+    lockstep order is the one raised.
     """
     if t_mov < 0:
         raise ValueError("t_mov must be nonnegative")
@@ -493,6 +491,7 @@ def optimize_positions(
     inner_total = [0] * restarts
     outers = [0] * restarts
     converged = [False] * restarts
+    capped = [False] * restarts
 
     separate = lambda p: separate_anchors(
         p, d_min, region_side=scenario.region_side, topology=scenario.topology
@@ -520,16 +519,17 @@ def optimize_positions(
         if any(status == _STATUS_SINGULAR for *_, status in found):
             raise SingularChannel("channel is singular at the starting deployment")
         running, next_pts, next_anchors = [], [], []
-        for lane, (p, trace, steps, _) in zip(live, found):
+        for lane, (p, trace, steps, status) in zip(live, found):
             inner_total[lane] += steps
             outers[lane] = outer
+            capped[lane] |= status == _STATUS_MAX_ITERS
             a = separate(p)
             gap = float(np.linalg.norm(p - a, axis=1).max())
             gaps[lane].append(gap)
             if spacing_ok(p) and trace < run_obj[lane]:
                 run_obj[lane], run_pts[lane] = trace, p.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
-                converged[lane] = True
+                converged[lane] = not capped[lane]
             else:
                 running.append(lane)
                 next_pts.append(p)

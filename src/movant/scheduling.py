@@ -13,12 +13,7 @@ import numpy as np
 from . import kernels
 from .channel import SINGULAR_COND_LIMIT, achievable_rate
 from .errors import FitDiverged, MovantError
-from .positioning import (
-    OptimizeOutcome,
-    PenaltyConfig,
-    optimize_positions,
-    unconstrained_deploy,
-)
+from .positioning import OptimizeOutcome, optimize_positions, unconstrained_deploy
 from .scenario import Deployment, Scenario
 
 __all__ = [
@@ -95,13 +90,8 @@ class TradeoffReport:
     failures: tuple = ()
 
 
-def _solve_duration(
-    scenario: Scenario,
-    t_mov: float,
-    config: PenaltyConfig | None,
-    start=None,
-) -> tuple[float, OptimizeOutcome]:
-    outcome = optimize_positions(scenario, t_mov, config=config, start=start)
+def _solve_duration(scenario: Scenario, t_mov: float, start=None) -> tuple[float, OptimizeOutcome]:
+    outcome = optimize_positions(scenario, t_mov, start=start)
     rate = achievable_rate(scenario, outcome.deployment)
     return rate, outcome
 
@@ -153,7 +143,6 @@ def _fixed_duration_report(
 def _duration_chain(
     scenario: Scenario,
     durations: list,
-    config: PenaltyConfig | None,
     guide: Deployment,
     method: SearchMethod,
     t_mov_max: float,
@@ -176,7 +165,7 @@ def _duration_chain(
     for t in durations:
         try:
             start = _pick_start(scenario, t, guide, warm)
-            rate, outcome = _solve_duration(scenario, t, config, start=start)
+            rate, outcome = _solve_duration(scenario, t, start=start)
         except (MovantError, ValueError) as exc:
             failures.append((t, str(exc)))
             curve.append(CurvePoint(t, math.nan, math.nan))
@@ -203,21 +192,16 @@ def _duration_chain(
     return report, solved
 
 
-def rate_at_duration(
-    scenario: Scenario, t_mov: float, config: PenaltyConfig | None = None
-) -> float:
+def rate_at_duration(scenario: Scenario, t_mov: float) -> float:
     """Achievable common rate after optimizing positions for ``t_mov``."""
     if not 0.0 <= t_mov <= scenario.interval:
         raise ValueError(f"t_mov must lie in [0, {scenario.interval}]")
-    rate, _ = _solve_duration(scenario, t_mov, config)
+    rate, _ = _solve_duration(scenario, t_mov)
     return rate
 
 
 def general_search(
-    scenario: Scenario,
-    grid_step: float | None = None,
-    config: PenaltyConfig | None = None,
-    guide_config: PenaltyConfig | None = None,
+    scenario: Scenario, grid_step: float | None = None, guide: Deployment | None = None
 ) -> TradeoffReport:
     """Evaluate the throughput on the duration grid {0, step, 2*step, ...}
     below the interval length and return the maximizer (ties break toward the
@@ -228,10 +212,12 @@ def general_search(
     reachable set, whichever evaluates better (both remain feasible because
     the reachable disks only grow). A duration whose solve raises a
     ``MovantError`` or ``ValueError`` is recorded in ``failures`` and
-    skipped; other errors propagate. ``guide_config`` tunes the one-off
-    speed-free solve, so the position optimizer runs once per grid point plus
-    once. At zero speed the antennas cannot move: the initial deployment is
-    reported at duration 0 without running the optimizer.
+    skipped; other errors propagate. ``guide`` is the speed-free optimum
+    (``unconstrained_deploy``); without one it is solved here, single-start.
+    Every duration solve is single-start, so the position optimizer runs once
+    per grid point, plus once when no guide is given. At zero speed the
+    antennas cannot move: the initial deployment is reported at duration 0
+    without running the optimizer.
     """
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
     if step <= 0:
@@ -246,18 +232,20 @@ def general_search(
         index += 1
         t = index * step
 
-    guide = unconstrained_deploy(scenario, config=guide_config or config).deployment
+    if guide is None:
+        guide = unconstrained_deploy(scenario).deployment
     report, _ = _duration_chain(
-        scenario, durations, config, guide, SearchMethod.GENERAL_SEARCH, scenario.interval
+        scenario, durations, guide, SearchMethod.GENERAL_SEARCH, scenario.interval
     )
     return report
 
 
 def compute_t_mov_max(
-    scenario: Scenario, config: PenaltyConfig | None = None
+    scenario: Scenario, guide: Deployment | None = None
 ) -> tuple[float, Deployment]:
     """Longest movement duration worth considering, with the speed-free
-    optimal deployment that defines it.
+    optimal deployment that defines it: ``guide`` if given, else a
+    single-start ``unconstrained_deploy`` solve.
 
     The travel time is the largest per-antenna distance to the speed-free
     optimum divided by the speed limit; if it reaches the interval, the whole
@@ -265,8 +253,7 @@ def compute_t_mov_max(
     """
     if scenario.max_speed <= 0:
         raise ValueError("max_speed must be positive")
-    outcome = unconstrained_deploy(scenario, config=config)
-    a_star = outcome.deployment
+    a_star = unconstrained_deploy(scenario).deployment if guide is None else guide
     travel = a_star.max_shift_from(scenario.initial_positions) / scenario.max_speed
     t_max = scenario.interval if travel >= scenario.interval else travel
     return t_max, a_star
@@ -376,10 +363,7 @@ def _fit_sigmoid(t, y):
 
 
 def fitting_method(
-    scenario: Scenario,
-    samples: int = 5,
-    config: PenaltyConfig | None = None,
-    guide_config: PenaltyConfig | None = None,
+    scenario: Scenario, samples: int = 5, guide: Deployment | None = None
 ) -> TradeoffReport:
     """Low-cost duration selection from a handful of sampled rates.
 
@@ -391,25 +375,26 @@ def fitting_method(
     maximized by a dense one-dimensional search. The chosen duration is then
     re-optimized for real, warm-started from the nearest lower solved sample,
     so the reported throughput is never a model extrapolation. If no fit
-    survives, the best of the sampled durations is returned instead. In total
-    the position optimizer runs at most ``samples + 2`` times: the speed-free
-    solve, one run per sample, and the final re-optimization. At zero speed,
-    or when the initial deployment is already speed-free optimal, the initial
+    survives, the best of the sampled durations is returned instead.
+    ``guide`` is the speed-free optimum (``unconstrained_deploy``) that sets
+    t_mov_max; without one it is solved here, single-start. Every duration
+    solve is single-start, so the position optimizer runs at most
+    ``samples + 1`` times given a guide (one run per sample and the final
+    re-optimization) and ``samples + 2`` times without. At zero speed, or
+    when the initial deployment is already speed-free optimal, the initial
     deployment is reported at duration 0 after at most the speed-free solve.
     """
     if samples < 4:
         raise ValueError("need at least 4 samples")
     t_max = 0.0
     if scenario.max_speed > 0:
-        t_max, a_star = compute_t_mov_max(scenario, config=guide_config or config)
+        t_max, a_star = compute_t_mov_max(scenario, guide=guide)
     if t_max <= 1e-12:
         stay = _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)
         return replace(stay, t_mov_max=t_max)
 
     times = np.linspace(0.0, t_max, samples).tolist()
-    sampled, solved = _duration_chain(
-        scenario, times, config, a_star, SearchMethod.FITTING, t_max
-    )
+    sampled, solved = _duration_chain(scenario, times, a_star, SearchMethod.FITTING, t_max)
     pairs = [(p.t_mov, p.rate) for p in sampled.curve if not math.isnan(p.rate)]
     fits = []
     for kind in (FitKind.QUADRATIC, FitKind.SIGMOIDAL):
@@ -427,7 +412,7 @@ def fitting_method(
 
     previous = next((d for t, d in reversed(solved) if t <= t_hat + 1e-12), None)
     start = _pick_start(scenario, t_hat, a_star, previous)
-    rate, outcome = _solve_duration(scenario, t_hat, config, start=start)
+    rate, outcome = _solve_duration(scenario, t_hat, start=start)
     throughput = (scenario.interval - t_hat) * rate
     return replace(
         sampled,

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import movant.harness as harness
+import movant.positioning as positioning
+import movant.scheduling as scheduling
 from movant.channel import achievable_rate
 from movant.cli import main
 from movant.harness import (
@@ -23,6 +25,7 @@ from movant.harness import (
     threshold_summary,
     write_csv,
 )
+from movant.positioning import PenaltyConfig
 from movant.scenario import Topology
 from movant.stationarity import speed_threshold
 
@@ -113,7 +116,38 @@ class TestConfig:
         assert s.total_power == d.total_power and s.noise_power == d.noise_power
 
 
+def record_solves(monkeypatch) -> list:
+    """The list that collects (restarts, speed-free) of every
+    ``optimize_positions`` call from here on; a speed-free solve is one whose
+    disks are widened to the region (``unconstrained_deploy``)."""
+    solves = []
+    original = positioning.optimize_positions
+
+    def recording(scenario, t_mov, config=None, start=None, radius_override=None):
+        solves.append(((config or PenaltyConfig()).restarts, radius_override is not None))
+        return original(scenario, t_mov, config, start, radius_override)
+
+    for module in (positioning, scheduling, harness):
+        monkeypatch.setattr(module, "optimize_positions", recording)
+    return solves
+
+
 class TestSchemes:
+    @pytest.mark.parametrize("scheme", [SchemeId.OTGM, SchemeId.OTFM, SchemeId.UPPER_BOUND])
+    def test_one_speed_free_solve_per_scheme(self, default_2d, monkeypatch, scheme):
+        solves = record_solves(monkeypatch)
+        run_scheme(default_2d, scheme, QUICK)
+        restarts = harness._UNCONSTRAINED_RESTARTS
+        assert [solve for solve in solves if solve[1]] == [(restarts, True)]
+        # every duration solve is single-start
+        assert all(solve == (1, False) for solve in solves if not solve[1])
+
+    @pytest.mark.parametrize("scheme", [SchemeId.OTGM, SchemeId.OTFM])
+    def test_schedulers_solve_nothing_at_zero_speed(self, default_2d, monkeypatch, scheme):
+        solves = record_solves(monkeypatch)
+        run_scheme(default_2d.with_(max_speed=0.0), scheme, QUICK)
+        assert solves == []
+
     def test_static_value(self, default_2d):
         report = run_scheme(default_2d, SchemeId.STATIC, QUICK)
         expected = 8.0 * achievable_rate(default_2d, default_2d.initial_positions)
@@ -349,10 +383,6 @@ class TestCli:
         assert main(["sweep", "--sweep", "Vmax=2", "--scheme", schemes]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
-
-    def test_zero_restarts_is_fatal(self, capsys):
-        assert main(["optimize", "--scheme", "Static", "--restarts", "0"]) == 2
-        assert "restarts" in capsys.readouterr().err
 
     def test_special_case_narrow(self, capsys):
         assert main(["special-case", "--case", "narrow", "--vmax", "0.02,0.04"]) == 0

@@ -160,12 +160,18 @@ class TestSeparateAnchors:
         assert min_pair(out) >= 0.5 - 1e-9
 
 
+def pgd_loop_alone(start, anchors, *shared):
+    """``_pgd_loop`` on one (N, 2) lane: its (positions, trace, iterations,
+    status)."""
+    return positioning._pgd_loop(start[None], anchors[None], *shared)[0]
+
+
 def pgd_loop_from_start(scenario, t_mov, anchors, rho):
     """``_pgd_loop`` from the initial deployment over the disks of radius
     ``max_speed * t_mov``: the positions it returns."""
     centers = scenario.initial_positions.coords
     lo, hi = scenario.region_bounds()
-    pos, _, _, status = positioning._pgd_loop(
+    pos, _, _, status = pgd_loop_alone(
         centers,
         np.asarray(anchors, dtype=float),
         centers,
@@ -424,7 +430,7 @@ def test_line_search_matches_sequential_reference(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     accepts = []
     for args in line_search_cases(31, 120):
-        pos, trace, iters, status = positioning._pgd_loop(*args)
+        pos, trace, iters, status = pgd_loop_alone(*args)
         ref_pos, ref_trace, ref_iters, ref_status = sequential_pgd_loop(*args, accepts)
         assert np.array_equal(pos, ref_pos)
         assert np.array_equal(trace, ref_trace, equal_nan=True)
@@ -470,7 +476,7 @@ def test_lanes_match_single_lane_loops(monkeypatch):
         monkeypatch.setattr(kernels, "trace_at", trace_at)
         assert len(lanes) == len(starts)
         for (pos, trace, iters, status), start, anchor in zip(lanes, starts, anchors):
-            alone = positioning._pgd_loop(start, anchor, *shared)
+            alone = pgd_loop_alone(start, anchor, *shared)
             assert np.array_equal(pos, alone[0])
             assert np.array_equal(trace, alone[1], equal_nan=True)
             assert (iters, status) == alone[2:]
@@ -507,7 +513,7 @@ def test_singular_lane_leaves_the_others_running():
     )
     lanes = positioning._pgd_loop(starts, starts, *shared)
     for lane, start in zip(lanes, starts):
-        alone = positioning._pgd_loop(start, start, *shared)
+        alone = pgd_loop_alone(start, start, *shared)
         assert np.array_equal(lane[0], alone[0])
         assert np.array_equal(lane[1], alone[1], equal_nan=True)
         assert lane[2:] == alone[2:]
@@ -520,9 +526,10 @@ def test_singular_lane_leaves_the_others_running():
 
 def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_override=None):
     """Reference ``optimize_positions``: its restarts run one after another,
-    each an (N, 2) ``_pgd_loop`` per outer round, with the jitters drawn in
-    restart order; the best feasible result wins, ties keep the earliest
-    restart and the initial deployment is the floor."""
+    each a one-lane ``_pgd_loop`` per outer round, with the jitters drawn in
+    restart order; a restart has converged if its gap closed and none of its
+    loops hit the iteration cap; the best feasible result wins, ties keep
+    the earliest restart and the initial deployment is the floor."""
     radius = scenario.max_speed * t_mov if radius_override is None else float(radius_override)
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
@@ -551,22 +558,23 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_
             if not np.isnan(trace):
                 run_obj, run_pts = float(trace), pts.copy()
         anchors = separate(pts)
-        rho, gaps, inner_total, converged = 0.0, [], 0, False
+        rho, gaps, inner_total, converged, capped = 0.0, [], 0, False, False
         for outer in range(1, positioning._AO_MAX_ITERS + 1):
-            pts, trace, inner, status = positioning._pgd_loop(
+            pts, trace, inner, status = pgd_loop_alone(
                 pts, anchors, initial, radius, lo, hi, directions, amplitudes,
                 scenario.wavenumber, rho,
             )
             if status == positioning._STATUS_SINGULAR:
                 raise SingularChannel("channel is singular at the starting deployment")
             inner_total += inner
+            capped |= status == positioning._STATUS_MAX_ITERS
             anchors = separate(pts)
             gap = float(np.linalg.norm(pts - anchors, axis=1).max())
             gaps.append(gap)
             if spacing_ok(pts) and trace < run_obj:
                 run_obj, run_pts = float(trace), pts.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
-                converged = True
+                converged = not capped
                 break
             rho = positioning._RHO_INIT if rho == 0.0 else rho * positioning._RHO_GROWTH
         run = (outer, inner_total, converged, tuple(gaps))
@@ -667,7 +675,7 @@ def test_stall_scores_only_moves_beyond_tolerance(monkeypatch):
 
     monkeypatch.setattr(kernels, "trace_at", recording(trace_at, "trace_at"))
     monkeypatch.setattr(kernels, "trace_and_grad", recording(trace_and_grad, "grad"))
-    _, _, iters, status = positioning._pgd_loop(
+    _, _, iters, status = pgd_loop_alone(
         start,
         start,
         scenario.initial_positions.coords,
@@ -695,10 +703,25 @@ def test_pgd_loop_output_is_feasible(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     for args in line_search_cases(31, 120):
         centers, _, _, radius, lo, hi = args[:6]
-        pos = positioning._pgd_loop(*args)[0]
+        pos = pgd_loop_alone(*args)[0]
         assert np.all(pos >= lo) and np.all(pos <= hi)
         ulp = np.spacing(max(np.abs(pos).max(), np.abs(centers).max()))
         assert np.all(np.linalg.norm(pos - centers, axis=1) <= radius + 2.0 * ulp)
+
+
+def record_loop_statuses(monkeypatch) -> list:
+    """The list that collects the status of every lane of every
+    ``_pgd_loop`` call from here on."""
+    statuses = []
+    pgd_loop = positioning._pgd_loop
+
+    def recording(*args, **kwargs):
+        result = pgd_loop(*args, **kwargs)
+        statuses.extend(status for *_, status in result)
+        return result
+
+    monkeypatch.setattr(positioning, "_pgd_loop", recording)
+    return statuses
 
 
 @pytest.mark.parametrize(
@@ -709,17 +732,7 @@ def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
     # each of these solves ran a PGD loop into the 500-iteration cap under
     # the former double-or-halve step rule; None is UpperBound's speed-free
     # solve with its boosted restarts, whose loops run as lanes of one stack
-    statuses = []
-
-    def recording(*args, **kwargs):
-        result = pgd_loop(*args, **kwargs)
-        # a stacked call returns one (positions, trace, iterations, status)
-        # tuple per lane
-        statuses.extend(status for *_, status in (result if args[0].ndim == 3 else [result]))
-        return result
-
-    pgd_loop = positioning._pgd_loop
-    monkeypatch.setattr(positioning, "_pgd_loop", recording)
+    statuses = record_loop_statuses(monkeypatch)
     scenario = default_scenario(max_speed_wl_s=speed)
     if t_mov is None:
         config = PenaltyConfig(restarts=harness._UNCONSTRAINED_RESTARTS)
@@ -727,6 +740,16 @@ def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
     else:
         optimize_positions(scenario, t_mov)
     assert statuses and positioning._STATUS_MAX_ITERS not in statuses
+
+
+def test_capped_loop_is_not_converged(monkeypatch):
+    # a PGD loop of this cold solve runs into the iteration cap, and its
+    # outer rounds still close the spacing gap
+    statuses = record_loop_statuses(monkeypatch)
+    out = optimize_positions(default_scenario(max_speed_wl_s=18), 0.24)
+    assert positioning._STATUS_MAX_ITERS in statuses
+    assert out.gap_history[-1] <= FEASIBILITY_TOL / 2.0
+    assert out.converged is False
 
 
 def test_penalty_config_needs_a_start():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from movant.scheduling import (
     rate_at_duration,
 )
 from movant.harness import default_scenario
+from movant.positioning import unconstrained_deploy
 from movant.scenario import Deployment
 
 
@@ -182,10 +185,14 @@ class TestFittingMethod:
         assert report.method is SearchMethod.STATIONARY
 
     def test_optimizer_call_budget(self, case_wide, monkeypatch):
+        guide = unconstrained_deploy(case_wide).deployment
         calls = count_optimizer_runs(monkeypatch)
         samples = 5
         fitting_method(case_wide, samples=samples)
         assert calls["count"] <= samples + 2
+        calls["count"] = 0
+        fitting_method(case_wide, samples=samples, guide=guide)
+        assert calls["count"] <= samples + 1
 
     def test_report_consistency(self, case_narrow):
         report = fitting_method(case_narrow, samples=5)
@@ -243,6 +250,23 @@ def count_optimizer_runs(monkeypatch) -> dict:
     return calls
 
 
+def test_general_search_with_guide_makes_no_speed_free_solve(case_wide, monkeypatch):
+    # the guide a guide-less search solves for itself gives the same search
+    expected = general_search(case_wide, grid_step=0.5)
+    guide = unconstrained_deploy(case_wide).deployment
+
+    def speed_free(*args, **kwargs):
+        raise AssertionError("general_search solved the speed-free optimum")
+
+    monkeypatch.setattr(scheduling, "unconstrained_deploy", speed_free)
+    calls = count_optimizer_runs(monkeypatch)
+    report = general_search(case_wide, grid_step=0.5, guide=guide)
+    # one solve per duration of the grid {0, 0.5, ..., 4.5}
+    assert calls["count"] == 10
+    assert np.array_equal(report.best_deployment.coords, expected.best_deployment.coords)
+    assert replace(report, best_deployment=None) == replace(expected, best_deployment=None)
+
+
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_no_movement_possible_stays_at_zero(case_wide, monkeypatch, name):
     frozen = case_wide.with_(max_speed=0.0)
@@ -262,11 +286,11 @@ def test_schedulers_isolate_failed_samples(case_wide, monkeypatch, name):
 
     # the third duration solved: t = 1.0 on the grid, the middle sample of
     # the fitting method
-    def flaky(scenario, t_mov, config, start=None):
+    def flaky(scenario, t_mov, start=None):
         calls.append(t_mov)
         if len(calls) == 3:
             raise SingularChannel("synthetic solver failure")
-        return original(scenario, t_mov, config, start=start)
+        return original(scenario, t_mov, start=start)
 
     monkeypatch.setattr(scheduling, "_solve_duration", flaky)
     report = SCHEDULERS[name](case_wide)
@@ -282,10 +306,10 @@ def test_schedulers_isolate_failed_samples(case_wide, monkeypatch, name):
 def test_general_search_propagates_programming_errors(case_wide, monkeypatch):
     original = scheduling._solve_duration
 
-    def broken(scenario, t_mov, config, start=None):
+    def broken(scenario, t_mov, start=None):
         if abs(t_mov - 1.0) < 1e-12:
             raise TypeError("synthetic programming error")
-        return original(scenario, t_mov, config, start=start)
+        return original(scenario, t_mov, start=start)
 
     monkeypatch.setattr(scheduling, "_solve_duration", broken)
     with pytest.raises(TypeError, match="synthetic programming error"):
