@@ -80,10 +80,17 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Solver settings shared by all schemes in a run."""
+    """Solver settings shared by all schemes in a run, checked when built
+    so that a bad value fails before any solve."""
 
     grid_step: float | None = None  # duration grid step; None = interval/400
     samples: int = 5
+
+    def __post_init__(self):
+        if self.grid_step is not None and not self.grid_step > 0:
+            raise ValueError("grid_step must be positive")
+        if self.samples < 4:
+            raise ValueError("need at least 4 samples")
 
 
 # fewest restarts of the speed-free solve that guides OTGM and OTFM and
@@ -170,9 +177,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
             dist = np.full(k, dist[0])
         fading = float(cfg["ref_gain"]) * dist ** (-float(cfg["pathloss_exp"]))
     xs = np.asarray(cfg["initial_x_wl"], dtype=float)
-    ys = np.asarray(cfg.get("initial_y_wl", np.zeros_like(xs)), dtype=float)
+    ys = np.asarray(cfg["initial_y_wl"], dtype=float)
     if topology is Topology.SEGMENT_1D:
         ys = np.zeros_like(xs)
+    elif xs.shape != ys.shape:
+        raise ValueError(
+            f"initial_x_wl has {xs.size} values but initial_y_wl has {ys.size}"
+        )
     return Scenario(
         num_antennas=int(cfg["num_antennas"]),
         num_users=k,

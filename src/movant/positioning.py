@@ -13,6 +13,7 @@ agree.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -52,8 +53,11 @@ _PGD_STEP = 1e-3
 _PGD_MAX_ITERS = 500
 _AO_MAX_ITERS = 12
 _GRAD_TOL = 1e-6
-# push sweeps of the anchor separation before it gives up
-_SEPARATION_SWEEPS = 100
+# push sweeps of the anchor separation before it gives up, and the
+# fraction beyond the minimum spacing that a push aims for, so that a pair
+# lands clear of the spacing in one push rather than geometrically
+_SEPARATION_SWEEPS = 1000
+_SEPARATION_MARGIN = 1e-6
 # spacing slack of a returned deployment; the outer loop ends once positions
 # and anchors agree within half of it
 FEASIBILITY_TOL = 1e-4
@@ -112,9 +116,22 @@ def project_box_disk(
     return kernels.project_deployment(p, c, float(radius), lo, hi)[0]
 
 
-def _clip_region(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    np.clip(points[:, 0], lo[0], hi[0], out=points[:, 0])
-    np.clip(points[:, 1], lo[1], hi[1], out=points[:, 1])
+@functools.cache
+def _split_directions(n: int, topology: Topology) -> np.ndarray:
+    """The (n, n, 2) unit vectors along which coincident points i and j
+    split, entry [i, j] pointing from i to j: +x on a segment; in a square,
+    pair k of the P pairs i < j (row-major) at angle pi k / P. Read-only,
+    since every call with the same arguments shares it."""
+    i, j = np.triu_indices(n, 1)
+    if topology is Topology.SEGMENT_1D:
+        angle = np.zeros(i.size)
+    else:
+        angle = np.pi * np.arange(i.size) / i.size
+    tie = np.zeros((n, n, 2))
+    tie[i, j] = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    tie[j, i] = -tie[i, j]
+    tie.flags.writeable = False
+    return tie
 
 
 def separate_anchors(
@@ -122,25 +139,32 @@ def separate_anchors(
     min_spacing: float,
     region_side: float,
     topology: Topology = Topology.SQUARE_2D,
-    history: list | None = None,
 ) -> np.ndarray:
-    """Move points apart until every pair is at least ``min_spacing`` away,
-    staying close to the input in the least-squares sense.
+    """Move points apart until every pair is at least ``min_spacing`` away.
 
-    Violated pairs are pushed apart symmetrically along their difference
-    vector (ties broken along +x); once feasible, points are pulled back
-    toward their originals as far as the spacing and region allow, one point
-    at a time, which never increases the squared displacement. ``history``
-    collects the squared-displacement value after each pull sweep.
+    Takes an (N, 2) deployment or an (L, N, 2) stack of lanes. Each sweep
+    pushes every pair closer than ``min_spacing`` apart at once: both points
+    move along the pair's difference vector by half of the shortfall to
+    ``min_spacing * (1 + _SEPARATION_MARGIN)``, the pushes on a point add
+    up, and the points are clipped to the region: projected gradient descent
+    on the spacing violation. Coincident points split along a fixed
+    direction per pair (``_split_directions``), different for each pair in
+    a square, so that a crowd on a corner has pushes that point into the
+    region. Input that is already spaced comes back unchanged. A lane whose
+    spacing holds gets no push and the clip leaves points in the region
+    alone, so a stack of in-region lanes comes out bit for bit as its lanes
+    would alone.
 
     Raises
     ------
     InfeasibleSpacing
-        If a square-grid packing bound shows the points cannot fit, or the
-        repair sweeps fail to reach feasibility.
+        If a square-grid packing bound shows the points cannot fit, or a
+        pair is still short after ``_SEPARATION_SWEEPS`` sweeps.
     """
-    pts = as_positions(deployment).copy()
-    n = pts.shape[0]
+    pts = np.array(
+        deployment if np.ndim(deployment) == 3 else as_positions(deployment), dtype=float
+    )
+    n = pts.shape[-2]
     if min_spacing <= 0 or n < 2:
         return pts
     per_side = int(math.floor(region_side / min_spacing + 1e-12)) + 1
@@ -152,81 +176,24 @@ def separate_anchors(
         )
     lo, hi = topology.bounds(region_side)
 
-    if min_pair_distance(pts) >= min_spacing - 1e-12:
-        return pts
-
-    original = pts.copy()
+    diagonal = np.arange(n)
+    target = min_spacing * (1.0 + _SEPARATION_MARGIN)
     for _ in range(_SEPARATION_SWEEPS):
-        moved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = pts[j] - pts[i]
-                dist = float(np.linalg.norm(delta))
-                if dist >= min_spacing - 1e-12:
-                    continue
-                direction = np.array([1.0, 0.0]) if dist < 1e-12 else delta / dist
-                shift = 0.5 * (min_spacing - dist)
-                pts[i] -= shift * direction
-                pts[j] += shift * direction
-                moved = True
-        _clip_region(pts, lo, hi)
-        if not moved and min_pair_distance(pts) >= min_spacing - 1e-12:
-            break
-    if min_pair_distance(pts) < min_spacing - 1e-9:
-        raise InfeasibleSpacing(
-            f"failed to separate {n} points to spacing {min_spacing} "
-            f"within {_SEPARATION_SWEEPS} sweeps"
-        )
-
-    # pull-back sweeps: slide each point toward its original position up to
-    # the largest step that keeps all pairwise distances and region bounds
-    prev = float(((pts - original) ** 2).sum())
-    for _ in range(50):
-        for i in range(n):
-            move = original[i] - pts[i]
-            if float(np.linalg.norm(move)) < 1e-14:
-                continue
-            alpha = _max_feasible_step(pts, i, move, min_spacing, lo, hi)
-            if alpha > 0.0:
-                pts[i] += alpha * move
-        current = float(((pts - original) ** 2).sum())
-        if history is not None:
-            history.append(current)
-        if prev - current < 1e-12:
-            break
-        prev = current
-    return pts
-
-
-def _max_feasible_step(points, i, move, min_spacing, lo, hi) -> float:
-    """Largest alpha in [0, 1] so points[i] + alpha*move keeps every pairwise
-    distance >= min_spacing and stays inside [lo, hi]."""
-    alpha = 1.0
-    p = points[i]
-    for d in range(2):
-        if move[d] > 0:
-            alpha = min(alpha, (hi[d] - p[d]) / move[d])
-        elif move[d] < 0:
-            alpha = min(alpha, (lo[d] - p[d]) / move[d])
-    mm = float(move @ move)
-    for j in range(points.shape[0]):
-        if j == i:
-            continue
-        rel = p - points[j]
-        c0 = float(rel @ rel) - min_spacing**2
-        c1 = float(move @ rel)
-        # |rel + alpha*move|^2 >= min_spacing^2; roots bound the violation window
-        disc = c1 * c1 - mm * c0
-        if disc <= 0.0:
-            continue
-        root = (-c1 - math.sqrt(disc)) / mm
-        if root < 0.0:
-            # moving in immediately violates (touching pair): no step allowed
-            if c0 <= 1e-15 and c1 < 0.0:
-                return 0.0
-            continue
-        alpha = min(alpha, root)
-    return max(alpha, 0.0)
+        delta = pts[..., None, :, :] - pts[..., :, None, :]  # [i, j] = p_j - p_i
+        dist = np.sqrt((delta * delta).sum(axis=-1))
+        dist[..., diagonal, diagonal] = np.inf
+        short = dist < min_spacing - 1e-12
+        if not short.any():
+            return pts
+        tied = dist < 1e-12
+        tie = _split_directions(n, topology)
+        unit = np.where(tied[..., None], tie, delta) / np.where(tied, 1.0, dist)[..., None]
+        shift = np.where(short, 0.5 * (target - dist), 0.0)
+        np.clip(pts - (shift[..., None] * unit).sum(axis=-2), lo, hi, out=pts)
+    raise InfeasibleSpacing(
+        f"failed to separate {n} points to spacing {min_spacing} "
+        f"within {_SEPARATION_SWEEPS} sweeps"
+    )
 
 
 def _lane_sums(x: np.ndarray) -> list:
@@ -440,10 +407,11 @@ def optimize_positions(
     of its gradient loops hit the iteration cap. Optional multi-starts
     jitter the starting point deterministically; the best feasible result
     wins (ties keep the earliest restart). The restarts run as lanes of one
-    lockstep solve, each outer round one stacked ``_pgd_loop`` over the
-    lanes still running, and every lane ends as the same restart run alone
-    would, bit for bit; with several failing lanes, the first error in
-    lockstep order is the one raised.
+    lockstep solve, each outer round one stacked ``_pgd_loop`` and one
+    stacked ``separate_anchors`` over the lanes still running, and every
+    lane ends as the same restart run alone would, bit for bit; with
+    several failing lanes, the first error in lockstep order is the one
+    raised.
     """
     if t_mov < 0:
         raise ValueError("t_mov must be nonnegative")
@@ -496,7 +464,7 @@ def optimize_positions(
     separate = lambda p: separate_anchors(
         p, d_min, region_side=scenario.region_side, topology=scenario.topology
     )
-    anchors = np.array([separate(p) for p in pts])
+    anchors = separate(pts)
     # first round descends the raw objective; the anchor pull only kicks
     # in once re-separation shows which spacing constraints bind; every
     # lane still running is in the same round, so the lanes share rho
@@ -518,25 +486,26 @@ def optimize_positions(
         )
         if any(status == _STATUS_SINGULAR for *_, status in found):
             raise SingularChannel("channel is singular at the starting deployment")
-        running, next_pts, next_anchors = [], [], []
-        for lane, (p, trace, steps, status) in zip(live, found):
+        pts = np.array([p for p, *_ in found])
+        anchors = separate(pts)
+        # the rows of the lanes that keep running
+        running = []
+        for row, (lane, (p, trace, steps, status)) in enumerate(zip(live, found)):
             inner_total[lane] += steps
             outers[lane] = outer
             capped[lane] |= status == _STATUS_MAX_ITERS
-            a = separate(p)
-            gap = float(np.linalg.norm(p - a, axis=1).max())
+            gap = float(np.linalg.norm(p - anchors[row], axis=1).max())
             gaps[lane].append(gap)
             if spacing_ok(p) and trace < run_obj[lane]:
                 run_obj[lane], run_pts[lane] = trace, p.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
                 converged[lane] = not capped[lane]
             else:
-                running.append(lane)
-                next_pts.append(p)
-                next_anchors.append(a)
+                running.append(row)
         if not running:
             break
-        live, pts, anchors = running, np.array(next_pts), np.array(next_anchors)
+        live = [live[row] for row in running]
+        pts, anchors = pts[running], anchors[running]
         rho = _RHO_INIT if rho == 0.0 else rho * _RHO_GROWTH
 
     # the initial deployment is feasible for every duration: never do

@@ -94,6 +94,22 @@ class TestConfig:
         s = scenario_from_config(cfg)
         assert np.allclose(s.fading_coeffs, [1, 2, 3, 4])
 
+    def test_unpaired_initial_positions_are_fatal(self, tmp_path, capsys):
+        # six x values against the default five y values
+        path = tmp_path / "six.cfg"
+        path.write_text("num_antennas = 6\ninitial_x_wl = 3, 4, 5, 6, 7, 8\n")
+        assert main(["optimize", "--config", str(path), "--scheme", "Static"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "initial_x_wl has 6" in err and "initial_y_wl has 5" in err
+
+    @pytest.mark.parametrize(
+        "fields", [{"samples": 3}, {"grid_step": 0.0}, {"grid_step": -0.1}]
+    )
+    def test_run_config_rejects_bad_values(self, fields):
+        with pytest.raises(ValueError, match="samples|grid_step"):
+            RunConfig(**fields)
+
     def test_shipped_config_matches_defaults(self):
         # keeps configs/default.cfg from drifting away from DEFAULT_CONFIG
         from pathlib import Path
@@ -204,6 +220,13 @@ class TestSweeps:
         # neither scheduler can move: both report the static deployment
         for scheme in ("OTGM", "OTFM"):
             assert cells[scheme][2:] == cells["Static"][2:]
+
+    @pytest.mark.parametrize("speed", [6.0, 18.0])
+    def test_fmdoad_antenna_sweep_has_no_errors(self, speed):
+        spec = SweepSpec(SweepParameter.NUM_ANTENNAS, tuple(range(4, 11)), (SchemeId.FMD_OAD,))
+        rows = run_sweep(default_scenario(max_speed_wl_s=speed), spec)
+        assert len(rows) == 8
+        assert all(row.split(",")[-1] == "" for row in rows[1:]), rows
 
     def test_programming_errors_propagate(self, default_2d, monkeypatch):
         def broken(scenario, scheme, run_config=None):
@@ -377,6 +400,20 @@ class TestCli:
         assert main(["special-case", "--vmax", grid]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["optimize", "--scheme", "OTFM", "--samples", "3"],
+            ["sweep", "--sweep", "Vmax=2,6", "--scheme", "OTGM", "--grid-step", "0"],
+        ],
+    )
+    def test_bad_run_config_fails_before_any_solve(self, args, capsys, monkeypatch):
+        solves = record_solves(monkeypatch)
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert solves == []
 
     @pytest.mark.parametrize("schemes", [",", " , ", ""])
     def test_empty_scheme_list_is_fatal(self, schemes, capsys):

@@ -122,16 +122,42 @@ class TestSeparateAnchors:
         out = separate_anchors(pts, 0.5, region_side=10.0)
         assert np.allclose(out, [[2.75, 2.0], [3.25, 2.0]], atol=1e-12)
 
-    def test_spacing_satisfied_and_objective_monotone(self):
+    def test_spacing_satisfied_on_random_clusters(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             cluster = rng.uniform(4.0, 4.7, (5, 2))
-            history = []
-            out = separate_anchors(cluster, 0.5, region_side=10.0, history=history)
+            out = separate_anchors(cluster, 0.5, region_side=10.0)
             assert min_pair(out) >= 0.5 - 1e-9
-            assert all(
-                history[i] >= history[i + 1] - 1e-12 for i in range(len(history) - 1)
-            )
+
+    @pytest.mark.parametrize("count", [4, 8])
+    @pytest.mark.parametrize("corner", [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)])
+    def test_crowd_on_a_square_corner_separates(self, corner, count):
+        out = separate_anchors(np.tile(corner, (count, 1)), 0.5, region_side=10.0)
+        assert min_pair(out) >= 0.5 - 1e-9
+        assert np.all((out >= 0.0) & (out <= 10.0))
+
+    @pytest.mark.parametrize("end", [0.0, 10.0])
+    def test_crowd_on_a_segment_end_separates(self, end):
+        crowd = np.tile([end, 0.0], (10, 1))
+        out = separate_anchors(crowd, 0.5, region_side=10.0, topology=Topology.SEGMENT_1D)
+        assert min_pair(out) >= 0.5 - 1e-9
+        assert np.all((out[:, 0] >= 0.0) & (out[:, 0] <= 10.0) & (out[:, 1] == 0.0))
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    @pytest.mark.parametrize("n", [2, 5, 8, 10])
+    def test_stack_matches_lanes_separated_alone(self, topology, n):
+        rng = np.random.default_rng(n)
+        side = topology.bounds(10.0)[1]
+        stack = rng.uniform(0.3, 0.6, (6, n, 2)) * side
+        # lanes that start spaced and on a corner, beside the random crowds
+        stack[1] = np.linspace([0.0, 0.0], side, n)
+        stack[2] = side
+        out = separate_anchors(stack, 0.5, region_side=10.0, topology=topology)
+        assert out.shape == stack.shape
+        for lane in range(len(stack)):
+            alone = separate_anchors(stack[lane], 0.5, region_side=10.0, topology=topology)
+            assert np.array_equal(out[lane], alone)
+        assert np.array_equal(out[1], stack[1])
 
     def test_near_optimal_against_random_perturbations(self):
         rng = np.random.default_rng(33)

@@ -24,9 +24,15 @@ def test_layerbench_self_tests_pass():
     assert "0 self-test failures" in done.stdout
 
 
-@pytest.mark.parametrize("workload", ["grid_search", "stay_or_move", "antenna_sweep"])
+# the cells each workload's round attempts
+ATTEMPTED = {"grid_search": 9, "stay_or_move": 4, "antenna_sweep": 12}
+
+
+@pytest.mark.parametrize("workload", list(ATTEMPTED))
 def test_layerbench_answers_are_correct(workload):
     done = run("layerbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0")
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stderr
+    # a cell that raises is counted in failed, not in correct
+    assert (result["attempted"], result["failed"]) == (ATTEMPTED[workload], 0), result
