@@ -4,10 +4,12 @@ For a fixed movement duration the reachable set of each antenna is the
 intersection of the region with a disk around its initial position. The
 non-convex pairwise-spacing constraints are carried by auxiliary anchor
 points: spectral projected gradient descent (Barzilai-Borwein steps and a
-nonmonotone line search) lowers the trace objective plus a quadratic pull
-toward the anchors, the anchors are re-separated to the minimum spacing,
-and the pull strength grows geometrically until positions and anchors
-agree.
+nonmonotone line search) lowers log tr(G^-1) plus a quadratic pull toward
+the anchors, the anchors are re-separated to the minimum spacing, and the
+pull strength grows geometrically until positions and anchors agree. The
+log makes the descent independent of the channel's scale: tr(G^-1) spans
+more than ten orders of magnitude across scenarios and layouts, while the
+solver's step seed, pull schedule and tolerances are fixed numbers.
 """
 
 from __future__ import annotations
@@ -38,21 +40,25 @@ __all__ = [
 # recent penalized values and asks for this fraction of the linear decrease
 _NONMONOTONE_MEMORY = 10
 _ARMIJO = 1e-4
-# safeguards of the spectral step: the objective's scale spans many orders
-# of magnitude, so the bounds only keep the step finite and positive
+# safeguards of the spectral step: the anchor pull's strength spans ten
+# orders of magnitude over the outer rounds, so the bounds only keep the
+# step finite and positive
 _STEP_MIN = 1e-30
 _STEP_MAX = 1e30
 
 # the solver's fixed tuning: the anchor pull of the second outer round and
 # its growth per round, the step that seeds each loop's first spectral step,
-# the loop and round caps, and the largest move (per antenna, wavelengths)
-# at which a loop has converged
+# the loop and round caps, the largest move (per antenna, wavelengths) at
+# which a loop has converged, and the least fall of a loop's best penalized
+# value (log units) across its last 2 * _NONMONOTONE_MEMORY iterates that
+# keeps it running
 _RHO_INIT = 1.0
 _RHO_GROWTH = 10.0
 _PGD_STEP = 1e-3
 _PGD_MAX_ITERS = 500
 _AO_MAX_ITERS = 12
 _GRAD_TOL = 1e-6
+_PROGRESS_TOL = 1e-5
 # push sweeps of the anchor separation before it gives up, and the
 # fraction beyond the minimum spacing that a push aims for, so that a pair
 # lands clear of the spacing in one push rather than geometrically
@@ -221,11 +227,14 @@ def _pgd_loop(
     wavenumber: float,
     rho: float,
 ):
-    """Spectral projected gradient on trace + rho * ||pos - anchors||^2
-    (SPG2 of Birgin, Martinez and Raydan, 2000), run on (L, N, 2) stacks
-    ``start`` and ``anchors`` of lanes that share everything else. Returns
-    the best iterate seen by each lane, as a list of one (positions, trace,
-    iterations, status) tuple per lane.
+    """Spectral projected gradient on log tr(G^-1) + rho * ||pos -
+    anchors||^2 (SPG2 of Birgin, Martinez and Raydan, 2000), run on
+    (L, N, 2) stacks ``start`` and ``anchors`` of lanes that share
+    everything else. Returns the best iterate seen by each lane, as a list
+    of one (positions, trace, iterations, status) tuple per lane; the trace
+    is the kernel's tr(G^-1) itself, not the exponential of its log. The
+    log and its gradient, the kernel's gradient over the trace, are taken
+    here from the trace kernels' outputs.
 
     Each iteration projects once, ``d = P(pos - eta g) - pos``, and tries
     ``pos + lam d`` for lam = 1, 1/2, 1/4, ...: lam = 1 is the projected
@@ -237,11 +246,14 @@ def _pgd_loop(
     a pass is a decrease beyond float noise; ``eta`` is the safeguarded
     Barzilai-Borwein step of the accepted move; ``_PGD_STEP`` seeds only
     the first one. The loop converges when ``d`` or an accepted move is at
-    most ``_GRAD_TOL`` (largest row norm), stops after ``_PGD_MAX_ITERS``
-    iterations and stalls when no trial passes before ``lam`` times the
-    largest row norm of ``d`` is at most ``_GRAD_TOL``: a move that short
-    would end the loop as converged, so a stall costs about
-    log2(max |d| / ``_GRAD_TOL``) trials.
+    most ``_GRAD_TOL`` (largest row norm), or when its best penalized value
+    has fallen by at most ``_PROGRESS_TOL`` across its last
+    2 * ``_NONMONOTONE_MEMORY`` iterates (the start counting as the first):
+    a lane crawling along a narrow valley gains less than that. It stops
+    after ``_PGD_MAX_ITERS`` iterations and stalls when no trial passes
+    before ``lam`` times the largest row norm of ``d`` is at most
+    ``_GRAD_TOL``: a move that short would end the loop as converged, so a
+    stall costs about log2(max |d| / ``_GRAD_TOL``) trials.
 
     Each lane keeps its own step, memory, line search, best iterate,
     iteration count and status, and the lanes run in lockstep: the first
@@ -265,22 +277,26 @@ def _pgd_loop(
 
     pos = proj(start)
     trace, grad, _ = kernels.trace_and_grad(pos, *channel)
-    g = grad + 2.0 * rho * (pos - anchors)
+    # the gradient of log tr(G^-1) is the trace's gradient over the trace
+    g = grad / trace[:, None, None] + 2.0 * rho * (pos - anchors)
     # the lanes still in the stack, in the order of its rows: their index,
-    # recent penalized values, best (penalized, positions, trace) and step
-    lanes, recent, best, singular = [], [], [], []
+    # recent penalized values, best (penalized, positions, trace), best
+    # penalized value as of each of the last 2 * _NONMONOTONE_MEMORY
+    # iterates (the start counts as one) and step
+    lanes, recent, best, progress, singular = [], [], [], [], []
     for i, (t, q) in enumerate(zip(trace.tolist(), _lane_sums((pos - anchors) ** 2))):
-        penalized = t + rho * q
+        penalized = math.log(t) + rho * q
         lanes.append(i)
         recent.append(collections.deque([penalized], maxlen=_NONMONOTONE_MEMORY))
         best.append((penalized, pos[i], t))
+        progress.append(collections.deque([penalized], maxlen=2 * _NONMONOTONE_MEMORY))
         singular.append(math.isnan(t))
     eta = [_PGD_STEP] * len(start)
 
     def leave(ended, status, iters):
         """Record the lanes flagged in ``ended`` and drop them from the
         stack; returns the rows of the lanes that stay."""
-        nonlocal lanes, recent, best, eta, pos, g, anchors
+        nonlocal lanes, recent, best, progress, eta, pos, g, anchors
         keep = []
         for i, lane in enumerate(lanes):
             if ended[i]:
@@ -290,7 +306,9 @@ def _pgd_loop(
         if not keep:
             lanes = []
             return keep
-        lanes, recent, best, eta = ([x[i] for i in keep] for x in (lanes, recent, best, eta))
+        lanes, recent, best, progress, eta = (
+            [x[i] for i in keep] for x in (lanes, recent, best, progress, eta)
+        )
         pos, g, anchors = pos[keep], g[keep], anchors[keep]
         return keep
 
@@ -310,6 +328,7 @@ def _pgd_loop(
         slope = _lane_sums(g * d)
         cand = projected
         trace_c, grad_c, _ = kernels.trace_and_grad(cand, *channel)
+        grad_c = grad_c / trace_c[:, None, None]
         trace_c = trace_c.tolist()
         pen_c, ref, searching = [], [], []
         for i, (t, q) in enumerate(zip(trace_c, _lane_sums((cand - anchors) ** 2))):
@@ -317,7 +336,7 @@ def _pgd_loop(
             # floor stall out instead of bouncing at constant value
             r = max(recent[i])
             ref.append(r - 1e-12 * abs(r))
-            pen_c.append(t + rho * q)
+            pen_c.append(math.log(t) + rho * q)
             # a NaN trace fails the comparison
             if not pen_c[i] <= ref[i] + _ARMIJO * slope[i]:
                 searching.append(i)
@@ -343,7 +362,7 @@ def _pgd_loop(
             pen_t = _lane_sums((trial - anchors[sel]) ** 2)
             searching = []
             for j, i in enumerate(rows):
-                pen = trace_t[j] + rho * pen_t[j]
+                pen = math.log(trace_t[j]) + rho * pen_t[j]
                 if pen <= ref[i] + _ARMIJO * lam * slope[i]:
                     cand[i], trace_c[i], pen_c[i] = trial[j], trace_t[j], pen
                 else:
@@ -368,14 +387,20 @@ def _pgd_loop(
             recent[i].append(p)
             if p < best[i][0]:
                 best[i] = (p, pos[i], trace_c[i])
-        if min(moved) <= _GRAD_TOL:
-            keep = leave([m <= _GRAD_TOL for m in moved], _STATUS_CONVERGED, it + 1)
+            progress[i].append(best[i][0])
+        done = [
+            m <= _GRAD_TOL or (len(h) == h.maxlen and h[0] - h[-1] <= _PROGRESS_TOL)
+            for m, h in zip(moved, progress)
+        ]
+        if any(done):
+            keep = leave(done, _STATUS_CONVERGED, it + 1)
             if not keep:
                 break
             s, grad_c, halved = s[keep], grad_c[keep], [halved[i] for i in keep]
         if any(halved):
             rows = [i for i, h in enumerate(halved) if h]
-            grad_c[rows] = kernels.trace_and_grad(pos[rows], *channel)[1]
+            trace_h, grad_h, _ = kernels.trace_and_grad(pos[rows], *channel)
+            grad_c[rows] = grad_h / trace_h[:, None, None]
         g_new = grad_c + 2.0 * rho * (pos - anchors)
         # a nonpositive curvature along the move gives no spectral step
         eta = [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from movant import positioning
 from movant.harness import default_scenario
 from movant.scenario import Deployment, Scenario, Topology, two_antenna_line_scenario
 
@@ -59,3 +60,18 @@ def random_instance(rng, n_max=6, k_max=4, cond_cap=1e4, trace_cap=50.0, region=
         if (1.0 / eigvals).sum() > trace_cap:
             continue
         return scenario
+
+
+def record_loop_statuses(monkeypatch) -> list:
+    """The list that collects the status of every lane of every
+    ``positioning._pgd_loop`` call from here on."""
+    statuses = []
+    pgd_loop = positioning._pgd_loop
+
+    def recording(*args, **kwargs):
+        result = pgd_loop(*args, **kwargs)
+        statuses.extend(status for *_, status in result)
+        return result
+
+    monkeypatch.setattr(positioning, "_pgd_loop", recording)
+    return statuses

@@ -228,6 +228,15 @@ class TestSweeps:
         assert len(rows) == 8
         assert all(row.split(",")[-1] == "" for row in rows[1:]), rows
 
+    @pytest.mark.parametrize("speed", [6.0, 18.0])
+    def test_fmdoad_antenna_sweep_rates_do_not_collapse(self, speed):
+        # on the raw trace, N = 9 at 6 wl/s and N = 7 at 18 wl/s returned
+        # the initial deployment (0.161 and 0.027 b/s/Hz)
+        spec = SweepSpec(SweepParameter.NUM_ANTENNAS, tuple(range(4, 11)), (SchemeId.FMD_OAD,))
+        rows = run_sweep(default_scenario(max_speed_wl_s=speed), spec)
+        rates = [float(row.split(",")[3]) for row in rows[1:]]
+        assert len(rates) == 7 and min(rates) > 1.0, rows
+
     def test_programming_errors_propagate(self, default_2d, monkeypatch):
         def broken(scenario, scheme, run_config=None):
             raise TypeError("synthetic programming error")

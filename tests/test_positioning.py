@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from movant.scenario import (
     two_antenna_line_scenario,
 )
 
-from conftest import random_instance
+from conftest import random_instance, record_loop_statuses
 
 
 def min_pair(points):
@@ -364,23 +365,33 @@ class TestUnconstrainedDeploy:
 def sequential_pgd_loop(
     start, anchors, centers, radius, lo, hi, directions, amplitudes, wavenumber, rho, accepts
 ):
-    """Reference spectral projected gradient: ``_pgd_loop`` with the
-    gradient always taken from a separate ``trace_and_grad`` call at the
-    accepted point, and the halvings counted up front: lam = 2^-h for the
-    h with 2^-h * max |d| > ``_GRAD_TOL``. ``accepts`` collects the number
-    of halvings before each accepted step, and None for a stall."""
+    """Reference spectral projected gradient on log tr(G^-1) + rho *
+    ||pos - anchors||^2: ``_pgd_loop`` with the gradient always taken from
+    a separate ``trace_and_grad`` call at the accepted point, the halvings
+    counted up front (lam = 2^-h for the h with 2^-h * max |d| >
+    ``_GRAD_TOL``) and the best penalized value kept as of every iterate,
+    so that the progress stop compares the last entry with the one
+    2 * ``_NONMONOTONE_MEMORY`` - 1 before it. ``accepts`` collects the
+    number of halvings before each accepted step, and None for a stall."""
     proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
-    grad_at = lambda pts: kernels.trace_and_grad(
-        pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-    )
+
+    def log_trace_and_grad(pts):
+        trace, grad, _ = kernels.trace_and_grad(
+            pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
+        )
+        return trace, math.log(trace), grad / trace
+
+    pull = lambda pts: rho * float(((pts - anchors) ** 2).sum())
+    window = 2 * positioning._NONMONOTONE_MEMORY
     pos = proj(start)
-    trace, grad, _ = grad_at(pos)
+    trace, log_trace, grad = log_trace_and_grad(pos)
     if np.isnan(trace):
         return pos, math.nan, 0, positioning._STATUS_SINGULAR
-    penalized = trace + rho * float(((pos - anchors) ** 2).sum())
+    penalized = log_trace + pull(pos)
     g = grad + 2.0 * rho * (pos - anchors)
     recent = [penalized]
     best = (penalized, pos, trace)
+    bests = [penalized]
     eta = positioning._PGD_STEP
     status = positioning._STATUS_MAX_ITERS
     iters = 0
@@ -401,13 +412,13 @@ def sequential_pgd_loop(
             lam = 0.5**halvings
             cand = projected if halvings == 0 else pos + lam * d
             if halvings == 0:
-                trace_c = grad_at(cand)[0]
+                trace_c = log_trace_and_grad(cand)[0]
             else:
                 trace_c, _ = kernels.trace_at(
                     cand, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
                 )
             if not np.isnan(trace_c):
-                pen_c = trace_c + rho * float(((cand - anchors) ** 2).sum())
+                pen_c = math.log(trace_c) + pull(cand)
                 if pen_c <= ref + positioning._ARMIJO * lam * slope:
                     break
         else:
@@ -420,11 +431,15 @@ def sequential_pgd_loop(
         recent.append(penalized)
         if penalized < best[0]:
             best = (penalized, pos, trace)
+        bests.append(best[0])
         iters += 1
         if np.linalg.norm(s, axis=1).max() <= positioning._GRAD_TOL:
             status = positioning._STATUS_CONVERGED
             break
-        g_new = grad_at(pos)[1] + 2.0 * rho * (pos - anchors)
+        if len(bests) >= window and bests[-window] - bests[-1] <= positioning._PROGRESS_TOL:
+            status = positioning._STATUS_CONVERGED
+            break
+        g_new = log_trace_and_grad(pos)[2] + 2.0 * rho * (pos - anchors)
         sy = float((s * (g_new - g)).sum())
         eta = float((s * s).sum()) / sy if sy > 0.0 else 2.0 * eta
         eta = min(max(eta, positioning._STEP_MIN), positioning._STEP_MAX)
@@ -452,10 +467,22 @@ def line_search_cases(seed, count):
         yield centers, anchors, centers, radius, lo, hi, directions, amplitudes, 2 * np.pi, rho
 
 
+def pinned_cases(seed, count):
+    """``line_search_cases`` at rho = 1e9 with the anchors on the start: a
+    move beyond ``_GRAD_TOL`` costs more pull than the trace gains, so the
+    search stalls wherever its first trial moves that far."""
+    for start, _, *shared in line_search_cases(seed, count):
+        yield (start, start, *shared[:-1], 1e9)
+
+
+def all_line_search_cases():
+    return itertools.chain(line_search_cases(31, 120), pinned_cases(31, 12))
+
+
 def test_line_search_matches_sequential_reference(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     accepts = []
-    for args in line_search_cases(31, 120):
+    for args in all_line_search_cases():
         pos, trace, iters, status = pgd_loop_alone(*args)
         ref_pos, ref_trace, ref_iters, ref_status = sequential_pgd_loop(*args, accepts)
         assert np.array_equal(pos, ref_pos)
@@ -468,15 +495,15 @@ def test_line_search_matches_sequential_reference(monkeypatch):
     assert None in accepts
 
 
-def lane_stacks(seed, count):
-    """Three lanes per ``line_search_cases`` case, sharing its centers,
-    radius, box, channel and rho: the case's own start and anchors, and two
-    starts jittered by about the radius, each with anchors of its own."""
+def lane_stacks(seed, cases):
+    """Three lanes per ``_pgd_loop`` case, sharing its centers, radius,
+    box, channel and rho: the case's own start and anchors, and two starts
+    jittered by about the radius, each with anchors of its own."""
     rng = np.random.default_rng(seed)
-    for centers, anchors, *shared in line_search_cases(seed, count):
+    for start, anchors, *shared in cases:
         radius, lo, hi = shared[1:4]
-        starts = [centers] + [
-            np.clip(centers + rng.normal(0.0, radius, centers.shape), lo, hi) for _ in range(2)
+        starts = [start] + [
+            np.clip(start + rng.normal(0.0, radius, start.shape), lo, hi) for _ in range(2)
         ]
         anchor_sets = [anchors] + [
             np.clip(anchors + rng.normal(0.0, 0.5, anchors.shape), lo, hi) for _ in range(2)
@@ -496,7 +523,7 @@ def test_lanes_match_single_lane_loops(monkeypatch):
         return trace_at(positions, *args)
 
     accepts, ends = [], []
-    for starts, anchors, shared in lane_stacks(31, 120):
+    for starts, anchors, shared in lane_stacks(31, all_line_search_cases()):
         monkeypatch.setattr(kernels, "trace_at", recording)
         lanes = positioning._pgd_loop(starts, anchors, *shared)
         monkeypatch.setattr(kernels, "trace_at", trace_at)
@@ -682,11 +709,13 @@ def test_singular_restart_lane_raises():
 
 
 def test_stall_scores_only_moves_beyond_tolerance(monkeypatch):
-    # a warm start at rho = 0 that is already at its optimum: the search
-    # stalls before its first step, and every candidate it scores on the
-    # way moves some antenna by more than the convergence tolerance
+    # the solution of a shorter move, held on its own anchors at rho = 1e9
+    # (a pull the outer rounds reach): every move beyond the convergence
+    # tolerance costs more pull than the trace gains, so the search stalls
+    # before its first step, and every candidate it scores on the way moves
+    # some antenna by more than that tolerance
     scenario = default_scenario(max_speed_wl_s=18)
-    start = optimize_positions(scenario, 0.8).deployment.coords
+    start = optimize_positions(scenario, 0.16).deployment.coords
     lo, hi = scenario.region_bounds()
     scored = []
     trace_at, trace_and_grad = kernels.trace_at, kernels.trace_and_grad
@@ -711,7 +740,7 @@ def test_stall_scores_only_moves_beyond_tolerance(monkeypatch):
         scenario.direction_vectors(),
         scenario.amplitudes(),
         scenario.wavenumber,
-        0.0,
+        1e9,
     )
     assert (iters, status) == (0, positioning._STATUS_STALLED)
     # the first call scores the start itself; the rest are candidates
@@ -735,31 +764,11 @@ def test_pgd_loop_output_is_feasible(monkeypatch):
         assert np.all(np.linalg.norm(pos - centers, axis=1) <= radius + 2.0 * ulp)
 
 
-def record_loop_statuses(monkeypatch) -> list:
-    """The list that collects the status of every lane of every
-    ``_pgd_loop`` call from here on."""
-    statuses = []
-    pgd_loop = positioning._pgd_loop
-
-    def recording(*args, **kwargs):
-        result = pgd_loop(*args, **kwargs)
-        statuses.extend(status for *_, status in result)
-        return result
-
-    monkeypatch.setattr(positioning, "_pgd_loop", recording)
-    return statuses
-
-
-@pytest.mark.parametrize(
-    "speed, t_mov",
-    [(2.0, 0.8), (2.0, 1.52), (6.0, 0.56), (6.0, 1.2), (18.0, 0.4), (18.0, 0.64), (6.0, None)],
-)
-def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
-    # each of these solves ran a PGD loop into the 500-iteration cap under
-    # the former double-or-halve step rule; None is UpperBound's speed-free
-    # solve with its boosted restarts, whose loops run as lanes of one stack
+def assert_no_loop_capped(monkeypatch, scenario, t_mov):
+    """No PGD loop of the solve at ``t_mov`` ends at the iteration cap;
+    None is UpperBound's speed-free solve with its boosted restarts, whose
+    loops run as lanes of one stack."""
     statuses = record_loop_statuses(monkeypatch)
-    scenario = default_scenario(max_speed_wl_s=speed)
     if t_mov is None:
         config = PenaltyConfig(restarts=harness._UNCONSTRAINED_RESTARTS)
         unconstrained_deploy(scenario, config=config)
@@ -768,14 +777,59 @@ def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
     assert statuses and positioning._STATUS_MAX_ITERS not in statuses
 
 
+@pytest.mark.parametrize(
+    "speed, t_mov",
+    [
+        (2.0, 0.8),
+        (2.0, 1.52),
+        (6.0, 0.56),
+        (6.0, 1.2),
+        (18.0, 0.4),
+        (18.0, 0.64),
+        (6.0, None),
+        (2.0, 0.4),
+        (6.0, 0.72),
+        (18.0, 0.24),
+        (6.0, 0.08),
+    ],
+)
+def test_solves_end_below_iteration_cap(monkeypatch, speed, t_mov):
+    # each of the first seven solves ran a PGD loop into the 500-iteration
+    # cap under the former double-or-halve step rule; the cold solves after
+    # them did on the raw trace, whose narrow valleys a loop crawled along,
+    # or, at the smallest reach, returned the start
+    assert_no_loop_capped(monkeypatch, default_scenario(max_speed_wl_s=speed), t_mov)
+
+
+@pytest.mark.parametrize("t_mov", [None, 1.6])
+def test_eight_antenna_solves_end_below_iteration_cap(monkeypatch, t_mov):
+    # on the raw trace both ran loops into the cap: the speed-free solve of
+    # an eight-antenna sweep cell and its FMDOAD solve (t = 1.6 s)
+    base = default_scenario(max_speed_wl_s=6)
+    scenario = scenario_variant(base, SweepParameter.NUM_ANTENNAS, 8)
+    assert_no_loop_capped(monkeypatch, scenario, t_mov)
+
+
 def test_capped_loop_is_not_converged(monkeypatch):
-    # a PGD loop of this cold solve runs into the iteration cap, and its
-    # outer rounds still close the spacing gap
+    # a cap below the loops' own ends: a PGD loop of this cold solve runs
+    # into it, and its outer rounds still close the spacing gap
+    monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 50)
     statuses = record_loop_statuses(monkeypatch)
     out = optimize_positions(default_scenario(max_speed_wl_s=18), 0.24)
     assert positioning._STATUS_MAX_ITERS in statuses
     assert out.gap_history[-1] <= FEASIBILITY_TOL / 2.0
     assert out.converged is False
+
+
+def test_small_reach_solve_leaves_the_start():
+    # the raw trace (2.85e12 at the initial layout) outweighed any anchor
+    # pull the outer rounds reached, so this solve returned the initial
+    # deployment (0.0016 b/s/Hz) after 12 rounds, unconverged
+    scenario = default_scenario(max_speed_wl_s=6)
+    out = optimize_positions(scenario, 0.16)
+    assert out.deployment.min_pair_distance() >= scenario.min_spacing - FEASIBILITY_TOL
+    assert out.converged
+    assert achievable_rate(scenario, out.deployment) > 1.0
 
 
 def test_penalty_config_needs_a_start():

@@ -1,6 +1,8 @@
 """The committed benchmark's own checks, run as the benchmark runs them, so
 a change that its self-tests or answer checks reject, or that breaks the
-calls its workloads make into movant, fails here."""
+calls its workloads make into movant, fails here; and one round of each of
+its workloads, run in-process, ends every placement loop below the
+iteration cap."""
 
 import json
 import pathlib
@@ -8,6 +10,10 @@ import subprocess
 import sys
 
 import pytest
+
+from movant import positioning
+
+from conftest import record_loop_statuses
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -36,3 +42,28 @@ def test_layerbench_answers_are_correct(workload):
     assert result["correct"] is True, done.stderr
     # a cell that raises is counted in failed, not in correct
     assert (result["attempted"], result["failed"]) == (ATTEMPTED[workload], 0), result
+
+
+@pytest.fixture
+def layerbench_workloads(monkeypatch):
+    """``layerbench/workloads.py``, imported without writing bytecode under
+    ``layerbench/``; its modules leave ``sys.modules`` afterwards."""
+    here = ROOT / "layerbench"
+    monkeypatch.syspath_prepend(str(here))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    yield workloads
+    for name, module in list(sys.modules.items()):
+        path = getattr(module, "__file__", None)
+        if path and pathlib.Path(path).parent == here:
+            del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", list(ATTEMPTED))
+def test_layerbench_loops_end_below_iteration_cap(monkeypatch, layerbench_workloads, workload):
+    statuses = record_loop_statuses(monkeypatch)
+    runner = layerbench_workloads.WORKLOADS[workload](1)
+    summary = runner.summarize(runner.run_round())
+    assert (summary.attempted, summary.failed, summary.faults) == (ATTEMPTED[workload], 0, [])
+    assert statuses and positioning._STATUS_MAX_ITERS not in statuses
