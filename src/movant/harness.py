@@ -365,12 +365,9 @@ def run_validation(scenario: Scenario, seed: int = 0) -> list[tuple[str, bool, s
     rng = np.random.default_rng(seed)
     results = []
     deployment = scenario.initial_positions
-    checks_failed: list[str] = []
 
     def record(name, passed, detail=""):
         results.append((name, bool(passed), detail))
-        if not passed:
-            checks_failed.append(name)
 
     try:
         state = channel_state(scenario, deployment)

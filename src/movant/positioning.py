@@ -7,9 +7,11 @@ points: spectral projected gradient descent (Barzilai-Borwein steps and a
 nonmonotone line search) lowers log tr(G^-1) plus a quadratic pull toward
 the anchors, the anchors are re-separated to the minimum spacing, and the
 pull strength grows geometrically until positions and anchors agree. The
-log makes the descent independent of the channel's scale: tr(G^-1) spans
-more than ten orders of magnitude across scenarios and layouts, while the
-solver's step seed, pull schedule and tolerances are fixed numbers.
+first round runs without the pull, so the first anchors are separated from
+its result. The log makes the descent independent of the channel's scale:
+tr(G^-1) spans more than ten orders of magnitude across scenarios and
+layouts, while the solver's step seed, pull schedule and tolerances are
+fixed numbers.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ __all__ = [
 # recent penalized values and asks for this fraction of the linear decrease
 _NONMONOTONE_MEMORY = 10
 _ARMIJO = 1e-4
-# safeguards of the spectral step: the anchor pull's strength spans ten
-# orders of magnitude over the outer rounds, so the bounds only keep the
-# step finite and positive
-_STEP_MIN = 1e-30
+# cap of the spectral step: the anchor pull's strength spans ten orders of
+# magnitude over the outer rounds, so the cap only keeps the step finite
 _STEP_MAX = 1e30
 
 # the solver's fixed tuning: the anchor pull of the second outer round and
@@ -242,26 +242,27 @@ def _pgd_loop(
     every iterate lies in the box [lo, hi] exactly and in its disk up to
     rounding, within 2 ulps of its largest coordinate. A trial is accepted by
     a nonmonotone Armijo test against the largest of the last
-    ``_NONMONOTONE_MEMORY`` penalized values, less 1e-12 of its size so that
-    a pass is a decrease beyond float noise; ``eta`` is the safeguarded
-    Barzilai-Borwein step of the accepted move; ``_PGD_STEP`` seeds only
-    the first one. The loop converges when ``d`` or an accepted move is at
-    most ``_GRAD_TOL`` (largest row norm), or when its best penalized value
-    has fallen by at most ``_PROGRESS_TOL`` across its last
+    ``_NONMONOTONE_MEMORY`` penalized values; ``eta`` is the Barzilai-Borwein
+    step of the accepted move, capped at ``_STEP_MAX``; ``_PGD_STEP`` seeds
+    only the first one. The loop converges when ``d`` is at most
+    ``_GRAD_TOL`` (largest row norm), or when its best penalized value has
+    fallen by at most ``_PROGRESS_TOL`` across its last
     2 * ``_NONMONOTONE_MEMORY`` iterates (the start counting as the first):
     a lane crawling along a narrow valley gains less than that. It stops
     after ``_PGD_MAX_ITERS`` iterations and stalls when no trial passes
     before ``lam`` times the largest row norm of ``d`` is at most
     ``_GRAD_TOL``: a move that short would end the loop as converged, so a
-    stall costs about log2(max |d| / ``_GRAD_TOL``) trials.
+    stall costs about log2(max |d| / ``_GRAD_TOL``) trials. An accepted
+    move is thus longer than ``_GRAD_TOL`` up to rounding, and a step that
+    shrinks toward zero ends the loop through the stop on ``d``.
 
     Each lane keeps its own step, memory, line search, best iterate,
     iteration count and status, and the lanes run in lockstep: the first
-    trials of all lanes are scored in one ``trace_and_grad`` call, each
-    halving of the lanes still searching in one ``trace_at`` call, and the
-    lanes that accepted a halved step get their gradient in one more
-    ``trace_and_grad`` call. A lane that ends leaves the stack, and each
-    lane comes out bit for bit as it would alone.
+    trials of all lanes are scored in one ``trace_and_grad`` call, a lane
+    whose first trial fails halves on its own, one ``trace_at`` call per
+    halving, and the lanes that accepted a halved step get their gradient
+    in one more ``trace_and_grad`` call. A lane that ends leaves the stack,
+    and each lane comes out bit for bit as it would alone.
     """
     # the lanes project as rows against their centers repeated once per
     # lane, k lanes against the first k repeats (one entry of the
@@ -317,81 +318,56 @@ def _pgd_loop(
     for it in range(_PGD_MAX_ITERS):
         if not lanes:
             break
-        projected = proj(pos - np.array(eta)[:, None, None] * g)
-        d = projected - pos
+        # the first trial of each lane is the projected point itself
+        cand = proj(pos - np.array(eta)[:, None, None] * g)
+        d = cand - pos
         reach = _max_row_norms(d)
         if min(reach) <= _GRAD_TOL:
             keep = leave([r <= _GRAD_TOL for r in reach], _STATUS_CONVERGED, it)
             if not keep:
                 break
-            projected, d, reach = projected[keep], d[keep], [reach[i] for i in keep]
+            cand, d, reach = cand[keep], d[keep], [reach[i] for i in keep]
         slope = _lane_sums(g * d)
-        cand = projected
         trace_c, grad_c, _ = kernels.trace_and_grad(cand, *channel)
         grad_c = grad_c / trace_c[:, None, None]
         trace_c = trace_c.tolist()
-        pen_c, ref, searching = [], [], []
-        for i, (t, q) in enumerate(zip(trace_c, _lane_sums((cand - anchors) ** 2))):
-            # strict decrease beyond float noise, so iterates at the noise
-            # floor stall out instead of bouncing at constant value
-            r = max(recent[i])
-            ref.append(r - 1e-12 * abs(r))
-            pen_c.append(math.log(t) + rho * q)
-            # a NaN trace fails the comparison
-            if not pen_c[i] <= ref[i] + _ARMIJO * slope[i]:
-                searching.append(i)
+        pen_c = [
+            math.log(t) + rho * q for t, q in zip(trace_c, _lane_sums((cand - anchors) ** 2))
+        ]
         # lanes that accept a halved step need the gradient there
         halved = [False] * len(lanes)
         stalled = [False] * len(lanes)
-        lam = 1.0
-        while searching:
-            lam *= 0.5
-            rows = []
-            for i in searching:
-                halved[i] = True
-                if lam * reach[i] <= _GRAD_TOL:
-                    stalled[i] = True
-                else:
-                    rows.append(i)
-            if not rows:
-                break
-            # a basic slice spares the copies when every lane is searching
-            sel = rows if len(rows) < len(lanes) else slice(None)
-            trial = pos[sel] + lam * d[sel]
-            trace_t = kernels.trace_at(trial, *channel)[0].tolist()
-            pen_t = _lane_sums((trial - anchors[sel]) ** 2)
-            searching = []
-            for j, i in enumerate(rows):
-                pen = math.log(trace_t[j]) + rho * pen_t[j]
-                if pen <= ref[i] + _ARMIJO * lam * slope[i]:
-                    cand[i], trace_c[i], pen_c[i] = trial[j], trace_t[j], pen
-                else:
-                    searching.append(i)
+        for i in range(len(lanes)):
+            ref = max(recent[i])
+            # a NaN trace fails the comparison
+            if pen_c[i] <= ref + _ARMIJO * slope[i]:
+                continue
+            halved[i] = True
+            lam = 0.5
+            while lam * reach[i] > _GRAD_TOL:
+                trial = pos[i] + lam * d[i]
+                trace_t = float(kernels.trace_at(trial, *channel)[0])
+                pen = math.log(trace_t) + rho * float(((trial - anchors[i]) ** 2).sum())
+                if pen <= ref + _ARMIJO * lam * slope[i]:
+                    cand[i], trace_c[i], pen_c[i] = trial, trace_t, pen
+                    break
+                lam *= 0.5
+            else:
+                stalled[i] = True
         if any(stalled):
             keep = leave(stalled, _STATUS_STALLED, it)
             if not keep:
                 break
-            cand, grad_c, d = cand[keep], grad_c[keep], d[keep]
-            pen_c, trace_c, halved, reach = (
-                [x[i] for i in keep] for x in (pen_c, trace_c, halved, reach)
-            )
-        if any(halved):
-            s = cand - pos
-            moved = _max_row_norms(s)
-        else:
-            # every lane took its full step: the move is d, whose largest
-            # row norm is reach
-            s, moved = d, reach
+            cand, grad_c = cand[keep], grad_c[keep]
+            pen_c, trace_c, halved = ([x[i] for i in keep] for x in (pen_c, trace_c, halved))
+        s = cand - pos
         pos = cand
         for i, p in enumerate(pen_c):
             recent[i].append(p)
             if p < best[i][0]:
                 best[i] = (p, pos[i], trace_c[i])
             progress[i].append(best[i][0])
-        done = [
-            m <= _GRAD_TOL or (len(h) == h.maxlen and h[0] - h[-1] <= _PROGRESS_TOL)
-            for m, h in zip(moved, progress)
-        ]
+        done = [len(h) == h.maxlen and h[0] - h[-1] <= _PROGRESS_TOL for h in progress]
         if any(done):
             keep = leave(done, _STATUS_CONVERGED, it + 1)
             if not keep:
@@ -404,7 +380,7 @@ def _pgd_loop(
         g_new = grad_c + 2.0 * rho * (pos - anchors)
         # a nonpositive curvature along the move gives no spectral step
         eta = [
-            min(max(a / b if b > 0.0 else 2.0 * e, _STEP_MIN), _STEP_MAX)
+            min(a / b if b > 0.0 else 2.0 * e, _STEP_MAX)
             for a, b, e in zip(_lane_sums(s * s), _lane_sums(s * (g_new - g)), eta)
         ]
         g = g_new
@@ -424,19 +400,21 @@ def optimize_positions(
 
     Alternates projected gradient descent with anchor re-separation under a
     growing penalty until positions and anchors agree within half of
-    ``FEASIBILITY_TOL``. The returned deployment lies in the region
-    exactly, in the disks up to rounding (within 2 ulps of its largest
-    coordinate) and keeps the pairwise spacing within ``FEASIBILITY_TOL``;
-    its objective never exceeds the objective of the initial deployment. A
-    solve has converged only if the winning restart closed that gap and none
-    of its gradient loops hit the iteration cap. Optional multi-starts
-    jitter the starting point deterministically; the best feasible result
-    wins (ties keep the earliest restart). The restarts run as lanes of one
-    lockstep solve, each outer round one stacked ``_pgd_loop`` and one
-    stacked ``separate_anchors`` over the lanes still running, and every
-    lane ends as the same restart run alone would, bit for bit; with
-    several failing lanes, the first error in lockstep order is the one
-    raised.
+    ``FEASIBILITY_TOL``; the first round descends the objective alone, so
+    each round separates once, after its descent, and an over-packed region
+    raises ``InfeasibleSpacing`` after the first round. The returned
+    deployment lies in the region exactly, in the disks up to rounding
+    (within 2 ulps of its largest coordinate) and keeps the pairwise
+    spacing within ``FEASIBILITY_TOL``; its objective never exceeds the
+    objective of the initial deployment. A solve has converged only if the
+    winning restart closed that gap and none of its gradient loops hit the
+    iteration cap. Optional multi-starts jitter the starting point
+    deterministically; the best feasible result wins (ties keep the
+    earliest restart). The restarts run as lanes of one lockstep solve,
+    each outer round one stacked ``_pgd_loop`` then one stacked
+    ``separate_anchors`` over the lanes still running, and every lane ends
+    as the same restart run alone would, bit for bit; with several failing
+    lanes, the first error in lockstep order is the one raised.
     """
     if t_mov < 0:
         raise ValueError("t_mov must be nonnegative")
@@ -489,11 +467,11 @@ def optimize_positions(
     separate = lambda p: separate_anchors(
         p, d_min, region_side=scenario.region_side, topology=scenario.topology
     )
-    anchors = separate(pts)
-    # first round descends the raw objective; the anchor pull only kicks
-    # in once re-separation shows which spacing constraints bind; every
-    # lane still running is in the same round, so the lanes share rho
-    rho = 0.0
+    # the first round descends the raw objective, so it needs no anchors;
+    # the pull kicks in once re-separation shows which spacing constraints
+    # bind; every lane still running is in the same round, so the lanes
+    # share rho
+    anchors, rho = pts, 0.0
     # the lanes still running, in the order of the rows of pts and anchors
     live = list(range(restarts))
     for outer in range(1, _AO_MAX_ITERS + 1):

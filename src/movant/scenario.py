@@ -6,6 +6,7 @@ speeds in wavelengths per second, and powers in linear watts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -148,8 +149,22 @@ class Scenario:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (k,):
                 raise ValueError(f"{name} must have shape ({k},), got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr.tolist()}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name in (
+            "noise_power",
+            "total_power",
+            "interval",
+            "region_side",
+            "min_spacing",
+            "max_speed",
+            "wavelength",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if np.any(np.abs(self.elevation_angles) > HALF_PI + 1e-12):
             raise ValueError("elevation angles must lie in [-pi/2, pi/2]")
         if np.any(np.abs(self.azimuth_angles) > HALF_PI + 1e-12):

@@ -220,7 +220,8 @@ def general_search(
     without running the optimizer.
     """
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
-    if step <= 0:
+    # NaN fails every comparison: it would end the grid after t = 0
+    if not step > 0:
         raise ValueError("grid_step must be positive")
     if scenario.max_speed == 0:
         return _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)

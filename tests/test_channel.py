@@ -320,6 +320,33 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Deployment(np.array([[np.inf, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "noise_power",
+            "total_power",
+            "interval",
+            "region_side",
+            "min_spacing",
+            "max_speed",
+            "wavelength",
+        ],
+    )
+    def test_nonfinite_scalar_rejected(self, field, value):
+        # NaN passes every range comparison, and an infinite speed, interval
+        # or region used to run through the solvers to a wrong or crashed
+        # answer
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_scenario(2, 2, [0.3, -0.4], [0.2, 0.6], **{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["elevation_angles", "azimuth_angles", "fading_coeffs"])
+    def test_nonfinite_per_user_value_rejected(self, field, value):
+        s = make_scenario(2, 2, [0.3, -0.4], [0.2, 0.6])
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            s.with_(**{field: np.array([0.3, value])})
+
 
 def test_translation_invariance():
     rng = np.random.default_rng(61)

@@ -404,6 +404,29 @@ class TestCli:
         assert main(["thresholds", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("max_speed_wl_s = nan", "max_speed"),
+            ("max_speed_wl_s = inf", "max_speed"),
+            ("interval_s = nan", "interval"),
+            ("region_side_wl = nan", "region_side"),
+            ("min_spacing_wl = inf", "min_spacing"),
+            ("noise_power_dbm = nan", "noise_power"),
+            ("elevation_angles = 1.5, 0.7, nan, 0.3", "elevation_angles"),
+            ("ref_gain = nan", "fading_coeffs"),
+        ],
+    )
+    def test_nonfinite_config_value_is_fatal(self, tmp_path, capsys, line, field):
+        # a NaN speed once reported the initial layout as converged, a NaN
+        # interval a NaN throughput, and a NaN region an OverflowError
+        path = tmp_path / "nonfinite.cfg"
+        path.write_text(line + "\n")
+        assert main(["optimize", "--config", str(path), "--scheme", "OTGM"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert f"{field} must be finite" in captured.err
+
     @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "1:0:0.1", ","])
     def test_bad_speed_grid_is_fatal(self, grid, capsys):
         assert main(["special-case", "--vmax", grid]) == 2

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -403,7 +404,6 @@ def sequential_pgd_loop(
             status = positioning._STATUS_CONVERGED
             break
         ref = max(recent[-positioning._NONMONOTONE_MEMORY:])
-        ref -= 1e-12 * abs(ref)
         slope = float((g * d).sum())
         trials = 1
         while 0.5**trials * reach > positioning._GRAD_TOL:
@@ -433,16 +433,12 @@ def sequential_pgd_loop(
             best = (penalized, pos, trace)
         bests.append(best[0])
         iters += 1
-        if np.linalg.norm(s, axis=1).max() <= positioning._GRAD_TOL:
-            status = positioning._STATUS_CONVERGED
-            break
         if len(bests) >= window and bests[-window] - bests[-1] <= positioning._PROGRESS_TOL:
             status = positioning._STATUS_CONVERGED
             break
         g_new = log_trace_and_grad(pos)[2] + 2.0 * rho * (pos - anchors)
         sy = float((s * (g_new - g)).sum())
-        eta = float((s * s).sum()) / sy if sy > 0.0 else 2.0 * eta
-        eta = min(max(eta, positioning._STEP_MIN), positioning._STEP_MAX)
+        eta = min(float((s * s).sum()) / sy if sy > 0.0 else 2.0 * eta, positioning._STEP_MAX)
         g = g_new
     return best[1], best[2], iters, status
 
@@ -513,20 +509,9 @@ def lane_stacks(seed, cases):
 
 def test_lanes_match_single_lane_loops(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
-    # the number of lanes in each stacked halving call
-    halving_lanes = []
-    trace_at = kernels.trace_at
-
-    def recording(positions, *args):
-        if positions.ndim == 3:
-            halving_lanes.append(len(positions))
-        return trace_at(positions, *args)
-
     accepts, ends = [], []
     for starts, anchors, shared in lane_stacks(31, all_line_search_cases()):
-        monkeypatch.setattr(kernels, "trace_at", recording)
         lanes = positioning._pgd_loop(starts, anchors, *shared)
-        monkeypatch.setattr(kernels, "trace_at", trace_at)
         assert len(lanes) == len(starts)
         for (pos, trace, iters, status), start, anchor in zip(lanes, starts, anchors):
             alone = pgd_loop_alone(start, anchor, *shared)
@@ -536,7 +521,7 @@ def test_lanes_match_single_lane_loops(monkeypatch):
             sequential_pgd_loop(start, anchor, *shared, accepts)
         ends.append([(iters, status) for *_, iters, status in lanes])
     # the lanes accept first trials and halved steps, stall and hit the cap,
-    # end at different steps of one stack, and halve together in one call
+    # and end at different steps of one stack
     assert 0 in accepts and any(a is not None and a > 0 for a in accepts)
     statuses = {status for lanes in ends for _, status in lanes}
     assert {
@@ -545,7 +530,6 @@ def test_lanes_match_single_lane_loops(monkeypatch):
         positioning._STATUS_MAX_ITERS,
     } <= statuses
     assert any(len(set(lanes)) == len(lanes) for lanes in ends)
-    assert max(halving_lanes) > 1
 
 
 def test_singular_lane_leaves_the_others_running():
@@ -610,7 +594,8 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_
             )
             if not np.isnan(trace):
                 run_obj, run_pts = float(trace), pts.copy()
-        anchors = separate(pts)
+        # the first round runs at rho = 0, where the anchors are not read
+        anchors = pts
         rho, gaps, inner_total, converged, capped = 0.0, [], 0, False, False
         for outer in range(1, positioning._AO_MAX_ITERS + 1):
             pts, trace, inner, status = pgd_loop_alone(
@@ -693,6 +678,31 @@ def test_restart_lanes_match_sequential_restarts():
         rounds.append(got.outer_iterations)
     # some winning restarts need several outer rounds
     assert max(rounds) > 1
+
+
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_one_separation_per_outer_round(monkeypatch, restarts):
+    # the first round runs at rho = 0 and reads no anchors, so the solve
+    # separates once after each round's loop and never before the first
+    calls = collections.Counter()
+
+    def counting(name):
+        function = getattr(positioning, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(positioning, name, wrapped)
+
+    counting("separate_anchors")
+    counting("_pgd_loop")
+    out = optimize_positions(default_scenario(max_speed_wl_s=2), 0.4, PenaltyConfig(restarts))
+    # each round is one stacked loop over the lanes still running
+    assert out.outer_iterations > 1
+    assert calls["separate_anchors"] == calls["_pgd_loop"] >= out.outer_iterations
+    if restarts == 1:
+        assert calls["_pgd_loop"] == out.outer_iterations
 
 
 def test_singular_restart_lane_raises():

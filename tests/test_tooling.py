@@ -2,7 +2,7 @@
 a change that its self-tests or answer checks reject, or that breaks the
 calls its workloads make into movant, fails here; and one round of each of
 its workloads, run in-process, ends every placement loop below the
-iteration cap."""
+iteration cap and without a stall."""
 
 import json
 import pathlib
@@ -67,3 +67,5 @@ def test_layerbench_loops_end_below_iteration_cap(monkeypatch, layerbench_worklo
     summary = runner.summarize(runner.run_round())
     assert (summary.attempted, summary.failed, summary.faults) == (ATTEMPTED[workload], 0, [])
     assert statuses and positioning._STATUS_MAX_ITERS not in statuses
+    # no loop of a round runs its line search down to the tolerance either
+    assert positioning._STATUS_STALLED not in statuses
