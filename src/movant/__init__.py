@@ -35,7 +35,6 @@ from .positioning import (
     OptimizeOutcome,
     PenaltyConfig,
     optimize_positions,
-    project_box_disk,
     separate_anchors,
     unconstrained_deploy,
 )

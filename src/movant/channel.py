@@ -44,7 +44,8 @@ class ChannelState:
 
 
 def channel_vector(scenario: Scenario, deployment, k: int) -> np.ndarray:
-    """Channel row vector of user ``k`` for the given deployment.
+    """Channel row vector of user ``k`` for the given deployment: the
+    conjugate of column k of ``kernels.channel_matrix``.
 
     Entry n is ``sqrt(beta_k) * exp(+1j * wavenumber * dot(a_n, b_k))`` where
     ``b_k`` is the user's direction vector; every entry has modulus
@@ -52,16 +53,13 @@ def channel_vector(scenario: Scenario, deployment, k: int) -> np.ndarray:
     """
     if not 0 <= k < scenario.num_users:
         raise ValueError(f"user index {k} out of range [0, {scenario.num_users})")
-    pos = as_positions(deployment)
-    if pos.shape[0] != scenario.num_antennas:
-        raise ValueError("deployment size does not match the scenario")
-    b = scenario.direction_vectors()[k]
-    amp = scenario.amplitudes()[k]
-    return amp * np.exp(1j * scenario.wavenumber * (pos @ b))
+    H = kernels.channel_matrix(_positions(scenario, deployment), *kernel_args(scenario)[:-1])
+    return np.conj(H[:, k])
 
 
 def channel_state(scenario: Scenario, deployment) -> ChannelState:
-    """Build the stacked channel matrix and its (inverted) Gram.
+    """Build the stacked channel matrix and its (inverted) Gram from the
+    eigendecomposition the trace kernels use, singular where they are.
 
     Raises
     ------
@@ -69,22 +67,35 @@ def channel_state(scenario: Scenario, deployment) -> ChannelState:
         If the Gram condition number exceeds ``SINGULAR_COND_LIMIT`` (e.g.
         coinciding antennas or indistinguishable users).
     """
+    H, w, V, trace, cond, _ = kernels._gram_spectrum(
+        _positions(scenario, deployment), *kernel_args(scenario), True
+    )
+    _check_singular(trace, cond)
+    # G^-1 = V diag(1/w) V^H from the eigendecomposition that gave cond
+    G_inv = (V / w) @ np.conj(V.T)
+    return ChannelState(H=H, G=np.conj(H.T) @ H, G_inv=G_inv, cond=float(cond))
+
+
+def kernel_args(scenario: Scenario) -> tuple:
+    """The arguments every trace kernel takes after the positions:
+    (directions, amplitudes, wavenumber, cond_limit)."""
+    directions, amplitudes = scenario.direction_vectors(), scenario.amplitudes()
+    return directions, amplitudes, scenario.wavenumber, SINGULAR_COND_LIMIT
+
+
+def _positions(scenario: Scenario, deployment) -> np.ndarray:
+    """The deployment's (N, 2) positions, checked against the scenario's N."""
     pos = as_positions(deployment)
     if pos.shape[0] != scenario.num_antennas:
         raise ValueError("deployment size does not match the scenario")
-    H = kernels.channel_matrix(
-        pos, scenario.direction_vectors(), scenario.amplitudes(), scenario.wavenumber
-    )
-    G = np.conj(H.T) @ H
-    w, V = np.linalg.eigh(G)
-    cond = np.inf if w[0] <= 0 else float(w[-1] / w[0])
-    if cond > SINGULAR_COND_LIMIT:
-        raise SingularChannel(
-            f"Gram condition number {cond:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}"
-        )
-    # G^-1 = V diag(1/w) V^H from the eigendecomposition that gave cond
-    G_inv = (V / w) @ np.conj(V.T)
-    return ChannelState(H=H, G=G, G_inv=G_inv, cond=cond)
+    return pos
+
+
+def _check_singular(trace, cond) -> None:
+    """Raise ``SingularChannel`` where a trace kernel reports a NaN trace:
+    a Gram condition number past ``SINGULAR_COND_LIMIT``."""
+    if np.isnan(trace):
+        raise SingularChannel(f"Gram condition number {cond:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}")
 
 
 def checked_kernel(kernel, scenario: Scenario, positions) -> tuple:
@@ -97,17 +108,8 @@ def checked_kernel(kernel, scenario: Scenario, positions) -> tuple:
         If the kernel reports the Gram condition number past
         ``SINGULAR_COND_LIMIT`` (a NaN trace).
     """
-    result = kernel(
-        positions,
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
-        SINGULAR_COND_LIMIT,
-    )
-    if np.isnan(result[0]):
-        raise SingularChannel(
-            f"Gram condition number {result[-1]:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}"
-        )
+    result = kernel(positions, *kernel_args(scenario))
+    _check_singular(result[0], result[-1])
     return result
 
 

@@ -4,6 +4,7 @@ validate."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -102,15 +103,22 @@ def _run_config_from_args(args) -> RunConfig:
 def _parse_speed_grid(text: str) -> np.ndarray:
     if ":" in text:
         start, stop, step = (float(tok) for tok in text.split(":"))
+        # a nan or inf anywhere makes the sum nan or inf
+        if not math.isfinite(start + stop + step):
+            raise ValueError("speed grid values must be finite")
         if step <= 0:
             raise ValueError("speed grid step must be positive")
         if stop < start:
             raise ValueError("speed grid stop lies below its start")
-        count = int(round((stop - start) / step)) + 1
-        return start + step * np.arange(count)
+        # the floor's slack keeps a stop that lies on the grid; the clip
+        # takes back the rounding by which that last point can pass it
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        return np.minimum(start + step * np.arange(count), stop)
     grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])
     if grid.size == 0:
         raise ValueError("speed grid is empty")
+    if not np.isfinite(grid).all():
+        raise ValueError("speed grid values must be finite")
     return grid
 
 

@@ -14,13 +14,13 @@ from enum import Enum
 
 import numpy as np
 
+from . import kernels
 from .errors import MovantError, SingularChannel
 from .gradients import fd_gradient, grad_rate, grad_trace
 from .positioning import (
     OptimizeOutcome,
     PenaltyConfig,
     optimize_positions,
-    project_box_disk,
     unconstrained_deploy,
 )
 from .scenario import Deployment, Scenario, Topology, linear_from_dbm
@@ -232,7 +232,10 @@ def scenario_variant(base: Scenario, parameter: SweepParameter, value) -> Scenar
             region_side=side, initial_positions=Deployment(shifted)
         )
     if parameter is SweepParameter.NUM_ANTENNAS:
-        n = int(value)
+        count = float(value)
+        if not count.is_integer():
+            raise ValueError(f"antenna count must be an integer, got {value!r}")
+        n = int(count)
         spacing = 0.5
         span = (n - 1) * spacing
         if span > base.region_side + 1e-12:
@@ -429,9 +432,7 @@ def run_validation(scenario: Scenario, seed: int = 0) -> list[tuple[str, bool, s
         for center in np.concatenate([centers, deployment.coords]):
             point = rng.uniform(-scenario.region_side, 2 * scenario.region_side, 2)
             radius = rng.uniform(0, scenario.region_side)
-            proj = project_box_disk(
-                point, center, radius, scenario.region_side, scenario.topology
-            )
+            proj = kernels.project_deployment(point[None], center[None], radius, lo, hi)[0]
             in_box = np.all(proj >= lo - 1e-10) and np.all(proj <= hi + 1e-10)
             in_disk = np.linalg.norm(proj - center) <= radius + 1e-10
             ok_proj &= bool(in_box and in_disk)

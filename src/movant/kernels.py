@@ -148,6 +148,12 @@ def project_deployment(points, centers, radius, lo, hi):
     Stacked points (..., N, 2) project every (N, 2) slice onto the same
     (N, 2) centers; rows are projected independently, so each slice comes
     out as it would alone.
+
+    Idempotent up to rounding only: where the disk and a box edge both
+    bind, projecting the result again can move it by a few ulps (in 20,000
+    random cases with the center on the y = 0 edge of a side-10 square,
+    radius up to 3 and points up to 5 outside the square, 3,659 moved, by
+    at most 4 ulps of their largest coordinate).
     """
     box = np.clip(points, lo, hi)
     gap = box - centers

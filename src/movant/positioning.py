@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .channel import SINGULAR_COND_LIMIT, trace_objective
+from .channel import kernel_args, trace_objective
 from .errors import InfeasibleSpacing, SingularChannel
 from .scenario import Deployment, Scenario, Topology, as_positions, min_pair_distance
 
@@ -32,7 +32,6 @@ __all__ = [
     "FEASIBILITY_TOL",
     "PenaltyConfig",
     "OptimizeOutcome",
-    "project_box_disk",
     "separate_anchors",
     "optimize_positions",
     "unconstrained_deploy",
@@ -97,29 +96,6 @@ class OptimizeOutcome:
     max_constraint_violation: float
     converged: bool
     gap_history: tuple = field(default=())
-
-
-def project_box_disk(
-    point,
-    center,
-    radius: float,
-    region_side: float,
-    topology: Topology = Topology.SQUARE_2D,
-) -> np.ndarray:
-    """Euclidean-nearest point of the region intersected with the closed disk
-    of the given radius around ``center``.
-
-    The intersection is never empty because the disk center is an (in-region)
-    initial antenna position. Idempotent up to rounding only: where the
-    disk and a region edge both bind, projecting the result again can move
-    it by a few ulps (in 20,000 random cases with the center on the y = 0
-    edge of a side-10 square, radius up to 3 and points up to 5 outside the
-    square, 3,659 moved, by at most 4 ulps of their largest coordinate).
-    """
-    p = np.asarray(point, dtype=float).reshape(1, 2)
-    c = np.asarray(center, dtype=float).reshape(1, 2)
-    lo, hi = topology.bounds(region_side)
-    return kernels.project_deployment(p, c, float(radius), lo, hi)[0]
 
 
 @functools.cache
@@ -222,19 +198,18 @@ def _pgd_loop(
     radius: float,
     lo: np.ndarray,
     hi: np.ndarray,
-    directions: np.ndarray,
-    amplitudes: np.ndarray,
-    wavenumber: float,
+    channel: tuple,
     rho: float,
 ):
     """Spectral projected gradient on log tr(G^-1) + rho * ||pos -
     anchors||^2 (SPG2 of Birgin, Martinez and Raydan, 2000), run on
     (L, N, 2) stacks ``start`` and ``anchors`` of lanes that share
-    everything else. Returns the best iterate seen by each lane, as a list
-    of one (positions, trace, iterations, status) tuple per lane; the trace
-    is the kernel's tr(G^-1) itself, not the exponential of its log. The
-    log and its gradient, the kernel's gradient over the trace, are taken
-    here from the trace kernels' outputs.
+    everything else; ``channel`` is the trace kernels' arguments after the
+    positions, ``channel.kernel_args``. Returns the best iterate seen by
+    each lane, as a list of one (positions, trace, iterations, status)
+    tuple per lane; the trace is the kernel's tr(G^-1) itself, not the
+    exponential of its log. The log and its gradient, the kernel's gradient
+    over the trace, are taken here from the trace kernels' outputs.
 
     Each iteration projects once, ``d = P(pos - eta g) - pos``, and tries
     ``pos + lam d`` for lam = 1, 1/2, 1/4, ...: lam = 1 is the projected
@@ -272,7 +247,6 @@ def _pgd_loop(
     proj = lambda pts: kernels.project_deployment(
         pts.reshape(-1, 2), center_rows[: pts.size // 2], radius, lo, hi
     ).reshape(pts.shape)
-    channel = (directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT)
     # per lane, (positions, trace, iterations, status) once it has ended
     result = [None] * len(start)
 
@@ -434,8 +408,7 @@ def optimize_positions(
         )
 
     lo, hi = scenario.region_bounds()
-    directions = scenario.direction_vectors()
-    amplitudes = scenario.amplitudes()
+    channel = kernel_args(scenario)
     d_min = scenario.min_spacing
     spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
 
@@ -448,9 +421,7 @@ def optimize_positions(
         for _ in range(1, restarts)
     ]
     pts = kernels.project_deployment(np.array(starts), initial, radius, lo, hi)
-    traces, _ = kernels.trace_at(
-        pts, directions, amplitudes, scenario.wavenumber, SINGULAR_COND_LIMIT
-    )
+    traces, _ = kernels.trace_at(pts, *channel)
     # per lane: its best spacing-feasible objective and deployment, its
     # gap history and its inner iterations, outer rounds and convergence
     run_obj = [math.inf] * restarts
@@ -475,18 +446,7 @@ def optimize_positions(
     # the lanes still running, in the order of the rows of pts and anchors
     live = list(range(restarts))
     for outer in range(1, _AO_MAX_ITERS + 1):
-        found = _pgd_loop(
-            pts,
-            anchors,
-            initial,
-            radius,
-            lo,
-            hi,
-            directions,
-            amplitudes,
-            scenario.wavenumber,
-            rho,
-        )
+        found = _pgd_loop(pts, anchors, initial, radius, lo, hi, channel, rho)
         if any(status == _STATUS_SINGULAR for *_, status in found):
             raise SingularChannel("channel is singular at the starting deployment")
         pts = np.array([p for p, *_ in found])

@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .channel import SINGULAR_COND_LIMIT, achievable_rate
+from .channel import achievable_rate, kernel_args
 from .errors import FitDiverged, MovantError
 from .positioning import OptimizeOutcome, optimize_positions, unconstrained_deploy
 from .scenario import Deployment, Scenario
@@ -107,13 +107,7 @@ def _pick_start(scenario: Scenario, t_mov: float, guide: Deployment, previous):
         guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
     )
     candidates = [pulled] if previous is None else [previous.coords, pulled]
-    traces, _ = kernels.trace_at(
-        np.stack(candidates),
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
-        SINGULAR_COND_LIMIT,
-    )
+    traces, _ = kernels.trace_at(np.stack(candidates), *kernel_args(scenario))
     best = None
     best_trace = math.inf
     for cand, trace in zip(candidates, traces.tolist()):

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from movant import kernels
 from movant.channel import (
+    SINGULAR_COND_LIMIT,
     achievable_rate,
     channel_state,
     channel_vector,
@@ -48,6 +50,19 @@ def make_scenario(n, k, thetas, phis, betas=None, topology=Topology.SQUARE_2D, *
         topology=topology,
         **defaults,
     )
+
+
+def former_channel_state(s, pos):
+    """(H, G, G^-1, cond) as ``channel_state`` built them before it shared
+    the trace kernels' eigendecomposition, or None where it raised
+    ``SingularChannel``."""
+    H = kernels.channel_matrix(pos, s.direction_vectors(), s.amplitudes(), s.wavenumber)
+    G = np.conj(H.T) @ H
+    w, V = np.linalg.eigh(G)
+    cond = np.inf if w[0] <= 0 else float(w[-1] / w[0])
+    if cond > SINGULAR_COND_LIMIT:
+        return None
+    return H, G, (V / w) @ np.conj(V.T), cond
 
 
 class TestChannelVector:
@@ -132,6 +147,47 @@ class TestChannelState:
         s = make_scenario(2, 2, [0.3, -0.4], [0.2, 0.6])
         with pytest.raises(SingularChannel):
             channel_state(s, np.zeros((2, 2)))
+
+    def test_matches_former_eigh_path(self):
+        # the state and channel rows agree bit for bit with the former build
+        # (its own channel_matrix call, np.linalg.eigh and cond test)
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            s = random_instance(rng)
+            pos = rng.uniform(0, 8, (s.num_antennas, 2))
+            H, G, G_inv, cond = former_channel_state(s, pos)
+            state = channel_state(s, pos)
+            assert np.array_equal(state.H, H)
+            assert np.array_equal(state.G, G)
+            assert np.array_equal(state.G_inv, G_inv)
+            assert state.cond == cond
+            for k in range(s.num_users):
+                assert np.array_equal(channel_vector(s, pos, k), np.conj(H[:, k]))
+
+    @pytest.mark.parametrize("case", ["coincident_antennas", "parallel_users"])
+    def test_singular_exactly_where_trace_objective_is(self, case):
+        # gaps from far apart to identical, across the condition limit
+        verdicts = []
+        for gap in [*np.logspace(-1, -12, 45), 0.0]:
+            if case == "coincident_antennas":
+                s = make_scenario(2, 2, [0.3, -0.4], [0.2, 0.6])
+                pos = np.array([[1.0, 2.0], [1.0 + gap, 2.0 - gap]])
+            else:
+                s = make_scenario(3, 2, [0.3, 0.3 + gap], [0.2, 0.2 - gap])
+                pos = np.array([[0.0, 0.0], [1.3, 0.4], [2.1, 1.7]])
+            outcomes = []
+            for fn in (trace_objective, channel_state):
+                try:
+                    fn(s, pos)
+                    outcomes.append(False)
+                except SingularChannel:
+                    outcomes.append(True)
+            assert outcomes[0] == outcomes[1], gap
+            assert outcomes[1] == (former_channel_state(s, pos) is None), gap
+            verdicts.append(outcomes[0])
+        # the sweep crosses the limit once: well conditioned, then singular
+        assert not verdicts[0] and verdicts[-1]
+        assert verdicts == sorted(verdicts)
 
 
 class TestTraceObjective:

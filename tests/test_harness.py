@@ -203,12 +203,16 @@ class TestSweeps:
         assert rows_a[3].startswith("6.0,Static")
 
     def test_error_cells_recorded(self, default_2d):
-        spec = SweepSpec(SweepParameter.NUM_ANTENNAS, (3.0, 5.0), (SchemeId.STATIC,))
+        spec = SweepSpec(SweepParameter.NUM_ANTENNAS, (3.0, 4.5, 5.0), (SchemeId.STATIC,))
         rows = run_sweep(default_2d, spec, QUICK)
-        assert len(rows) == 3
+        assert len(rows) == 4
         bad = rows[1].split(",")
         assert bad[0] == "3.0" and bad[-1] != ""
-        good = rows[2].split(",")
+        # a count of 4.5 used to build four antennas under the label 4.5
+        fractional = rows[2].split(",")
+        assert fractional[0] == "4.5" and fractional[2:6] == [""] * 4
+        assert "integer" in fractional[-1]
+        good = rows[3].split(",")
         assert good[-1] == ""
 
     def test_zero_speed_sweep_runs_every_scheme(self, default_2d):
@@ -276,6 +280,9 @@ class TestSweeps:
         assert seven.num_antennas == 7
         assert np.allclose(np.diff(np.sort(seven.initial_positions.x)), 0.5)
         assert np.all(seven.initial_positions.coords[:, 1] == 0.0)
+        for count in (4.5, 4.000001, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="integer"):
+                scenario_variant(default_2d, SweepParameter.NUM_ANTENNAS, count)
 
 
 class TestThresholdSummary:
@@ -427,7 +434,31 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert f"{field} must be finite" in captured.err
 
-    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "1:0:0.1", ","])
+    @pytest.mark.parametrize(
+        "grid, count",
+        [
+            ("0.1:1:0.6", 2),
+            ("0.01:1.0:0.01", 100),
+            ("0.1:0.3:0.1", 3),
+            ("0.3:0.9:0.2", 4),
+            ("0.1:1:0.3", 4),
+            ("0.5:0.5:1", 1),
+        ],
+    )
+    def test_speed_grid_stays_within_stop(self, grid, count, capsys):
+        # 0.1:1:0.6 used to print 0.1, 0.7 and 1.3
+        assert main(["special-case", "--vmax", grid]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        speeds = [float(row.split(",")[0]) for row in rows]
+        start, stop, step = (float(tok) for tok in grid.split(":"))
+        assert len(speeds) == count
+        assert speeds[0] == start and max(speeds) <= stop
+        # a stop on the grid is kept
+        assert stop - speeds[-1] < step - 1e-9
+
+    @pytest.mark.parametrize(
+        "grid", ["0:1:0", "0:1:-0.1", "1:0:0.1", ",", "0.1:inf:0.1", "0.1:nan:0.1", "inf", "nan,0.2"]
+    )
     def test_bad_speed_grid_is_fatal(self, grid, capsys):
         assert main(["special-case", "--vmax", grid]) == 2
         captured = capsys.readouterr()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from movant import harness, kernels, positioning
-from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, trace_objective
+from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, kernel_args, trace_objective
 from movant.errors import InfeasibleSpacing, SingularChannel
 from movant.harness import SweepParameter, default_scenario, scenario_variant
 from movant.positioning import (
@@ -14,7 +14,6 @@ from movant.positioning import (
     OptimizeOutcome,
     PenaltyConfig,
     optimize_positions,
-    project_box_disk,
     separate_anchors,
     unconstrained_deploy,
 )
@@ -37,21 +36,30 @@ def min_pair(points):
     )
 
 
+def project_one(point, center, radius, topology=Topology.SQUARE_2D):
+    """``kernels.project_deployment`` of one point onto the side-10 region
+    intersected with the disk of ``radius`` around ``center``."""
+    lo, hi = topology.bounds(10.0)
+    return kernels.project_deployment(
+        np.reshape(point, (1, 2)), np.reshape(center, (1, 2)), radius, lo, hi
+    )[0]
+
+
 class TestProjection:
     def test_feasible_point_unchanged(self):
         p = np.array([3.0, 4.0])
-        out = project_box_disk(p, np.array([3.5, 4.5]), 1.0, 10.0)
+        out = project_one(p, np.array([3.5, 4.5]), 1.0)
         assert np.array_equal(out, p)
 
     def test_zero_radius_returns_center(self):
         center = np.array([2.0, 7.0])
-        out = project_box_disk(np.array([9.0, 9.0]), center, 0.0, 10.0)
+        out = project_one(np.array([9.0, 9.0]), center, 0.0)
         assert np.array_equal(out, center)
 
     def test_pure_disk_projection_formula(self):
         center = np.array([5.0, 5.0])
         p = np.array([7.0, 8.0])
-        out = project_box_disk(p, center, 1.0, 10.0)
+        out = project_one(p, center, 1.0)
         expected = center + (p - center) / np.linalg.norm(p - center)
         assert np.allclose(out, expected, atol=1e-10)
 
@@ -61,7 +69,7 @@ class TestProjection:
         center = np.array([0.4, 0.3 if topology is Topology.SQUARE_2D else 0.0])
         radius = 0.9
         point = np.array([-1.0, -1.2])
-        out = project_box_disk(point, center, radius, 10.0, topology)
+        out = project_one(point, center, radius, topology)
 
         def refine(x_lo, x_hi, y_lo, y_hi, step):
             xs = np.arange(x_lo, x_hi + step / 2, step)
@@ -98,8 +106,8 @@ class TestProjection:
                     center[1] = 0.0
                 radius = rng.uniform(0, 3)
                 p = rng.uniform(-5, 15, 2)
-                once = project_box_disk(p, center, radius, 10.0)
-                twice = project_box_disk(once, center, radius, 10.0)
+                once = project_one(p, center, radius)
+                twice = project_one(once, center, radius)
                 assert np.linalg.norm(twice - once) <= 1e-9
 
     def test_feasibility_over_random_cases(self):
@@ -108,7 +116,7 @@ class TestProjection:
             center = rng.uniform(0, 10, 2)
             radius = rng.uniform(0, 5)
             p = rng.uniform(-10, 20, 2)
-            out = project_box_disk(p, center, radius, 10.0)
+            out = project_one(p, center, radius)
             assert np.all(out >= -1e-10) and np.all(out <= 10.0 + 1e-10)
             assert np.linalg.norm(out - center) <= radius + 1e-10
 
@@ -206,9 +214,7 @@ def pgd_loop_from_start(scenario, t_mov, anchors, rho):
         scenario.max_speed * t_mov,
         lo,
         hi,
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
+        kernel_args(scenario),
         rho,
     )
     assert status != positioning._STATUS_SINGULAR
@@ -363,9 +369,7 @@ class TestUnconstrainedDeploy:
         assert out.objective <= best
 
 
-def sequential_pgd_loop(
-    start, anchors, centers, radius, lo, hi, directions, amplitudes, wavenumber, rho, accepts
-):
+def sequential_pgd_loop(start, anchors, centers, radius, lo, hi, channel, rho, accepts):
     """Reference spectral projected gradient on log tr(G^-1) + rho *
     ||pos - anchors||^2: ``_pgd_loop`` with the gradient always taken from
     a separate ``trace_and_grad`` call at the accepted point, the halvings
@@ -377,9 +381,7 @@ def sequential_pgd_loop(
     proj = lambda pts: kernels.project_deployment(pts, centers, radius, lo, hi)
 
     def log_trace_and_grad(pts):
-        trace, grad, _ = kernels.trace_and_grad(
-            pts, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-        )
+        trace, grad, _ = kernels.trace_and_grad(pts, *channel)
         return trace, math.log(trace), grad / trace
 
     pull = lambda pts: rho * float(((pts - anchors) ** 2).sum())
@@ -414,9 +416,7 @@ def sequential_pgd_loop(
             if halvings == 0:
                 trace_c = log_trace_and_grad(cand)[0]
             else:
-                trace_c, _ = kernels.trace_at(
-                    cand, directions, amplitudes, wavenumber, SINGULAR_COND_LIMIT
-                )
+                trace_c, _ = kernels.trace_at(cand, *channel)
             if not np.isnan(trace_c):
                 pen_c = math.log(trace_c) + pull(cand)
                 if pen_c <= ref + positioning._ARMIJO * lam * slope:
@@ -460,7 +460,8 @@ def line_search_cases(seed, count):
         directions = rng.uniform(-1.0, 1.0, (k, 2))
         amplitudes = 10.0 ** rng.uniform(-4.0, 0.0, k)
         rho = (0.0, 1.0, 1e3)[case % 3]
-        yield centers, anchors, centers, radius, lo, hi, directions, amplitudes, 2 * np.pi, rho
+        channel = (directions, amplitudes, 2 * np.pi, SINGULAR_COND_LIMIT)
+        yield centers, anchors, centers, radius, lo, hi, channel, rho
 
 
 def pinned_cases(seed, count):
@@ -543,9 +544,7 @@ def test_singular_lane_leaves_the_others_running():
         20.0,
         lo,
         hi,
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
+        kernel_args(scenario),
         0.0,
     )
     lanes = positioning._pgd_loop(starts, starts, *shared)
@@ -571,8 +570,7 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
     lo, hi = scenario.region_bounds()
-    directions = scenario.direction_vectors()
-    amplitudes = scenario.amplitudes()
+    channel = kernel_args(scenario)
     d_min = scenario.min_spacing
     spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
     separate = lambda pts: separate_anchors(
@@ -589,9 +587,7 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_
         pts = kernels.project_deployment(pts, initial, radius, lo, hi)
         run_obj, run_pts = math.inf, None
         if spacing_ok(pts):
-            trace, _ = kernels.trace_at(
-                pts, directions, amplitudes, scenario.wavenumber, SINGULAR_COND_LIMIT
-            )
+            trace, _ = kernels.trace_at(pts, *channel)
             if not np.isnan(trace):
                 run_obj, run_pts = float(trace), pts.copy()
         # the first round runs at rho = 0, where the anchors are not read
@@ -599,8 +595,7 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_
         rho, gaps, inner_total, converged, capped = 0.0, [], 0, False, False
         for outer in range(1, positioning._AO_MAX_ITERS + 1):
             pts, trace, inner, status = pgd_loop_alone(
-                pts, anchors, initial, radius, lo, hi, directions, amplitudes,
-                scenario.wavenumber, rho,
+                pts, anchors, initial, radius, lo, hi, channel, rho
             )
             if status == positioning._STATUS_SINGULAR:
                 raise SingularChannel("channel is singular at the starting deployment")
@@ -747,9 +742,7 @@ def test_stall_scores_only_moves_beyond_tolerance(monkeypatch):
         scenario.max_speed * 0.88,
         lo,
         hi,
-        scenario.direction_vectors(),
-        scenario.amplitudes(),
-        scenario.wavenumber,
+        kernel_args(scenario),
         1e9,
     )
     assert (iters, status) == (0, positioning._STATUS_STALLED)

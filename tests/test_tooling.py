@@ -1,8 +1,8 @@
 """The committed benchmark's own checks, run as the benchmark runs them, so
 a change that its self-tests or answer checks reject, or that breaks the
-calls its workloads make into movant, fails here; and one round of each of
-its workloads, run in-process, ends every placement loop below the
-iteration cap and without a stall."""
+calls its workloads make into movant, fails here, traced or not; and one
+round of each of its workloads, run in-process, ends every placement loop
+below the iteration cap and without a stall."""
 
 import json
 import pathlib
@@ -42,6 +42,21 @@ def test_layerbench_answers_are_correct(workload):
     assert result["correct"] is True, done.stderr
     # a cell that raises is counted in failed, not in correct
     assert (result["attempted"], result["failed"]) == (ATTEMPTED[workload], 0), result
+
+
+@pytest.mark.parametrize("workload", list(ATTEMPTED))
+def test_layerbench_traced_answers_are_correct(workload):
+    # the tracer wraps every name in movant's __all__ lists, binds the
+    # solver's config by name and calls the kernels by parameter name
+    done = run(
+        "layerbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    assert (result["attempted"], result["failed"]) == (ATTEMPTED[workload], 0), result
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {metric["name"] for metric in declared} <= set(result["metrics"])
 
 
 @pytest.fixture
