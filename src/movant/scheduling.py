@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .channel import achievable_rate, kernel_args
-from .errors import FitDiverged, MovantError
+from .errors import FitDiverged, MovantError, SingularChannel
 from .positioning import OptimizeOutcome, optimize_positions, unconstrained_deploy
 from .scenario import Deployment, Scenario
 
@@ -140,6 +140,7 @@ def _duration_chain(
     guide: Deployment,
     method: SearchMethod,
     t_mov_max: float,
+    stop_at_bound: bool = False,
 ) -> tuple[TradeoffReport, list]:
     """Solve the increasing ``durations`` in turn and report the throughput
     maximizer (the first duration on a tie), with the (t, deployment) pair of
@@ -150,13 +151,30 @@ def _duration_chain(
     A duration whose solve raises a ``MovantError`` or ``ValueError`` is
     recorded in ``failures`` with a NaN curve point and skipped; other errors
     propagate, and so does a chain in which every duration fails.
+
+    With ``stop_at_bound`` the chain ends before the first duration t with
+    (interval - t) * R <= the best throughput so far, where R is the larger
+    of the guide's rate and every rate solved so far: the speed-free rate
+    bound leaves no later duration able to beat the best, which is kept on
+    ties, so the curve is the full chain's prefix with the same best. A
+    guide whose rate raises ``SingularChannel`` gives no bound and the whole
+    chain is solved.
     """
     curve = []
     failures = []
     solved = []
     best = None  # (throughput, t, rate, deployment, converged)
     warm = None
+    rate_cap = None  # R above; None solves every duration
+    if stop_at_bound:
+        try:
+            rate_cap = achievable_rate(scenario, guide)
+        except SingularChannel:
+            pass
     for t in durations:
+        bounded = rate_cap is not None and best is not None
+        if bounded and (scenario.interval - t) * rate_cap <= best[0]:
+            break
         try:
             start = _pick_start(scenario, t, guide, warm)
             rate, outcome = _solve_duration(scenario, t, start=start)
@@ -166,6 +184,8 @@ def _duration_chain(
             continue
         warm = outcome.deployment
         solved.append((t, warm))
+        if rate_cap is not None:
+            rate_cap = max(rate_cap, rate)
         throughput = (scenario.interval - t) * rate
         curve.append(CurvePoint(t, rate, throughput))
         if best is None or throughput > best[0]:
@@ -208,10 +228,18 @@ def general_search(
     ``MovantError`` or ``ValueError`` is recorded in ``failures`` and
     skipped; other errors propagate. ``guide`` is the speed-free optimum
     (``unconstrained_deploy``); without one it is solved here, single-start.
-    Every duration solve is single-start, so the position optimizer runs once
-    per grid point, plus once when no guide is given. At zero speed the
-    antennas cannot move: the initial deployment is reported at duration 0
-    without running the optimizer.
+
+    The search stops before the first grid duration t at which
+    (interval - t) * R is at most the best throughput found so far, where R
+    is the larger of the guide's rate and every rate solved so far. No
+    reachable set leaves the region, so R stands for the speed-free rate that
+    caps every later duration; the curve ends there and the reported best is
+    the one the whole grid gives. A guide whose rate raises
+    ``SingularChannel`` gives no bound, and the whole grid is solved. Every
+    duration solve is single-start, so the position optimizer runs once per
+    curve point, plus once when no guide is given. At zero speed the antennas
+    cannot move: the initial deployment is reported at duration 0 without
+    running the optimizer.
     """
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
     # NaN fails every comparison: it would end the grid after t = 0
@@ -230,7 +258,12 @@ def general_search(
     if guide is None:
         guide = unconstrained_deploy(scenario).deployment
     report, _ = _duration_chain(
-        scenario, durations, guide, SearchMethod.GENERAL_SEARCH, scenario.interval
+        scenario,
+        durations,
+        guide,
+        SearchMethod.GENERAL_SEARCH,
+        scenario.interval,
+        stop_at_bound=True,
     )
     return report
 

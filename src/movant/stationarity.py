@@ -132,14 +132,14 @@ def verify_threshold(
     For every speed the spacing evolves as gap + 2*speed*t (capped at the
     optimal spacing) and the throughput is maximized over a dense duration
     grid; the result is 0 exactly below the speed threshold and positive
-    above it.
+    above it. Every speed must be finite and positive.
     """
     gap = _CASE_GAP[case]
     t = np.arange(0.0, _CASE_INTERVAL, t_step)
     results = []
     for v in np.asarray(vmax_grid, dtype=float):
-        if v <= 0:
-            raise ValueError("speeds must be positive")
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"speeds must be finite and positive, got {v}")
         spacing = np.minimum(gap + 2.0 * v * t, _OPTIMAL_SPACING)
         rate = np.log2(1.0 + np.sin(np.pi / 8.0 * spacing) ** 2)
         objective = (_CASE_INTERVAL - t) * rate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import movant.scheduling as scheduling
-from movant import kernels
+from movant import harness, kernels
 from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, effective_throughput
 from movant.errors import FitDiverged, SingularChannel
 from movant.scheduling import (
@@ -18,7 +18,7 @@ from movant.scheduling import (
 )
 from movant.harness import default_scenario
 from movant.positioning import unconstrained_deploy
-from movant.scenario import Deployment
+from movant.scenario import Deployment, two_antenna_line_scenario
 
 
 def closed_form_throughput(gap, t, interval=5.0):
@@ -55,7 +55,8 @@ class TestGeneralSearch:
         report = general_search(case_wide, grid_step=0.05)
         thr = np.array([p.throughput for p in report.curve])
         peak = int(np.argmax(thr))
-        assert peak > 0
+        # the bound stops the search past the peak, but not at it
+        assert 0 < peak < len(thr) - 1
         assert np.all(np.diff(thr[: peak + 1]) >= -1e-9)
         assert np.all(np.diff(thr[peak:]) <= 1e-9)
 
@@ -94,8 +95,6 @@ class TestTMovMax:
         assert t_max == pytest.approx(3.5, abs=1e-5)
 
     def test_already_optimal_start_gives_zero(self):
-        from movant.scenario import two_antenna_line_scenario
-
         s = two_antenna_line_scenario(3.0, 7.0)
         t_max, _ = compute_t_mov_max(s)
         assert t_max <= 1e-5
@@ -183,8 +182,6 @@ class TestFittingMethod:
         assert np.max(np.abs(report.fit.predict(t) - exact)) <= 0.05
 
     def test_stationary_start_returns_zero_duration(self):
-        from movant.scenario import two_antenna_line_scenario
-
         s = two_antenna_line_scenario(3.0, 7.0)
         report = fitting_method(s, samples=5)
         assert report.best_t_mov == 0.0
@@ -194,11 +191,13 @@ class TestFittingMethod:
         guide = unconstrained_deploy(case_wide).deployment
         calls = count_optimizer_runs(monkeypatch)
         samples = 5
+        # every sample is solved (the fit needs them all), then the fitted
+        # duration, after the speed-free solve when no guide is given
         fitting_method(case_wide, samples=samples)
-        assert calls["count"] <= samples + 2
+        assert calls["count"] == samples + 2
         calls["count"] = 0
         fitting_method(case_wide, samples=samples, guide=guide)
-        assert calls["count"] <= samples + 1
+        assert calls["count"] == samples + 1
 
     def test_report_consistency(self, case_narrow):
         report = fitting_method(case_narrow, samples=5)
@@ -267,10 +266,71 @@ def test_general_search_with_guide_makes_no_speed_free_solve(case_wide, monkeypa
     monkeypatch.setattr(scheduling, "unconstrained_deploy", speed_free)
     calls = count_optimizer_runs(monkeypatch)
     report = general_search(case_wide, grid_step=0.5, guide=guide)
-    # one solve per duration of the grid {0, 0.5, ..., 4.5}
-    assert calls["count"] == 10
+    # one solve per curve point; the speed-free bound ends the grid
+    # {0, 0.5, ..., 4.5} early
+    assert calls["count"] == len(report.curve)
+    assert calls["count"] < 10
     assert np.array_equal(report.best_deployment.coords, expected.best_deployment.coords)
     assert replace(report, best_deployment=None) == replace(expected, best_deployment=None)
+
+
+def grid_durations(interval, step):
+    """The duration grid ``general_search`` builds: {0, step, ...} below the
+    interval."""
+    durations = []
+    index = 0
+    while index * step < interval - 1e-12:
+        durations.append(index * step)
+        index += 1
+    return durations
+
+
+BOUND_CASES = {
+    **{
+        f"default@{v}": (lambda v=v: default_scenario(max_speed_wl_s=v), 0.08, harness._speed_free)
+        for v in (2, 6, 18)
+    },
+    "pair(4,6)": (lambda: two_antenna_line_scenario(4.0, 6.0), 0.05, unconstrained_deploy),
+    "pair(5,5.5)": (lambda: two_antenna_line_scenario(5.0, 5.5), 0.05, unconstrained_deploy),
+}
+
+
+@pytest.mark.parametrize("name", list(BOUND_CASES))
+def test_bound_stop_keeps_the_full_chains_best(name):
+    build, step, speed_free = BOUND_CASES[name]
+    scenario = build()
+    guide = speed_free(scenario).deployment
+    durations = grid_durations(scenario.interval, step)
+    full, _ = scheduling._duration_chain(
+        scenario, durations, guide, SearchMethod.GENERAL_SEARCH, scenario.interval
+    )
+    stopped = general_search(scenario, grid_step=step, guide=guide)
+    assert len(full.curve) == len(durations)
+    assert stopped.best_t_mov == full.best_t_mov
+    assert stopped.best_throughput == full.best_throughput
+    assert np.array_equal(stopped.best_deployment.coords, full.best_deployment.coords)
+    # the chain is sequential, so the stopped curve is the full one's prefix
+    solved = len(stopped.curve)
+    assert solved < len(durations)
+    assert stopped.curve == full.curve[:solved]
+    # the bound rules out the first duration left unsolved
+    t = durations[solved]
+    rate_cap = max([achievable_rate(scenario, guide)] + [p.rate for p in stopped.curve])
+    assert (scenario.interval - t) * rate_cap <= stopped.best_throughput
+
+
+def test_singular_guide_searches_the_full_grid(case_wide):
+    # every antenna at one point: the guide's rate raises SingularChannel
+    guide = Deployment(np.full(case_wide.initial_positions.coords.shape, 5.0))
+    with pytest.raises(SingularChannel):
+        achievable_rate(case_wide, guide)
+    durations = grid_durations(case_wide.interval, 0.5)
+    full, _ = scheduling._duration_chain(
+        case_wide, durations, guide, SearchMethod.GENERAL_SEARCH, case_wide.interval
+    )
+    report = general_search(case_wide, grid_step=0.5, guide=guide)
+    assert len(report.curve) == len(durations) == 10
+    assert report.curve == full.curve
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))

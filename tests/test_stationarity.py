@@ -145,6 +145,14 @@ class TestVerifyThreshold:
         with pytest.raises(ValueError):
             verify_threshold(SpecialCase.WIDE_GAP, [0.0])
 
+    @pytest.mark.parametrize(
+        "speeds", [[float("nan")], [float("inf")], [-float("inf")], [-0.5], [0.2, float("nan")]]
+    )
+    def test_rejects_nonfinite_or_nonpositive_speed(self, speeds):
+        # NaN and inf once gave rows (nan, 0.0) and (inf, 0.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            verify_threshold(SpecialCase.WIDE_GAP, speeds)
+
 
 def test_threshold_sufficiency_on_line_case(case_wide):
     """Below the speed threshold the grid search stays at zero movement."""
