@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
+from . import kernels, scheduling
 from .errors import MovantError, SingularChannel
 from .gradients import fd_gradient, grad_rate, grad_trace
 from .positioning import (
@@ -89,8 +89,7 @@ class RunConfig:
     def __post_init__(self):
         if self.grid_step is not None and not self.grid_step > 0:
             raise ValueError("grid_step must be positive")
-        if self.samples < 4:
-            raise ValueError("need at least 4 samples")
+        scheduling._check_samples(self.samples)
 
 
 # fewest restarts of the speed-free solve that guides OTGM and OTFM and

@@ -368,7 +368,6 @@ def optimize_positions(
     t_mov: float,
     config: PenaltyConfig | None = None,
     start=None,
-    radius_override: float | None = None,
 ) -> OptimizeOutcome:
     """Best-found deployment for a fixed movement duration.
 
@@ -382,18 +381,22 @@ def optimize_positions(
     spacing within ``FEASIBILITY_TOL``; its objective never exceeds the
     objective of the initial deployment. A solve has converged only if the
     winning restart closed that gap and none of its gradient loops hit the
-    iteration cap. Optional multi-starts jitter the starting point
-    deterministically; the best feasible result wins (ties keep the
-    earliest restart). The restarts run as lanes of one lockstep solve,
-    each outer round one stacked ``_pgd_loop`` then one stacked
-    ``separate_anchors`` over the lanes still running, and every lane ends
-    as the same restart run alone would, bit for bit; with several failing
-    lanes, the first error in lockstep order is the one raised.
+    iteration cap. ``start`` (the initial deployment by default) is one
+    ``Deployment`` or (N, 2) positions, or a sequence or (L, N, 2) stack of
+    candidates of which the first restart takes the one with the lowest
+    finite tr(G^-1) once projected into reach (the first on a tie or when
+    none is finite); further restarts jitter the initial deployment
+    deterministically. The best feasible result wins (ties keep the earliest
+    restart). The restarts run as lanes of one lockstep solve, each outer
+    round one stacked ``_pgd_loop`` then one stacked ``separate_anchors``
+    over the lanes still running, and every lane ends as the same restart
+    run alone would, bit for bit; with several failing lanes, the first
+    error in lockstep order is the one raised.
     """
     if t_mov < 0:
         raise ValueError("t_mov must be nonnegative")
     restarts = (config or PenaltyConfig()).restarts
-    radius = scenario.max_speed * t_mov if radius_override is None else float(radius_override)
+    radius = scenario.max_speed * t_mov
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
     if radius <= 0.0:
@@ -415,13 +418,18 @@ def optimize_positions(
     # the jitters are drawn in restart order
     rng = np.random.default_rng(0)
     jitter_scale = min(radius, scenario.region_side / 4.0)
-    starts = [initial if start is None else as_positions(start)]
-    starts += [
+    if start is None or isinstance(start, Deployment) or np.ndim(start[0]) == 1:
+        start = [initial if start is None else start]
+    starts = [as_positions(s) for s in start] + [
         initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
         for _ in range(1, restarts)
     ]
     pts = kernels.project_deployment(np.array(starts), initial, radius, lo, hi)
     traces, _ = kernels.trace_at(pts, *channel)
+    # the first lane starts at the best candidate, the jitter lanes follow
+    scores = [t if math.isfinite(t) else math.inf for t in traces[: len(start)].tolist()]
+    lanes = [scores.index(min(scores)), *range(len(start), len(starts))]
+    pts, traces = pts[lanes], traces[lanes]
     # per lane: its best spacing-feasible objective and deployment, its
     # gap history and its inner iterations, outer rounds and convergence
     run_obj = [math.inf] * restarts
@@ -498,10 +506,9 @@ def optimize_positions(
 def unconstrained_deploy(
     scenario: Scenario, config: PenaltyConfig | None = None
 ) -> OptimizeOutcome:
-    """Placement optimization with the movement-speed limit inactive: the
-    per-antenna disks are widened to cover the whole region."""
-    if scenario.topology is Topology.SEGMENT_1D:
-        reach = scenario.region_side
-    else:
-        reach = scenario.region_side * math.sqrt(2.0)
-    return optimize_positions(scenario, 0.0, config=config, radius_override=reach)
+    """Placement optimization with the movement-speed limit inactive: a
+    one-second solve at the speed whose disks just cover the whole region
+    (its side on a segment, its diagonal in a square)."""
+    diagonal = 1.0 if scenario.topology is Topology.SEGMENT_1D else math.sqrt(2.0)
+    speed_free = scenario.with_(max_speed=scenario.region_side * diagonal)
+    return optimize_positions(speed_free, 1.0, config)

@@ -190,28 +190,32 @@ class Scenario:
             raise ValueError("initial positions must lie inside the region")
         if init.min_pair_distance() < self.min_spacing - 1e-12:
             raise ValueError("initial positions violate the minimum spacing")
+        # the trace kernels read these on every call: built once, read-only
+        el, az = self.elevation_angles, self.azimuth_angles
+        if self.topology is Topology.SEGMENT_1D:
+            directions = np.stack([np.cos(el), np.zeros_like(el)], axis=1)
+        else:
+            directions = np.stack([np.cos(el) * np.sin(az), np.sin(el)], axis=1)
+        amplitudes = np.sqrt(self.fading_coeffs)
+        for name, arr in (("_directions", directions), ("_amplitudes", amplitudes)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def region_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper corner of the admissible region (y pinned to 0 in 1D)."""
         return self.topology.bounds(self.region_side)
 
     def direction_vectors(self) -> np.ndarray:
-        """Per-user unit-phase direction vectors, shape (K, 2).
+        """Per-user unit-phase direction vectors, shape (K, 2), read-only.
 
         In segment mode the effective direction is cos(elevation) along x;
         in square mode it is (cos(elevation) sin(azimuth), sin(elevation)).
         """
-        if self.topology is Topology.SEGMENT_1D:
-            bx = np.cos(self.elevation_angles)
-            by = np.zeros_like(bx)
-        else:
-            bx = np.cos(self.elevation_angles) * np.sin(self.azimuth_angles)
-            by = np.sin(self.elevation_angles)
-        return np.ascontiguousarray(np.stack([bx, by], axis=1))
+        return self._directions
 
     def amplitudes(self) -> np.ndarray:
-        """Per-user channel amplitudes sqrt(fading_coeffs)."""
-        return np.sqrt(self.fading_coeffs)
+        """Per-user channel amplitudes sqrt(fading_coeffs), read-only."""
+        return self._amplitudes
 
     @property
     def wavenumber(self) -> float:

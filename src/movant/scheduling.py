@@ -5,13 +5,13 @@ rate-duration pairs."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from . import kernels
-from .channel import achievable_rate, kernel_args
+from .channel import achievable_rate
 from .errors import FitDiverged, MovantError, SingularChannel
 from .positioning import OptimizeOutcome, optimize_positions, unconstrained_deploy
 from .scenario import Deployment, Scenario
@@ -96,24 +96,9 @@ def _solve_duration(scenario: Scenario, t_mov: float, start=None) -> tuple[float
     return rate, outcome
 
 
-def _pick_start(scenario: Scenario, t_mov: float, guide: Deployment, previous):
-    """Warm start for one duration solve: the previous solution (if any) or
-    the speed-free optimum ``guide`` pulled into the reachable set, whichever
-    has the lower objective (the first on a tie, and the first when neither
-    objective is finite). Both are scored in one stacked evaluation, not
-    optimizer runs."""
-    lo, hi = scenario.region_bounds()
-    pulled = kernels.project_deployment(
-        guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
-    )
-    candidates = [pulled] if previous is None else [previous.coords, pulled]
-    traces, _ = kernels.trace_at(np.stack(candidates), *kernel_args(scenario))
-    best = None
-    best_trace = math.inf
-    for cand, trace in zip(candidates, traces.tolist()):
-        if not math.isnan(trace) and trace < best_trace:
-            best_trace, best = trace, cand
-    return best if best is not None else candidates[0]
+def _check_samples(samples) -> None:
+    if not isinstance(samples, numbers.Integral) or samples < 4:
+        raise ValueError(f"samples must be an integer >= 4, got {samples!r}")
 
 
 def _fixed_duration_report(
@@ -146,19 +131,17 @@ def _duration_chain(
     maximizer (the first duration on a tie), with the (t, deployment) pair of
     every solved duration.
 
-    Each solve warm-starts through ``_pick_start`` from the previous solution
-    and ``guide``; both stay feasible because the reachable disks only grow.
+    Each solve gets the previous solution (if any) and ``guide`` as candidate
+    starts, and ``optimize_positions`` starts from the one that evaluates
+    better once pulled into the reachable set; the previous solution stays
+    feasible because the reachable disks only grow.
     A duration whose solve raises a ``MovantError`` or ``ValueError`` is
     recorded in ``failures`` with a NaN curve point and skipped; other errors
     propagate, and so does a chain in which every duration fails.
 
-    With ``stop_at_bound`` the chain ends before the first duration t with
-    (interval - t) * R <= the best throughput so far, where R is the larger
-    of the guide's rate and every rate solved so far: the speed-free rate
-    bound leaves no later duration able to beat the best, which is kept on
-    ties, so the curve is the full chain's prefix with the same best. A
-    guide whose rate raises ``SingularChannel`` gives no bound and the whole
-    chain is solved.
+    With ``stop_at_bound`` the chain ends where the speed-free rate bound
+    rules out every later duration, as ``general_search`` describes; the
+    curve is then the full chain's prefix with the same best.
     """
     curve = []
     failures = []
@@ -176,8 +159,8 @@ def _duration_chain(
         if bounded and (scenario.interval - t) * rate_cap <= best[0]:
             break
         try:
-            start = _pick_start(scenario, t, guide, warm)
-            rate, outcome = _solve_duration(scenario, t, start=start)
+            starts = [d for d in (warm, guide) if d is not None]
+            rate, outcome = _solve_duration(scenario, t, start=starts)
         except (MovantError, ValueError) as exc:
             failures.append((t, str(exc)))
             curve.append(CurvePoint(t, math.nan, math.nan))
@@ -221,10 +204,11 @@ def general_search(
     below the interval length and return the maximizer (ties break toward the
     smallest duration).
 
-    Durations are processed in increasing order; each solve warm-starts from
-    the previous solution or from the speed-free optimum pulled into the
-    reachable set, whichever evaluates better (both remain feasible because
-    the reachable disks only grow). A duration whose solve raises a
+    Durations are processed in increasing order; each solve gets the previous
+    solution and the speed-free optimum as candidate starts, and
+    ``optimize_positions`` starts from the one that evaluates better once
+    pulled into the reachable set (the previous solution stays feasible
+    because the reachable disks only grow). A duration whose solve raises a
     ``MovantError`` or ``ValueError`` is recorded in ``failures`` and
     skipped; other errors propagate. ``guide`` is the speed-free optimum
     (``unconstrained_deploy``); without one it is solved here, single-start.
@@ -401,19 +385,20 @@ def fitting_method(
     ``failures`` with a NaN rate. Both model kinds are fitted to the samples
     that succeeded, the lower-SSE fit is kept and (interval - t) * g(t) is
     maximized by a dense one-dimensional search. The chosen duration is then
-    re-optimized for real, warm-started from the nearest lower solved sample,
-    so the reported throughput is never a model extrapolation. If no fit
-    survives, the best of the sampled durations is returned instead.
+    re-optimized for real from the better of the nearest lower solved sample
+    and the speed-free optimum, so the reported throughput is never a model
+    extrapolation. If no fit survives, the best of the sampled durations is
+    returned instead.
     ``guide`` is the speed-free optimum (``unconstrained_deploy``) that sets
     t_mov_max; without one it is solved here, single-start. Every duration
     solve is single-start, so the position optimizer runs at most
     ``samples + 1`` times given a guide (one run per sample and the final
-    re-optimization) and ``samples + 2`` times without. At zero speed, or
+    re-optimization) and ``samples + 2`` times without. ``samples`` must be
+    an integer of at least 4, else ``ValueError``. At zero speed, or
     when the initial deployment is already speed-free optimal, the initial
     deployment is reported at duration 0 after at most the speed-free solve.
     """
-    if samples < 4:
-        raise ValueError("need at least 4 samples")
+    _check_samples(samples)
     t_max = 0.0
     if scenario.max_speed > 0:
         t_max, a_star = compute_t_mov_max(scenario, guide=guide)
@@ -438,9 +423,9 @@ def fitting_method(
     approx = (scenario.interval - grid) * fit.predict(grid)
     t_hat = float(grid[np.argmax(approx)])
 
-    previous = next((d for t, d in reversed(solved) if t <= t_hat + 1e-12), None)
-    start = _pick_start(scenario, t_hat, a_star, previous)
-    rate, outcome = _solve_duration(scenario, t_hat, start=start)
+    # the nearest lower solved sample, if any, and the speed-free optimum
+    starts = [d for t, d in solved if t <= t_hat + 1e-12][-1:] + [a_star]
+    rate, outcome = _solve_duration(scenario, t_hat, start=starts)
     throughput = (scenario.interval - t_hat) * rate
     return replace(
         sampled,

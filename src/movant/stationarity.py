@@ -98,19 +98,26 @@ class SpecialCase(Enum):
 
 
 _CASE_GAP = {SpecialCase.WIDE_GAP: 2.0, SpecialCase.NARROW_GAP: 0.5}
-_CASE_T_MAX = {SpecialCase.WIDE_GAP: 2.0, SpecialCase.NARROW_GAP: 3.5}
 _CASE_SPEED = 0.5
 _CASE_INTERVAL = 5.0
 _OPTIMAL_SPACING = 4.0
+# the travel time to the optimal spacing, both antennas at the speed limit
+_CASE_T_MAX = {c: (_OPTIMAL_SPACING - g) / (2.0 * _CASE_SPEED) for c, g in _CASE_GAP.items()}
 
 
 def special_case_rate(
     x1: float, x2: float, spatial_freq: float = np.pi / 4.0, snr_scale: float = 1.0
 ) -> float:
-    """Closed-form two-antenna rate log2(1 + snr * sin^2(freq*(x1-x2)/2))."""
+    """Closed-form two-antenna rate log2(1 + snr * sin^2(freq*(x1-x2)/2)), elementwise."""
     if spatial_freq == 0:
         raise ValueError("spatial_freq must be nonzero")
-    return float(np.log2(1.0 + snr_scale * np.sin(0.5 * spatial_freq * (x1 - x2)) ** 2))
+    return np.log2(1.0 + snr_scale * np.sin(0.5 * spatial_freq * (x1 - x2)) ** 2)
+
+
+def _case_throughput(case: SpecialCase, speed: float, t):
+    """Effective throughput of the benchmark case at ``speed``, elementwise in ``t``."""
+    spacing = np.minimum(_CASE_GAP[case] + 2.0 * speed * t, _OPTIMAL_SPACING)
+    return (_CASE_INTERVAL - t) * special_case_rate(spacing, 0.0)
 
 
 def special_case_objective(case: SpecialCase, t_mov: float) -> float:
@@ -119,9 +126,7 @@ def special_case_objective(case: SpecialCase, t_mov: float) -> float:
     t_max = _CASE_T_MAX[case]
     if not 0.0 <= t_mov <= t_max:
         raise ValueError(f"t_mov must lie in [0, {t_max}] for {case.value}")
-    spacing = _CASE_GAP[case] + 2.0 * _CASE_SPEED * t_mov
-    rate = special_case_rate(spacing, 0.0)
-    return (_CASE_INTERVAL - t_mov) * rate
+    return float(_case_throughput(case, _CASE_SPEED, t_mov))
 
 
 def verify_threshold(
@@ -131,17 +136,16 @@ def verify_threshold(
 
     For every speed the spacing evolves as gap + 2*speed*t (capped at the
     optimal spacing) and the throughput is maximized over a dense duration
-    grid; the result is 0 exactly below the speed threshold and positive
-    above it. Every speed must be finite and positive.
+    grid of step ``t_step`` (finite and positive, like every speed); the
+    result is 0 exactly below the speed threshold and positive above it.
     """
-    gap = _CASE_GAP[case]
+    if not (math.isfinite(t_step) and t_step > 0):
+        raise ValueError(f"t_step must be finite and positive, got {t_step}")
     t = np.arange(0.0, _CASE_INTERVAL, t_step)
     results = []
     for v in np.asarray(vmax_grid, dtype=float):
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"speeds must be finite and positive, got {v}")
-        spacing = np.minimum(gap + 2.0 * v * t, _OPTIMAL_SPACING)
-        rate = np.log2(1.0 + np.sin(np.pi / 8.0 * spacing) ** 2)
-        objective = (_CASE_INTERVAL - t) * rate
+        objective = _case_throughput(case, v, t)
         results.append((float(v), float(t[int(np.argmax(objective))])))
     return results

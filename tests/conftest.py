@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from movant import positioning
+from movant import kernels, positioning
+from movant.channel import SINGULAR_COND_LIMIT
 from movant.harness import default_scenario
-from movant.scenario import Deployment, Scenario, Topology, two_antenna_line_scenario
+from movant.scenario import (
+    Deployment,
+    Scenario,
+    Topology,
+    as_positions,
+    two_antenna_line_scenario,
+)
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +82,28 @@ def record_loop_statuses(monkeypatch) -> list:
 
     monkeypatch.setattr(positioning, "_pgd_loop", recording)
     return statuses
+
+
+def reference_pick_start(scenario, t_mov, candidates):
+    """The candidate start that ``optimize_positions`` begins from, scored
+    one candidate per ``trace_at`` call: each is projected into the
+    reachable set on its own, the first with the lowest finite trace wins,
+    and the first candidate when no trace is finite. Returns the raw
+    candidate, as given."""
+    lo, hi = scenario.region_bounds()
+    radius = scenario.max_speed * t_mov
+    best, best_trace = candidates[0], np.inf
+    for cand in candidates:
+        pts = kernels.project_deployment(
+            as_positions(cand), scenario.initial_positions.coords, radius, lo, hi
+        )
+        trace, _ = kernels.trace_at(
+            pts,
+            scenario.direction_vectors(),
+            scenario.amplitudes(),
+            scenario.wavenumber,
+            SINGULAR_COND_LIMIT,
+        )
+        if np.isfinite(trace) and trace < best_trace:
+            best, best_trace = cand, float(trace)
+    return best

@@ -19,6 +19,7 @@ from movant.channel import (
     zf_beamformer,
 )
 from movant.errors import SingularChannel
+from movant.harness import default_scenario
 from movant.scenario import (
     Deployment,
     Scenario,
@@ -338,6 +339,26 @@ class TestEffectiveThroughput:
             effective_throughput(case_wide, case_wide.initial_positions, -0.1)
         with pytest.raises(ValueError):
             effective_throughput(case_wide, case_wide.initial_positions, 5.1)
+
+
+class TestScenarioDerivedArrays:
+    @pytest.mark.parametrize("segment", [False, True])
+    def test_built_once_read_only_and_exact(self, segment):
+        s = two_antenna_line_scenario(4.0, 6.0) if segment else default_scenario()
+        directions, amplitudes = s.direction_vectors(), s.amplitudes()
+        assert directions is s.direction_vectors() and amplitudes is s.amplitudes()
+        assert not directions.flags.writeable and not amplitudes.flags.writeable
+        assert directions.flags.c_contiguous
+        el, az = s.elevation_angles, s.azimuth_angles
+        if segment:
+            expected = np.stack([np.cos(el), np.zeros_like(el)], axis=1)
+        else:
+            expected = np.stack([np.cos(el) * np.sin(az), np.sin(el)], axis=1)
+        assert np.array_equal(directions, expected)
+        assert np.array_equal(amplitudes, np.sqrt(s.fading_coeffs))
+        # a copy with other angles gets its own arrays
+        turned = s.with_(elevation_angles=el[::-1].copy(), azimuth_angles=az[::-1].copy())
+        assert np.array_equal(turned.direction_vectors(), expected[::-1])
 
 
 class TestScenarioValidation:

@@ -104,11 +104,22 @@ class TestConfig:
         assert "initial_x_wl has 6" in err and "initial_y_wl has 5" in err
 
     @pytest.mark.parametrize(
-        "fields", [{"samples": 3}, {"grid_step": 0.0}, {"grid_step": -0.1}]
+        "fields",
+        [
+            {"samples": 3},
+            {"grid_step": 0.0},
+            {"grid_step": -0.1},
+            {"samples": 4.5},
+            {"samples": 5.0},
+            {"samples": "5"},
+        ],
     )
     def test_run_config_rejects_bad_values(self, fields):
         with pytest.raises(ValueError, match="samples|grid_step"):
             RunConfig(**fields)
+
+    def test_run_config_accepts_numpy_integer_samples(self):
+        assert RunConfig(samples=np.int64(4)).samples == 4
 
     def test_shipped_config_matches_defaults(self):
         # keeps configs/default.cfg from drifting away from DEFAULT_CONFIG
@@ -134,17 +145,26 @@ class TestConfig:
 
 def record_solves(monkeypatch) -> list:
     """The list that collects (restarts, speed-free) of every
-    ``optimize_positions`` call from here on; a speed-free solve is one whose
-    disks are widened to the region (``unconstrained_deploy``)."""
+    ``optimize_positions`` call from here on; a speed-free solve is one made
+    by ``unconstrained_deploy``."""
     solves = []
-    original = positioning.optimize_positions
+    speed_free = []  # one entry per unconstrained_deploy call still running
+    solve, deploy = positioning.optimize_positions, positioning.unconstrained_deploy
 
-    def recording(scenario, t_mov, config=None, start=None, radius_override=None):
-        solves.append(((config or PenaltyConfig()).restarts, radius_override is not None))
-        return original(scenario, t_mov, config, start, radius_override)
+    def recording(scenario, t_mov, config=None, start=None):
+        solves.append(((config or PenaltyConfig()).restarts, bool(speed_free)))
+        return solve(scenario, t_mov, config, start)
+
+    def deploying(scenario, config=None):
+        speed_free.append(True)
+        try:
+            return deploy(scenario, config)
+        finally:
+            speed_free.pop()
 
     for module in (positioning, scheduling, harness):
         monkeypatch.setattr(module, "optimize_positions", recording)
+        monkeypatch.setattr(module, "unconstrained_deploy", deploying)
     return solves
 
 

@@ -26,7 +26,7 @@ from movant.scenario import (
     two_antenna_line_scenario,
 )
 
-from conftest import random_instance, record_loop_statuses
+from conftest import random_instance, record_loop_statuses, reference_pick_start
 
 
 def min_pair(points):
@@ -560,13 +560,15 @@ def test_singular_lane_leaves_the_others_running():
     ]
 
 
-def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_override=None):
-    """Reference ``optimize_positions``: its restarts run one after another,
-    each a one-lane ``_pgd_loop`` per outer round, with the jitters drawn in
-    restart order; a restart has converged if its gap closed and none of its
-    loops hit the iteration cap; the best feasible result wins, ties keep
-    the earliest restart and the initial deployment is the floor."""
-    radius = scenario.max_speed * t_mov if radius_override is None else float(radius_override)
+def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
+    """Reference ``optimize_positions``: the first restart begins at the
+    candidate of the list ``start`` that ``reference_pick_start`` picks, and
+    the restarts run one after another, each a one-lane ``_pgd_loop`` per
+    outer round, with the jitters drawn in restart order; a restart has
+    converged if its gap closed and none of its loops hit the iteration cap;
+    the best feasible result wins, ties keep the earliest restart and the
+    initial deployment is the floor."""
+    radius = scenario.max_speed * t_mov
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
     lo, hi = scenario.region_bounds()
@@ -581,7 +583,8 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_
     jitter_scale = min(radius, scenario.region_side / 4.0)
     for restart in range(restarts):
         if restart == 0:
-            pts = initial if start is None else as_positions(start)
+            pts = initial if start is None else reference_pick_start(scenario, t_mov, start)
+            pts = as_positions(pts)
         else:
             pts = initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
         pts = kernels.project_deployment(pts, initial, radius, lo, hi)
@@ -627,39 +630,43 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None, radius_
 
 
 def restart_cases():
-    """(scenario, t_mov, restarts, start, radius_override) for the lane
-    comparison: the default scenario at three speeds, its speed-free solve,
-    a warm start, eight antennas (several outer rounds), the segment
+    """(scenario, t_mov, restarts, candidate starts) for the lane
+    comparison: the default scenario at three speeds, its speed-free solve
+    (disks that cover the region), a warm start alone and with the
+    speed-free optimum, eight antennas (several outer rounds), the segment
     topology with binding spacing, and random instances."""
     base = default_scenario(max_speed_wl_s=6)
     warm = optimize_positions(base, 0.4).deployment
+    guide = unconstrained_deploy(base).deployment
     eight = scenario_variant(base, SweepParameter.NUM_ANTENNAS, 8)
-    yield default_scenario(max_speed_wl_s=2), 0.8, 4, None, None
-    yield base, 0.56, 4, None, None
-    yield default_scenario(max_speed_wl_s=18), 0.4, 3, None, None
-    yield base, 0.0, 4, None, base.region_side * math.sqrt(2.0)
-    yield base, 0.48, 4, warm, None
-    yield eight, 0.4, 4, None, None
-    yield eight, 0.0, 2, None, eight.region_side * math.sqrt(2.0)
+    speed_free = lambda s: s.with_(max_speed=s.region_side * math.sqrt(2.0))
+    yield default_scenario(max_speed_wl_s=2), 0.8, 4, None
+    yield base, 0.56, 4, None
+    yield default_scenario(max_speed_wl_s=18), 0.4, 3, None
+    yield speed_free(base), 1.0, 4, None
+    yield base, 0.48, 4, [warm]
+    yield base, 0.48, 4, [warm, guide]
+    yield eight, 0.4, 4, None
+    yield speed_free(eight), 1.0, 2, None
     line = two_antenna_line_scenario(4.4, 5.6, spatial_freq=np.pi, min_spacing=1.2, max_speed=0.5)
-    yield line, 1.0, 5, None, None
+    yield line, 1.0, 5, None
     rng = np.random.default_rng(71)
     for _ in range(6):
         s = random_instance(rng, n_max=5, k_max=3)
-        yield s.with_(min_spacing=0.3), float(rng.uniform(0.2, 2.0)), 3, None, None
+        yield s.with_(min_spacing=0.3), float(rng.uniform(0.2, 2.0)), 3, None
 
 
 def test_restart_lanes_match_sequential_restarts():
     rounds = []
-    for scenario, t_mov, restarts, start, radius in restart_cases():
+    for scenario, t_mov, restarts, start in restart_cases():
         config = PenaltyConfig(restarts=restarts)
         try:
-            expected = sequential_optimize_positions(scenario, t_mov, restarts, start, radius)
+            expected = sequential_optimize_positions(scenario, t_mov, restarts, start)
         except InfeasibleSpacing:
             with pytest.raises(InfeasibleSpacing):
-                optimize_positions(scenario, t_mov, config, start=start, radius_override=radius)
+                optimize_positions(scenario, t_mov, config, start=start)
             continue
-        got = optimize_positions(scenario, t_mov, config, start=start, radius_override=radius)
+        got = optimize_positions(scenario, t_mov, config, start=start)
         assert np.array_equal(got.deployment.coords, expected.deployment.coords)
         for name in (
             "objective",
@@ -707,7 +714,7 @@ def test_singular_restart_lane_raises():
     config = PenaltyConfig(restarts=3)
     for solve in (
         lambda: optimize_positions(scenario, 10.0, config, start=start),
-        lambda: sequential_optimize_positions(scenario, 10.0, 3, start),
+        lambda: sequential_optimize_positions(scenario, 10.0, 3, [start]),
     ):
         with pytest.raises(SingularChannel):
             solve()

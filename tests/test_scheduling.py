@@ -5,7 +5,7 @@ import pytest
 
 import movant.scheduling as scheduling
 from movant import harness, kernels
-from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, effective_throughput
+from movant.channel import achievable_rate, effective_throughput, kernel_args
 from movant.errors import FitDiverged, SingularChannel
 from movant.scheduling import (
     FitKind,
@@ -17,8 +17,10 @@ from movant.scheduling import (
     rate_at_duration,
 )
 from movant.harness import default_scenario
-from movant.positioning import unconstrained_deploy
-from movant.scenario import Deployment, two_antenna_line_scenario
+from movant.positioning import PenaltyConfig, optimize_positions, unconstrained_deploy
+from movant.scenario import Deployment, as_positions, two_antenna_line_scenario
+
+from conftest import reference_pick_start
 
 
 def closed_form_throughput(gap, t, interval=5.0):
@@ -198,6 +200,20 @@ class TestFittingMethod:
         calls["count"] = 0
         fitting_method(case_wide, samples=samples, guide=guide)
         assert calls["count"] == samples + 1
+
+    @pytest.mark.parametrize("samples", [4.5, 5.0, "5", 3, np.int64(3)])
+    def test_rejects_a_non_integer_or_small_sample_count(self, case_wide, samples):
+        # 4.5 once reached np.linspace and raised TypeError
+        with pytest.raises(ValueError, match="samples"):
+            fitting_method(case_wide, samples=samples)
+
+    def test_accepts_a_numpy_integer_sample_count(self, case_wide):
+        got = fitting_method(case_wide, samples=np.int64(5))
+        expected = fitting_method(case_wide, samples=5)
+        assert (got.best_t_mov, got.best_throughput) == (
+            expected.best_t_mov,
+            expected.best_throughput,
+        )
 
     def test_report_consistency(self, case_narrow):
         report = fitting_method(case_narrow, samples=5)
@@ -399,30 +415,10 @@ def test_fitting_method_falls_back_when_fits_diverge(case_wide, monkeypatch):
     assert report.best_throughput == best.throughput
 
 
-def reference_pick_start(scenario, t_mov, guide, previous):
-    """``_pick_start`` scoring one candidate per ``trace_at`` call: the
-    first candidate with the lowest non-NaN trace wins, and the first
-    candidate when every trace is NaN."""
-    lo, hi = scenario.region_bounds()
-    pulled = kernels.project_deployment(
-        guide.coords, scenario.initial_positions.coords, scenario.max_speed * t_mov, lo, hi
-    )
-    candidates = [pulled] if previous is None else [previous.coords, pulled]
-    best, best_trace = None, np.inf
-    for cand in candidates:
-        trace, _ = kernels.trace_at(
-            cand,
-            scenario.direction_vectors(),
-            scenario.amplitudes(),
-            scenario.wavenumber,
-            SINGULAR_COND_LIMIT,
-        )
-        if not np.isnan(trace) and trace < best_trace:
-            best_trace, best = float(trace), cand
-    return best if best is not None else candidates[0]
-
-
-def test_pick_start_scores_candidates_in_one_stacked_call(monkeypatch):
+def test_solve_starts_from_the_best_candidate(monkeypatch):
+    # the duration chain passes [previous solution, speed-free optimum] and
+    # the solver begins at the better one pulled into reach; a solve from a
+    # list of candidates is the solve from the winner alone, bit for bit
     scenario = default_scenario(max_speed_wl_s=6)
     initial = scenario.initial_positions
     lo, hi = scenario.region_bounds()
@@ -430,34 +426,64 @@ def test_pick_start_scores_candidates_in_one_stacked_call(monkeypatch):
     previous = Deployment(initial.coords + [[0.0, 0.3]] * len(initial))
     # every antenna at one point: a singular channel and a NaN trace
     singular = Deployment(np.full(initial.coords.shape, 5.0))
-    # the guide pulled into the disks of t = 0.05, given again as the
-    # previous solution: a tie
-    tied = Deployment(kernels.project_deployment(guide.coords, initial.coords, 0.3, lo, hi))
-    cases = [
-        (0.05, guide, previous),
-        (0.05, guide, tied),
-        (0.05, guide, singular),
-        (10.0, singular, previous),
-        (10.0, singular, singular),
-        (0.05, guide, None),
-    ]
-    calls = []
-    trace_at = kernels.trace_at
+    other_singular = Deployment(np.full(initial.coords.shape, 2.0))
+    # a layout whose reversed antenna order has the same trace bit for bit:
+    # at t = 10 the disks cover the region, so both project onto themselves
+    rng = np.random.default_rng(5)
+    draws = (rng.uniform(lo, hi, initial.coords.shape) for _ in range(200))
 
-    def counting(*args):
-        calls.append(args[0].shape)
-        return trace_at(*args)
+    def reversal_ties(a):
+        trace, _ = kernels.trace_at(np.stack([a, a[::-1]]), *kernel_args(scenario))
+        return trace[0] == trace[1]
+
+    tied = next(filter(reversal_ties, draws))
+    cases = [
+        (0.05, [previous, guide], 1),
+        (10.0, [tied, tied[::-1]], 1),
+        (0.05, [singular, guide], 1),
+        (10.0, [singular, other_singular], 1),
+        (0.05, [guide], 1),
+        (0.05, np.stack([previous.coords, guide.coords]), 1),
+        (0.05, [previous, guide], 3),
+        (10.0, [tied[::-1], singular, tied], 2),
+    ]
+    trace_at = kernels.trace_at
+    stacked = []
+
+    def recording(positions, *rest):
+        if positions.ndim == 3:
+            stacked.append(positions.shape)
+        return trace_at(positions, *rest)
+
+    def solve(t_mov, start, restarts):
+        try:
+            return optimize_positions(scenario, t_mov, PenaltyConfig(restarts), start=start)
+        except SingularChannel:
+            return None
 
     picked = []
-    for t_mov, g, prev in cases:
-        expected = reference_pick_start(scenario, t_mov, g, prev)
-        monkeypatch.setattr(kernels, "trace_at", counting)
-        calls.clear()
-        got = scheduling._pick_start(scenario, t_mov, g, prev)
+    for t_mov, candidates, restarts in cases:
+        winner = reference_pick_start(scenario, t_mov, candidates)
+        expected = solve(t_mov, winner, restarts)
+        monkeypatch.setattr(kernels, "trace_at", recording)
+        stacked.clear()
+        got = solve(t_mov, candidates, restarts)
         monkeypatch.setattr(kernels, "trace_at", trace_at)
-        assert np.array_equal(got, expected)
-        assert len(calls) == 1
-        picked.append(prev is not None and got is prev.coords)
-    # the tie and the all-NaN pair keep the previous solution, the first
-    # candidate; a singular previous solution loses to the guide
-    assert picked[1] and picked[4] and not picked[2]
+        # every candidate and jitter start is scored in one stacked call
+        assert stacked == [(len(candidates) + restarts - 1, *initial.coords.shape)]
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert np.array_equal(got.deployment.coords, expected.deployment.coords)
+            for name in ("objective", "outer_iterations", "inner_iterations", "converged"):
+                assert getattr(got, name) == getattr(expected, name), name
+            assert got.gap_history == expected.gap_history
+        same = [np.array_equal(as_positions(c), as_positions(winner)) for c in candidates]
+        picked.append(same.index(True))
+    # the tie keeps the first candidate, and so does a set with no finite
+    # trace (whose solve then raises); a singular candidate loses
+    assert picked[1] == 0 and picked[3] == 0 and picked[2] == 1 and picked[7] == 0
+    assert solve(10.0, [singular, other_singular], 1) is None
+    # the tie is a real choice: the reversed layout alone solves elsewhere
+    assert not np.array_equal(
+        solve(10.0, tied, 1).deployment.coords, solve(10.0, tied[::-1], 1).deployment.coords
+    )

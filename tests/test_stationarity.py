@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from movant import stationarity
 from movant.channel import common_sinr
 from movant.scenario import Deployment, two_antenna_line_scenario
 from movant.stationarity import (
@@ -123,6 +124,18 @@ class TestSpecialCaseObjective:
         with pytest.raises(ValueError):
             special_case_objective(SpecialCase.NARROW_GAP, 3.6)
 
+    @pytest.mark.parametrize("case", list(SpecialCase))
+    def test_verify_threshold_maximizes_the_same_objective(self, case):
+        # at the case's own speed, verify_threshold's duration is the
+        # maximizer of special_case_objective over the same grid, up to the
+        # full travel (beyond it the spacing is capped and the value falls)
+        t_max = stationarity._CASE_T_MAX[case]
+        t = np.arange(0.0, 5.0, 1e-3)
+        t = t[t <= t_max]
+        values = [special_case_objective(case, float(tt)) for tt in t]
+        [(_, best)] = verify_threshold(case, [0.5])
+        assert best == float(t[int(np.argmax(values))])
+
 
 class TestVerifyThreshold:
     def test_wide_gap_below_threshold_stays(self):
@@ -152,6 +165,13 @@ class TestVerifyThreshold:
         # NaN and inf once gave rows (nan, 0.0) and (inf, 0.0)
         with pytest.raises(ValueError, match="finite and positive"):
             verify_threshold(SpecialCase.WIDE_GAP, speeds)
+
+
+    @pytest.mark.parametrize("t_step", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_rejects_nonfinite_or_nonpositive_step(self, t_step):
+        # 0 once raised ZeroDivisionError and -1e-3 an empty argmax
+        with pytest.raises(ValueError, match="t_step"):
+            verify_threshold(SpecialCase.WIDE_GAP, [0.2], t_step=t_step)
 
 
 def test_threshold_sufficiency_on_line_case(case_wide):
