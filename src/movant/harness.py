@@ -8,6 +8,8 @@ and powers are dBm (converted to linear watts internally).
 
 from __future__ import annotations
 
+import contextvars
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -87,8 +89,8 @@ class RunConfig:
     samples: int = 5
 
     def __post_init__(self):
-        if self.grid_step is not None and not self.grid_step > 0:
-            raise ValueError("grid_step must be positive")
+        if self.grid_step is not None:
+            scheduling._check_grid_step(self.grid_step)
         scheduling._check_samples(self.samples)
 
 
@@ -246,8 +248,44 @@ def scenario_variant(base: Scenario, parameter: SweepParameter, value) -> Scenar
     raise ValueError(f"unknown sweep parameter {parameter}")
 
 
+# the speed-free outcomes of the running ``run_sweep`` call, by
+# ``_speed_free_key``; None outside a sweep, so no outcome outlives its sweep
+_SWEEP_SPEED_FREE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "sweep_speed_free", default=None
+)
+
+
+def _speed_free_key(scenario: Scenario) -> tuple:
+    """Every ``Scenario`` field but ``max_speed``, which the speed-free solve
+    replaces: arrays by shape and bytes, other values by ``repr``, so that
+    fields that differ in any bit (0.0 and -0.0 too) give different keys."""
+    key = []
+    for f in dataclasses.fields(scenario):
+        if f.name == "max_speed":
+            continue
+        value = getattr(scenario, f.name)
+        if isinstance(value, Deployment):
+            value = value.coords
+        if isinstance(value, np.ndarray):
+            key.append((value.shape, value.tobytes()))
+        else:
+            key.append(repr(value))
+    return tuple(key)
+
+
 def _speed_free(scenario: Scenario) -> OptimizeOutcome:
-    return unconstrained_deploy(scenario, config=PenaltyConfig(restarts=_UNCONSTRAINED_RESTARTS))
+    """The multi-start speed-free solve of ``scenario``, made once per
+    problem within a ``run_sweep`` call; a solve that raises is not kept."""
+    solve = lambda: unconstrained_deploy(
+        scenario, config=PenaltyConfig(restarts=_UNCONSTRAINED_RESTARTS)
+    )
+    memo = _SWEEP_SPEED_FREE.get()
+    if memo is None:
+        return solve()
+    key = _speed_free_key(scenario)
+    if key not in memo:
+        memo[key] = solve()
+    return memo[key]
 
 
 def run_scheme(
@@ -258,7 +296,9 @@ def run_scheme(
     OTGM, OTFM and UpperBound make one multi-start speed-free solve: it is
     UpperBound's deployment and the guide passed to the schedulers, whose
     duration solves are single-start. At zero speed the schedulers solve
-    nothing, so they get no guide.
+    nothing, so they get no guide. A call made by ``run_sweep`` shares that
+    solve with the sweep's other cells that pose the same speed-free
+    problem; any other call solves it afresh.
     """
     rc = run_config or RunConfig()
     if scheme is SchemeId.OTGM or scheme is SchemeId.OTFM:
@@ -310,6 +350,13 @@ def run_sweep(
     Row order is grid-major, scheme-minor; a cell that raises a
     ``MovantError`` or ``ValueError`` contributes a row with the error column
     set instead of aborting the sweep. Other errors propagate.
+
+    The speed-free solve does not depend on the speed limit, so it is made
+    once per distinct problem (every ``Scenario`` field but ``max_speed``)
+    and shared by every cell of this call that poses it: a Vmax sweep
+    solves it once for all its speeds and schemes. The shared outcomes live
+    only while this call runs; a solve that raises is not shared, so each
+    cell that poses it solves again and gets its own error row.
     """
     rc = run_config or RunConfig()
 
@@ -321,7 +368,11 @@ def run_sweep(
             return f"{_format_float(value)},{scheme.value},,,,,{_sanitize(str(exc))}"
         return csv_row(_format_float(value), scheme, report)
 
-    rows = [solve(value, scheme) for value in sweep.values for scheme in sweep.schemes]
+    token = _SWEEP_SPEED_FREE.set({})
+    try:
+        rows = [solve(value, scheme) for value in sweep.values for scheme in sweep.schemes]
+    finally:
+        _SWEEP_SPEED_FREE.reset(token)
     return [CSV_HEADER, *rows]
 
 

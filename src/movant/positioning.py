@@ -19,6 +19,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +82,10 @@ class PenaltyConfig:
     restarts: int = 1
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        # a float count would fail later, inside the solve; True is no count
+        count = self.restarts
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"restarts must be an integer >= 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -391,13 +394,21 @@ def optimize_positions(
     round one stacked ``_pgd_loop`` then one stacked ``separate_anchors``
     over the lanes still running, and every lane ends as the same restart
     run alone would, bit for bit; with several failing lanes, the first
-    error in lockstep order is the one raised.
+    error in lockstep order is the one raised. A negative or non-finite
+    ``t_mov`` and an empty candidate list raise ``ValueError``.
     """
-    if t_mov < 0:
-        raise ValueError("t_mov must be nonnegative")
+    # NaN would give a NaN radius, which the projection ignores
+    if not (math.isfinite(t_mov) and t_mov >= 0):
+        raise ValueError(f"t_mov must be finite and nonnegative, got {t_mov!r}")
+    initial = scenario.initial_positions.coords
+    if start is None or isinstance(start, Deployment):
+        start = [initial if start is None else start]
+    elif len(start) == 0:
+        raise ValueError("start is an empty list of candidate starts")
+    elif np.ndim(start[0]) == 1:
+        start = [start]
     restarts = (config or PenaltyConfig()).restarts
     radius = scenario.max_speed * t_mov
-    initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
     if radius <= 0.0:
         # zero reach pins every antenna at its start regardless of warm start
@@ -418,8 +429,6 @@ def optimize_positions(
     # the jitters are drawn in restart order
     rng = np.random.default_rng(0)
     jitter_scale = min(radius, scenario.region_side / 4.0)
-    if start is None or isinstance(start, Deployment) or np.ndim(start[0]) == 1:
-        start = [initial if start is None else start]
     starts = [as_positions(s) for s in start] + [
         initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
         for _ in range(1, restarts)

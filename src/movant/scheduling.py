@@ -96,6 +96,17 @@ def _solve_duration(scenario: Scenario, t_mov: float, start=None) -> tuple[float
     return rate, outcome
 
 
+def _check_grid_step(step) -> None:
+    # NaN would end the grid after t = 0, inf would solve t = 0 alone, and
+    # True is no step
+    if (
+        isinstance(step, bool)
+        or not isinstance(step, numbers.Real)
+        or not (math.isfinite(step) and step > 0)
+    ):
+        raise ValueError(f"grid_step must be positive and finite, got {step!r}")
+
+
 def _check_samples(samples) -> None:
     if not isinstance(samples, numbers.Integral) or samples < 4:
         raise ValueError(f"samples must be an integer >= 4, got {samples!r}")
@@ -223,12 +234,12 @@ def general_search(
     duration solve is single-start, so the position optimizer runs once per
     curve point, plus once when no guide is given. At zero speed the antennas
     cannot move: the initial deployment is reported at duration 0 without
-    running the optimizer.
+    running the optimizer. A ``grid_step`` that is not a finite positive
+    real number (a bool included) raises ``ValueError``.
     """
+    if grid_step is not None:
+        _check_grid_step(grid_step)
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
-    # NaN fails every comparison: it would end the grid after t = 0
-    if not step > 0:
-        raise ValueError("grid_step must be positive")
     if scenario.max_speed == 0:
         return _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)
     durations = []

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,8 +27,9 @@ from movant.harness import (
     threshold_summary,
     write_csv,
 )
+from movant.errors import SingularChannel
 from movant.positioning import PenaltyConfig
-from movant.scenario import Topology
+from movant.scenario import Deployment, Topology
 from movant.stationarity import speed_threshold
 
 QUICK = RunConfig(grid_step=0.8, samples=5)
@@ -112,6 +115,10 @@ class TestConfig:
             {"samples": 4.5},
             {"samples": 5.0},
             {"samples": "5"},
+            {"grid_step": "0.1"},
+            {"grid_step": True},
+            {"grid_step": float("inf")},
+            {"grid_step": float("nan")},
         ],
     )
     def test_run_config_rejects_bad_values(self, fields):
@@ -303,6 +310,105 @@ class TestSweeps:
         for count in (4.5, 4.000001, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="integer"):
                 scenario_variant(default_2d, SweepParameter.NUM_ANTENNAS, count)
+
+
+def count_speed_free_solves(solves) -> int:
+    return sum(speed_free for _, speed_free in solves)
+
+
+class TestSweepSharesSpeedFreeSolve:
+    @pytest.mark.parametrize(
+        "parameter, values, schemes, expected",
+        [
+            (
+                SweepParameter.VMAX,
+                (2.0, 6.0, 18.0),
+                (SchemeId.OTGM, SchemeId.OTFM, SchemeId.UPPER_BOUND),
+                1,
+            ),
+            (SweepParameter.NUM_ANTENNAS, (4, 6, 8), (SchemeId.OTFM, SchemeId.UPPER_BOUND), 3),
+        ],
+        ids=["vmax", "num_antennas"],
+    )
+    def test_one_solve_per_problem_and_rows_unchanged(
+        self, default_2d, monkeypatch, parameter, values, schemes, expected
+    ):
+        rc = RunConfig(grid_step=0.08)
+        solves = record_solves(monkeypatch)
+        rows = run_sweep(default_2d, SweepSpec(parameter, values, schemes), rc)
+        assert count_speed_free_solves(solves) == expected
+        # every cell run on its own solves for itself, and gives the same row
+        del solves[:]
+        alone = [
+            harness.csv_row(
+                repr(float(value)),
+                scheme,
+                run_scheme(scenario_variant(default_2d, parameter, value), scheme, rc),
+            )
+            for value in values
+            for scheme in schemes
+        ]
+        assert count_speed_free_solves(solves) == len(values) * len(schemes)
+        assert rows == [CSV_HEADER, *alone]
+
+    def test_no_solve_outlives_its_sweep(self, default_2d, monkeypatch):
+        solves = record_solves(monkeypatch)
+        spec = SweepSpec(SweepParameter.VMAX, (2.0, 6.0), (SchemeId.UPPER_BOUND,))
+        first = run_sweep(default_2d, spec, QUICK)
+        assert count_speed_free_solves(solves) == 1
+        assert run_sweep(default_2d, spec, QUICK) == first
+        assert count_speed_free_solves(solves) == 2
+        run_scheme(default_2d, SchemeId.UPPER_BOUND, QUICK)
+        assert count_speed_free_solves(solves) == 3
+
+    def test_failed_solve_is_not_shared(self, default_2d, monkeypatch):
+        calls = []
+
+        def failing(scenario, config=None):
+            calls.append(scenario.max_speed)
+            raise SingularChannel("synthetic speed-free failure")
+
+        monkeypatch.setattr(harness, "unconstrained_deploy", failing)
+        spec = SweepSpec(SweepParameter.VMAX, (2.0, 6.0), (SchemeId.OTFM, SchemeId.UPPER_BOUND))
+        rows = run_sweep(default_2d, spec, QUICK)
+        # each cell solves again and writes its own error row
+        assert calls == [2.0, 2.0, 6.0, 6.0]
+        assert all(row.endswith("synthetic speed-free failure") for row in rows[1:]), rows
+
+    def test_key_is_every_field_but_max_speed(self, default_2d):
+        key = harness._speed_free_key
+        base = default_2d
+        assert key(base.with_(max_speed=18.0)) == key(base)
+        six = Deployment.from_x(3.0 + 0.5 * np.arange(6))
+        variants = {
+            "num_antennas": base.with_(num_antennas=6, initial_positions=six),
+            "num_users": base.with_(
+                num_users=3,
+                elevation_angles=base.elevation_angles[:3],
+                azimuth_angles=base.azimuth_angles[:3],
+                fading_coeffs=base.fading_coeffs[:3],
+            ),
+            "elevation_angles": base.with_(elevation_angles=base.elevation_angles * 0.5),
+            "azimuth_angles": base.with_(azimuth_angles=base.azimuth_angles * 0.5),
+            "fading_coeffs": base.with_(fading_coeffs=base.fading_coeffs * 2.0),
+            "noise_power": base.with_(noise_power=base.noise_power * 2.0),
+            "total_power": base.with_(total_power=base.total_power * 2.0),
+            "interval": base.with_(interval=4.0),
+            "region_side": base.with_(region_side=12.0),
+            "min_spacing": base.with_(min_spacing=0.0),
+            "initial_positions": base.with_(
+                initial_positions=base.initial_positions.coords + [0.0, 1.0]
+            ),
+            "topology": base.with_(topology=Topology.SEGMENT_1D),
+            "wavelength": base.with_(wavelength=2.0),
+        }
+        fields = {f.name for f in dataclasses.fields(base)} - {"max_speed"}
+        assert set(variants) == fields
+        for name, variant in variants.items():
+            assert key(variant) != key(base), name
+        # fields equal as numbers but not bit for bit are kept apart too
+        zero = base.with_(min_spacing=0.0)
+        assert key(zero.with_(min_spacing=-0.0)) != key(zero)
 
 
 class TestThresholdSummary:

@@ -845,3 +845,28 @@ def test_small_reach_solve_leaves_the_start():
 def test_penalty_config_needs_a_start():
     with pytest.raises(ValueError):
         PenaltyConfig(restarts=0)
+
+
+@pytest.mark.parametrize("restarts", [2.5, 2.0, True, "2"])
+def test_penalty_config_needs_an_integer_count(restarts):
+    # 2.5 once failed later inside optimize_positions, and True ran one start
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        PenaltyConfig(restarts=restarts)
+
+
+def test_penalty_config_accepts_numpy_integers():
+    assert PenaltyConfig(restarts=np.int64(3)).restarts == 3
+
+
+@pytest.mark.parametrize("t_mov", [math.nan, math.inf, -0.1])
+def test_solve_rejects_a_bad_duration(t_mov):
+    # a NaN radius was ignored by the projection: the solve returned the
+    # unlimited-reach answer
+    with pytest.raises(ValueError, match="t_mov must be finite and nonnegative"):
+        optimize_positions(default_scenario(max_speed_wl_s=6), t_mov)
+
+
+@pytest.mark.parametrize("start", [[], np.empty((0, 5, 2))], ids=["list", "stack"])
+def test_solve_rejects_an_empty_candidate_list(start):
+    with pytest.raises(ValueError, match="empty list of candidate starts"):
+        optimize_positions(default_scenario(max_speed_wl_s=6), 0.4, start=start)

@@ -78,9 +78,10 @@ class TestGeneralSearch:
             (5.0 - report.best_t_mov) * report.best_rate, abs=1e-12
         )
 
-    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan"), float("inf"), True, "0.1"])
     def test_bad_grid_step_rejected(self, case_wide, step):
-        # a NaN step once searched t = 0 alone and reported it as the best
+        # a NaN or infinite step once searched t = 0 alone and reported it as
+        # the best, and True was taken as a 1 s step
         with pytest.raises(ValueError, match="grid_step must be positive"):
             general_search(case_wide, grid_step=step)
 

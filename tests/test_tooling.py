@@ -2,7 +2,8 @@
 a change that its self-tests or answer checks reject, or that breaks the
 calls its workloads make into movant, fails here, traced or not; and one
 round of each of its workloads, run in-process, ends every placement loop
-below the iteration cap and without a stall."""
+below the iteration cap and without a stall. An in-process round also
+shows how many speed-free solves it makes."""
 
 import json
 import pathlib
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from movant import positioning
+from movant import harness, positioning, scheduling
 
 from conftest import record_loop_statuses
 
@@ -84,3 +85,30 @@ def test_layerbench_loops_end_below_iteration_cap(monkeypatch, layerbench_worklo
     assert statuses and positioning._STATUS_MAX_ITERS not in statuses
     # no loop of a round runs its line search down to the tolerance either
     assert positioning._STATUS_STALLED not in statuses
+
+
+# speed-free solves per round: antenna_sweep's sweep shares one per antenna
+# count between OTFM and UpperBound, grid_search's separate run_scheme calls
+# each solve their own
+SPEED_FREE_PER_ROUND = {"antenna_sweep": 3, "grid_search": 6}
+
+
+@pytest.mark.parametrize("workload", list(SPEED_FREE_PER_ROUND))
+def test_layerbench_speed_free_solves_per_round(monkeypatch, layerbench_workloads, workload):
+    calls = []
+    deploy = positioning.unconstrained_deploy
+
+    def counting(scenario, config=None):
+        calls.append(scenario.num_antennas)
+        return deploy(scenario, config)
+
+    for module in (harness, scheduling):
+        monkeypatch.setattr(module, "unconstrained_deploy", counting)
+    runner = layerbench_workloads.WORKLOADS[workload](1)
+    # two rounds in one process, as the benchmark repeats them: the second
+    # solves again, so no solve outlives the sweep that made it
+    for _ in range(2):
+        del calls[:]
+        summary = runner.summarize(runner.run_round())
+        assert (summary.attempted, summary.failed, summary.faults) == (ATTEMPTED[workload], 0, [])
+        assert len(calls) == SPEED_FREE_PER_ROUND[workload], calls
