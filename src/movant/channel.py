@@ -67,7 +67,7 @@ def channel_state(scenario: Scenario, deployment) -> ChannelState:
         If the Gram condition number exceeds ``SINGULAR_COND_LIMIT`` (e.g.
         coinciding antennas or indistinguishable users).
     """
-    H, w, V, trace, cond, _ = kernels._gram_spectrum(
+    H, w, V, trace, cond, _, _ = kernels._gram_spectrum(
         _positions(scenario, deployment), *kernel_args(scenario), True
     )
     _check_singular(trace, cond)

@@ -28,6 +28,10 @@ public functions raise.
 of ``centers``, ``radius``, ``lo`` and ``hi``, never on array identities; a
 stack reuses the entry of its (N, 2) centers, and results equal the
 uncached computation bit for bit.
+
+``clip_box`` is ``np.clip`` without its Python wrappers. It is the
+projection's first step, and the whole projection where every disk holds
+the box. It stays out of ``__all__``: it is a primitive, not a kernel.
 """
 
 import functools
@@ -35,6 +39,13 @@ import struct
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+# np.clip's own ufunc, so bit for bit what np.clip returns: np.clip reaches
+# it through two Python wrappers that cost more than clipping a few points
+try:
+    from numpy._core.umath import clip as clip_box
+except ImportError:  # NumPy 1.x
+    from numpy.core.umath import clip as clip_box
 
 __all__ = [
     "NUMBA_ENABLED",
@@ -67,25 +78,28 @@ def channel_matrix(positions, directions, amplitudes, wavenumber):
 
 def _gram_spectrum(positions, directions, amplitudes, wavenumber, cond_limit, vectors):
     """Channel H, ascending Gram eigenvalues w, eigenvectors V (None unless
-    ``vectors``), tr(G^-1), cond(G) and the mask of NaN traces (None when no
-    trace is NaN) of each (N, 2) slice of ``positions``. The trace is NaN
-    where G is singular or worse conditioned than ``cond_limit``; a
-    singular slice has an infinite cond."""
+    ``vectors``), tr(G^-1), cond(G), the mask of NaN traces (None when no
+    trace is NaN) and conj(H) of each (N, 2) slice of ``positions``. The
+    trace is NaN where G is singular or worse conditioned than
+    ``cond_limit``; a singular slice has an infinite cond."""
     H = _channel(positions, directions, amplitudes, wavenumber)
-    G = H.conj().swapaxes(-1, -2) @ H
+    Hc = H.conj()
+    G = Hc.swapaxes(-1, -2) @ H
     if vectors:
         w, V = _umath_linalg.eigh_lo(G, signature="D->dD")
     else:
         w, V = _umath_linalg.eigvalsh_lo(G, signature="D->d"), None
     # the common case, every slice well conditioned, needs no masks; it is
     # tested on Python floats, the cheapest test of a few slices, and the
-    # kept last axis makes even an (N, 2) call's values a list
+    # kept last axis makes even an (N, 2) call's values a list; the
+    # comparisons fail on NaN wherever it sits (min and max would skip a
+    # NaN that follows a number)
     low = w[..., :1]
-    if min(low.ravel().tolist()) > 0.0:
+    if all(x > 0.0 for x in low.ravel().tolist()):
         cond = w[..., -1:] / low
-        if max(cond.ravel().tolist()) <= cond_limit:
+        if all(x <= cond_limit for x in cond.ravel().tolist()):
             # [()] turns the 0-d cond of an (N, 2) call into a scalar
-            return H, w, V, np.add.reduce(1.0 / w, axis=-1), cond[..., 0][()], None
+            return H, w, V, np.add.reduce(1.0 / w, axis=-1), cond[..., 0][()], None, Hc
     singular = w[..., 0] <= 0.0
     # arithmetic on NaN raises no floating-point warning, so a singular
     # slice computes on with NaN eigenvalues to a NaN trace
@@ -94,14 +108,14 @@ def _gram_spectrum(positions, directions, amplitudes, wavenumber, cond_limit, ve
     nan = ~(cond <= cond_limit)
     trace = np.where(nan, np.nan, np.add.reduce(1.0 / safe, axis=-1))
     # [()] turns the 0-d results of an (N, 2) call into scalars
-    return H, w, V, trace[()], cond[()], nan
+    return H, w, V, trace[()], cond[()], nan, Hc
 
 
 def trace_at(positions, directions, amplitudes, wavenumber, cond_limit):
     """(tr(G^-1), cond(G)) of a deployment, or arrays of shape (...) for a
     (..., N, 2) stack; the trace is NaN past ``cond_limit``, and NaN with an
     infinite cond where G is singular."""
-    _, _, _, trace, cond, _ = _gram_spectrum(
+    _, _, _, trace, cond, _, _ = _gram_spectrum(
         positions, directions, amplitudes, wavenumber, cond_limit, False
     )
     return trace, cond
@@ -115,7 +129,7 @@ def trace_and_grad(positions, directions, amplitudes, wavenumber, cond_limit):
     Im([G^-2 H^H]_{k,n} H[n, k])``, with G^-2 = V diag(w^-2) V^H from the
     same eigendecomposition that gives the trace.
     """
-    H, w, V, trace, cond, nan = _gram_spectrum(
+    H, w, V, trace, cond, nan, Hc = _gram_spectrum(
         positions, directions, amplitudes, wavenumber, cond_limit, True
     )
     if nan is not None:
@@ -124,7 +138,7 @@ def trace_and_grad(positions, directions, amplitudes, wavenumber, cond_limit):
         w = np.where(nan[..., None], 1.0, w)
     # H G^-2 is the conjugate transpose of G^-2 H^H
     HG2 = ((H @ V) / w[..., None, :] ** 2) @ V.conj().swapaxes(-1, -2)
-    im = (HG2 * H.conj()).imag
+    im = (HG2 * Hc).imag
     grad = 2.0 * wavenumber * (im @ directions)
     if nan is not None:
         grad = np.where(nan[..., None, None], 0.0, grad)
@@ -155,7 +169,7 @@ def project_deployment(points, centers, radius, lo, hi):
     radius up to 3 and points up to 5 outside the square, 3,659 moved, by
     at most 4 ulps of their largest coordinate).
     """
-    box = np.clip(points, lo, hi)
+    box = clip_box(points, lo, hi)
     gap = box - centers
     outside = np.hypot(gap[..., 0], gap[..., 1]) > radius
     if not outside.any():

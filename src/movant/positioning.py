@@ -194,6 +194,30 @@ def _max_row_norms(x: np.ndarray) -> list:
     return np.sqrt(np.maximum.reduce(np.add.reduce(x * x, axis=-1), axis=-1)).tolist()
 
 
+def _lane_projection(centers, lanes, radius, lo, hi):
+    """Projection of (k, N, 2) stacks, k <= ``lanes``, onto the box [lo,
+    hi] intersected with the disks of ``radius`` around the rows of
+    ``centers``, equal bit for bit to ``kernels.project_deployment``.
+
+    Where every disk holds the whole box, it is the box clip alone: the
+    kernel returns the clip when no clipped row lies outside its disk. Else
+    the lanes project as rows against the centers repeated once per lane,
+    k lanes against the first k repeats (one entry of the projection's memo
+    per lane count): broadcasting the (N, 2) centers over a lane axis would
+    cost the projection a few microseconds a call.
+    """
+    # a clipped row's gap to its center rounds to no more, per axis, than
+    # the gap of the box corner farthest from it; the margin covers the
+    # last bit of hypot, so the test errs only toward the kernel
+    far = np.maximum(np.abs(lo - centers), np.abs(hi - centers))
+    if np.all(np.hypot(far[:, 0], far[:, 1]) * (1.0 + 1e-12) <= radius):
+        return lambda pts: kernels.clip_box(pts, lo, hi)
+    center_rows = np.concatenate([centers] * lanes)
+    return lambda pts: kernels.project_deployment(
+        pts.reshape(-1, 2), center_rows[: pts.size // 2], radius, lo, hi
+    ).reshape(pts.shape)
+
+
 def _pgd_loop(
     start: np.ndarray,
     anchors: np.ndarray,
@@ -241,33 +265,45 @@ def _pgd_loop(
     halving, and the lanes that accepted a halved step get their gradient
     in one more ``trace_and_grad`` call. A lane that ends leaves the stack,
     and each lane comes out bit for bit as it would alone.
+
+    Work that cannot change an iterate is skipped. At rho = 0, the first
+    outer round of every solve, the pull's value and gradient terms are
+    not computed, since log t + 0 * q is exactly log t. Where every reach
+    disk holds the whole box, the projection is the box clip alone, which
+    is what ``kernels.project_deployment`` returns there; that covers
+    ``unconstrained_deploy``'s radius unless a center sits on a corner.
+    The move of a lane whose first trial passed is ``d`` itself.
     """
-    # the lanes project as rows against their centers repeated once per
-    # lane, k lanes against the first k repeats (one entry of the
-    # projection's memo per lane count): broadcasting the (N, 2) centers
-    # over a lane axis would cost the projection a few microseconds a call
-    center_rows = np.concatenate([centers] * len(start))
-    proj = lambda pts: kernels.project_deployment(
-        pts.reshape(-1, 2), center_rows[: pts.size // 2], radius, lo, hi
-    ).reshape(pts.shape)
+    proj = _lane_projection(centers, len(start), radius, lo, hi)
+
+    def penalized(traces, pts):
+        """log tr(G^-1) plus the pull of each lane of ``pts``; at rho = 0
+        the pull is an exact zero, so it is not computed."""
+        logs = [math.log(t) for t in traces]
+        if not rho:
+            return logs
+        return [x + rho * q for x, q in zip(logs, _lane_sums((pts - anchors) ** 2))]
+
     # per lane, (positions, trace, iterations, status) once it has ended
     result = [None] * len(start)
 
     pos = proj(start)
     trace, grad, _ = kernels.trace_and_grad(pos, *channel)
     # the gradient of log tr(G^-1) is the trace's gradient over the trace
-    g = grad / trace[:, None, None] + 2.0 * rho * (pos - anchors)
+    g = grad / trace[:, None, None]
+    if rho:
+        g = g + 2.0 * rho * (pos - anchors)
     # the lanes still in the stack, in the order of its rows: their index,
     # recent penalized values, best (penalized, positions, trace), best
     # penalized value as of each of the last 2 * _NONMONOTONE_MEMORY
     # iterates (the start counts as one) and step
     lanes, recent, best, progress, singular = [], [], [], [], []
-    for i, (t, q) in enumerate(zip(trace.tolist(), _lane_sums((pos - anchors) ** 2))):
-        penalized = math.log(t) + rho * q
+    trace = trace.tolist()
+    for i, (t, pen) in enumerate(zip(trace, penalized(trace, pos))):
         lanes.append(i)
-        recent.append(collections.deque([penalized], maxlen=_NONMONOTONE_MEMORY))
-        best.append((penalized, pos[i], t))
-        progress.append(collections.deque([penalized], maxlen=2 * _NONMONOTONE_MEMORY))
+        recent.append(collections.deque([pen], maxlen=_NONMONOTONE_MEMORY))
+        best.append((pen, pos[i], t))
+        progress.append(collections.deque([pen], maxlen=2 * _NONMONOTONE_MEMORY))
         singular.append(math.isnan(t))
     eta = [_PGD_STEP] * len(start)
 
@@ -308,9 +344,7 @@ def _pgd_loop(
         trace_c, grad_c, _ = kernels.trace_and_grad(cand, *channel)
         grad_c = grad_c / trace_c[:, None, None]
         trace_c = trace_c.tolist()
-        pen_c = [
-            math.log(t) + rho * q for t, q in zip(trace_c, _lane_sums((cand - anchors) ** 2))
-        ]
+        pen_c = penalized(trace_c, cand)
         # lanes that accept a halved step need the gradient there
         halved = [False] * len(lanes)
         stalled = [False] * len(lanes)
@@ -324,7 +358,9 @@ def _pgd_loop(
             while lam * reach[i] > _GRAD_TOL:
                 trial = pos[i] + lam * d[i]
                 trace_t = float(kernels.trace_at(trial, *channel)[0])
-                pen = math.log(trace_t) + rho * float(((trial - anchors[i]) ** 2).sum())
+                pen = math.log(trace_t)
+                if rho:
+                    pen += rho * float(((trial - anchors[i]) ** 2).sum())
                 if pen <= ref + _ARMIJO * lam * slope[i]:
                     cand[i], trace_c[i], pen_c[i] = trial, trace_t, pen
                     break
@@ -335,10 +371,13 @@ def _pgd_loop(
             keep = leave(stalled, _STATUS_STALLED, it)
             if not keep:
                 break
-            cand, grad_c = cand[keep], grad_c[keep]
+            cand, d, grad_c = cand[keep], d[keep], grad_c[keep]
             pen_c, trace_c, halved = ([x[i] for i in keep] for x in (pen_c, trace_c, halved))
-        s = cand - pos
-        pos = cand
+        # the move is d itself where the first trial passed
+        rows = [i for i, h in enumerate(halved) if h]
+        if rows:
+            d[rows] = cand[rows] - pos[rows]
+        s, pos = d, cand
         for i, p in enumerate(pen_c):
             recent[i].append(p)
             if p < best[i][0]:
@@ -354,7 +393,7 @@ def _pgd_loop(
             rows = [i for i, h in enumerate(halved) if h]
             trace_h, grad_h, _ = kernels.trace_and_grad(pos[rows], *channel)
             grad_c[rows] = grad_h / trace_h[:, None, None]
-        g_new = grad_c + 2.0 * rho * (pos - anchors)
+        g_new = grad_c + 2.0 * rho * (pos - anchors) if rho else grad_c
         # a nonpositive curvature along the move gives no spectral step
         eta = [
             min(a / b if b > 0.0 else 2.0 * e, _STEP_MAX)
@@ -433,7 +472,7 @@ def optimize_positions(
         initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
         for _ in range(1, restarts)
     ]
-    pts = kernels.project_deployment(np.array(starts), initial, radius, lo, hi)
+    pts = _lane_projection(initial, len(starts), radius, lo, hi)(np.array(starts))
     traces, _ = kernels.trace_at(pts, *channel)
     # the first lane starts at the best candidate, the jitter lanes follow
     scores = [t if math.isfinite(t) else math.inf for t in traces[: len(start)].tolist()]
@@ -470,13 +509,14 @@ def optimize_positions(
         anchors = separate(pts)
         # the rows of the lanes that keep running
         running = []
-        for row, (lane, (p, trace, steps, status)) in enumerate(zip(live, found)):
+        for row, (lane, (p, trace, steps, status), gap) in enumerate(
+            zip(live, found, _max_row_norms(pts - anchors))
+        ):
             inner_total[lane] += steps
             outers[lane] = outer
             capped[lane] |= status == _STATUS_MAX_ITERS
-            gap = float(np.linalg.norm(p - anchors[row], axis=1).max())
             gaps[lane].append(gap)
-            if spacing_ok(p) and trace < run_obj[lane]:
+            if trace < run_obj[lane] and spacing_ok(p):
                 run_obj[lane], run_pts[lane] = trace, p.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
                 converged[lane] = not capped[lane]

@@ -446,7 +446,10 @@ def sequential_pgd_loop(start, anchors, centers, radius, lo, hi, channel, rho, a
 def line_search_cases(seed, count):
     """Random ``_pgd_loop`` arguments on both topologies: 2 to 6 antennas,
     channel amplitudes from 1e-4 to 1 (tr(G^-1) up to about 1e8, as in the
-    default scenario), radii from 1e-6 to 10 and rho in {0, 1, 1e3}."""
+    default scenario), radii from 1e-6 to 10 and rho in {0, 1, 1e3}; every
+    fourth case instead takes the speed-free radius of ``unconstrained_deploy``
+    (the side on a segment, the diagonal in a square), whose disks cover the
+    whole region."""
     rng = np.random.default_rng(seed)
     for case in range(count):
         side = rng.uniform(2.0, 12.0)
@@ -457,6 +460,8 @@ def line_search_cases(seed, count):
         centers = rng.uniform(lo, hi, (n, 2))
         anchors = np.clip(centers + rng.normal(0.0, 0.5, (n, 2)), lo, hi)
         radius = 10.0 ** rng.uniform(-6.0, 1.0)
+        if case % 4 == 3:
+            radius = side * (1.0 if case % 2 else math.sqrt(2.0))
         directions = rng.uniform(-1.0, 1.0, (k, 2))
         amplitudes = 10.0 ** rng.uniform(-4.0, 0.0, k)
         rho = (0.0, 1.0, 1e3)[case % 3]
@@ -478,9 +483,18 @@ def all_line_search_cases():
 
 def test_line_search_matches_sequential_reference(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
-    accepts = []
+    projections = []
+    project = kernels.project_deployment
+    monkeypatch.setattr(
+        kernels, "project_deployment", lambda *args: projections.append(1) or project(*args)
+    )
+    accepts, clip_only_rhos = [], set()
     for args in all_line_search_cases():
+        before = len(projections)
         pos, trace, iters, status = pgd_loop_alone(*args)
+        if len(projections) == before:
+            clip_only_rhos.add(args[-1] > 0.0)
+        # the reference always projects with the kernel and adds the pull
         ref_pos, ref_trace, ref_iters, ref_status = sequential_pgd_loop(*args, accepts)
         assert np.array_equal(pos, ref_pos)
         assert np.array_equal(trace, ref_trace, equal_nan=True)
@@ -490,6 +504,9 @@ def test_line_search_matches_sequential_reference(monkeypatch):
     assert 0 in accepts
     assert any(a is not None and a > 0 for a in accepts)
     assert None in accepts
+    # loops under covering disks project with the box clip alone, both
+    # without the pull (rho = 0) and with it
+    assert clip_only_rhos == {False, True}
 
 
 def lane_stacks(seed, cases):
