@@ -8,7 +8,11 @@ and ``wavenumber`` is 2*pi/wavelength. Entry (n, k) of the channel matrix is
 ``amplitudes[k] * exp(-1j * wavenumber * dot(positions[n], directions[k]))``
 (columns are conjugated steering vectors). Kernels never raise on degenerate
 channels; they return NaN objectives plus the measured condition number and
-leave error handling to the wrappers.
+leave error handling to the wrappers. Non-finite coordinates are outside the
+kernels' contract: LAPACK's eigensolvers warn on them (``RuntimeWarning:
+invalid value encountered in eigvalsh_lo``, with more than one user), which a
+warnings filter set to "error" raises. ``Deployment``, ``Scenario`` and
+``optimize_positions``' check of its candidate starts keep them out.
 
 ``trace_at``, ``trace_and_grad`` and ``project_deployment`` also take a
 stack of deployments, ``(..., N, 2)``, and return one result per slice,
@@ -90,16 +94,14 @@ def _gram_spectrum(positions, directions, amplitudes, wavenumber, cond_limit, ve
     else:
         w, V = _umath_linalg.eigvalsh_lo(G, signature="D->d"), None
     # the common case, every slice well conditioned, needs no masks; it is
-    # tested on Python floats, the cheapest test of a few slices, and the
-    # kept last axis makes even an (N, 2) call's values a list; the
-    # comparisons fail on NaN wherever it sits (min and max would skip a
-    # NaN that follows a number)
-    low = w[..., :1]
-    if all(x > 0.0 for x in low.ravel().tolist()):
-        cond = w[..., -1:] / low
-        if all(x <= cond_limit for x in cond.ravel().tolist()):
-            # [()] turns the 0-d cond of an (N, 2) call into a scalar
-            return H, w, V, np.add.reduce(1.0 / w, axis=-1), cond[..., 0][()], None, Hc
+    # tested on Python floats, one list of eigenvalues per slice (the
+    # cheapest test of a few slices), whose division rounds as NumPy's
+    # does; the comparisons fail on NaN wherever it sits (min and max would
+    # skip a NaN that follows a number)
+    rows = w.reshape(-1, w.shape[-1]).tolist()
+    if all(r[0] > 0.0 and r[-1] / r[0] <= cond_limit for r in rows):
+        # the cond of an (N, 2) call is a scalar
+        return H, w, V, np.add.reduce(1.0 / w, axis=-1), w[..., -1] / w[..., 0], None, Hc
     singular = w[..., 0] <= 0.0
     # arithmetic on NaN raises no floating-point warning, so a singular
     # slice computes on with NaN eigenvalues to a NaN trace
@@ -172,7 +174,7 @@ def project_deployment(points, centers, radius, lo, hi):
     box = clip_box(points, lo, hi)
     gap = box - centers
     outside = np.hypot(gap[..., 0], gap[..., 1]) > radius
-    if not outside.any():
+    if not np.count_nonzero(outside):
         return box
     # an outside row is farther from its center than its box clip, so more
     # than radius >= 0; the other rows get a zero offset and divide by 1
@@ -183,7 +185,7 @@ def project_deployment(points, centers, radius, lo, hi):
     fits = (radial >= lo) & (radial <= hi)
     edge = outside & ~(fits[..., 0] & fits[..., 1])
     out = np.where(outside[..., None], radial, box)
-    if not edge.any():
+    if not np.count_nonzero(edge):
         return out
     step_x, step_y, ok, crossings, first = _crossings(*_constraint_key(centers, radius, lo, hi))
     # every crossing lies at distance radius from the center, so the one

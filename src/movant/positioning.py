@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .channel import kernel_args, trace_objective
+from .channel import _check_singular, kernel_args, trace_objective
 from .errors import InfeasibleSpacing, SingularChannel
 from .scenario import Deployment, Scenario, Topology, as_positions, min_pair_distance
 
@@ -168,13 +168,18 @@ def separate_anchors(
         dist = np.sqrt((delta * delta).sum(axis=-1))
         dist[..., diagonal, diagonal] = np.inf
         short = dist < min_spacing - 1e-12
-        if not short.any():
+        if not np.count_nonzero(short):
             return pts
         tied = dist < 1e-12
-        tie = _split_directions(n, topology)
-        unit = np.where(tied[..., None], tie, delta) / np.where(tied, 1.0, dist)[..., None]
+        # with no pair tied, the tie-direction wheres would divide delta by
+        # dist as it is (the diagonal's 0 / inf is 0 either way)
+        if np.count_nonzero(tied):
+            tie = _split_directions(n, topology)
+            unit = np.where(tied[..., None], tie, delta) / np.where(tied, 1.0, dist)[..., None]
+        else:
+            unit = delta / dist[..., None]
         shift = np.where(short, 0.5 * (target - dist), 0.0)
-        np.clip(pts - (shift[..., None] * unit).sum(axis=-2), lo, hi, out=pts)
+        kernels.clip_box(pts - (shift[..., None] * unit).sum(axis=-2), lo, hi, out=pts)
     raise InfeasibleSpacing(
         f"failed to separate {n} points to spacing {min_spacing} "
         f"within {_SEPARATION_SWEEPS} sweeps"
@@ -197,7 +202,9 @@ def _max_row_norms(x: np.ndarray) -> list:
 def _lane_projection(centers, lanes, radius, lo, hi):
     """Projection of (k, N, 2) stacks, k <= ``lanes``, onto the box [lo,
     hi] intersected with the disks of ``radius`` around the rows of
-    ``centers``, equal bit for bit to ``kernels.project_deployment``.
+    ``centers``, equal bit for bit to ``kernels.project_deployment``. A
+    solve builds one and projects its starts and every loop of every outer
+    round with it, however many lanes are left.
 
     Where every disk holds the whole box, it is the box clip alone: the
     kernel returns the clip when no clipped row lies outside its disk. Else
@@ -218,25 +225,17 @@ def _lane_projection(centers, lanes, radius, lo, hi):
     ).reshape(pts.shape)
 
 
-def _pgd_loop(
-    start: np.ndarray,
-    anchors: np.ndarray,
-    centers: np.ndarray,
-    radius: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    channel: tuple,
-    rho: float,
-):
+def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho: float):
     """Spectral projected gradient on log tr(G^-1) + rho * ||pos -
     anchors||^2 (SPG2 of Birgin, Martinez and Raydan, 2000), run on
     (L, N, 2) stacks ``start`` and ``anchors`` of lanes that share
-    everything else; ``channel`` is the trace kernels' arguments after the
-    positions, ``channel.kernel_args``. Returns the best iterate seen by
-    each lane, as a list of one (positions, trace, iterations, status)
-    tuple per lane; the trace is the kernel's tr(G^-1) itself, not the
-    exponential of its log. The log and its gradient, the kernel's gradient
-    over the trace, are taken here from the trace kernels' outputs.
+    everything else: ``proj`` is a ``_lane_projection`` onto the reachable
+    set for at least L lanes, and ``channel`` the trace kernels' arguments
+    after the positions, ``channel.kernel_args``. Returns the best iterate
+    seen by each lane, as a list of one (positions, trace, iterations,
+    status) tuple per lane; the trace is the kernel's tr(G^-1) itself, not
+    the exponential of its log. The log and its gradient, the kernel's
+    gradient over the trace, are taken here from the trace kernels' outputs.
 
     Each iteration projects once, ``d = P(pos - eta g) - pos``, and tries
     ``pos + lam d`` for lam = 1, 1/2, 1/4, ...: lam = 1 is the projected
@@ -269,12 +268,11 @@ def _pgd_loop(
     Work that cannot change an iterate is skipped. At rho = 0, the first
     outer round of every solve, the pull's value and gradient terms are
     not computed, since log t + 0 * q is exactly log t. Where every reach
-    disk holds the whole box, the projection is the box clip alone, which
-    is what ``kernels.project_deployment`` returns there; that covers
+    disk holds the whole box, ``proj`` is the box clip alone, which is
+    what ``kernels.project_deployment`` returns there; that covers
     ``unconstrained_deploy``'s radius unless a center sits on a corner.
     The move of a lane whose first trial passed is ``d`` itself.
     """
-    proj = _lane_projection(centers, len(start), radius, lo, hi)
 
     def penalized(traces, pts):
         """log tr(G^-1) plus the pull of each lane of ``pts``; at rho = 0
@@ -434,7 +432,9 @@ def optimize_positions(
     over the lanes still running, and every lane ends as the same restart
     run alone would, bit for bit; with several failing lanes, the first
     error in lockstep order is the one raised. A negative or non-finite
-    ``t_mov`` and an empty candidate list raise ``ValueError``.
+    ``t_mov``, an empty candidate list and a candidate with a non-finite
+    coordinate raise ``ValueError``; a singular channel at the initial
+    deployment raises ``SingularChannel``.
     """
     # NaN would give a NaN radius, which the projection ignores
     if not (math.isfinite(t_mov) and t_mov >= 0):
@@ -446,14 +446,19 @@ def optimize_positions(
         raise ValueError("start is an empty list of candidate starts")
     elif np.ndim(start[0]) == 1:
         start = [start]
+    candidates = np.array([as_positions(s) for s in start])
+    # a NaN coordinate would reach LAPACK, which warns, and then pass for a
+    # singular channel
+    if not np.isfinite(candidates).all():
+        bad = np.flatnonzero(~np.isfinite(candidates).all(axis=(1, 2)))[0]
+        raise ValueError(f"candidate start {bad} has a non-finite coordinate")
     restarts = (config or PenaltyConfig()).restarts
     radius = scenario.max_speed * t_mov
-    f_initial = trace_objective(scenario, initial)
     if radius <= 0.0:
         # zero reach pins every antenna at its start regardless of warm start
         return OptimizeOutcome(
             deployment=scenario.initial_positions,
-            objective=f_initial,
+            objective=trace_objective(scenario, initial),
             outer_iterations=0,
             inner_iterations=0,
             max_constraint_violation=0.0,
@@ -465,24 +470,31 @@ def optimize_positions(
     d_min = scenario.min_spacing
     spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
 
-    # the jitters are drawn in restart order
-    rng = np.random.default_rng(0)
-    jitter_scale = min(radius, scenario.region_side / 4.0)
-    starts = [as_positions(s) for s in start] + [
-        initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
-        for _ in range(1, restarts)
-    ]
-    pts = _lane_projection(initial, len(starts), radius, lo, hi)(np.array(starts))
-    traces, _ = kernels.trace_at(pts, *channel)
+    # the jitters are drawn in restart order, one draw for all of them
+    if restarts > 1:
+        jitter_scale = min(radius, scenario.region_side / 4.0)
+        draws = np.random.default_rng(0).uniform(
+            -jitter_scale, jitter_scale, (restarts - 1, *initial.shape)
+        )
+        candidates = np.concatenate([candidates, initial + draws])
+    # one projection serves the starts and every outer round
+    proj = _lane_projection(initial, len(candidates), radius, lo, hi)
+    pts = proj(candidates)
+    # one call scores the starts and, as the last slice, the initial
+    # deployment itself: each slice equals its own (N, 2) call bit for bit
+    traces, conds = kernels.trace_at(np.concatenate([pts, initial[None]]), *channel)
+    _check_singular(traces[-1], conds[-1])
+    traces = traces.tolist()
+    f_initial = traces.pop()
     # the first lane starts at the best candidate, the jitter lanes follow
-    scores = [t if math.isfinite(t) else math.inf for t in traces[: len(start)].tolist()]
-    lanes = [scores.index(min(scores)), *range(len(start), len(starts))]
-    pts, traces = pts[lanes], traces[lanes]
+    scores = [t if math.isfinite(t) else math.inf for t in traces[: len(start)]]
+    lanes = [scores.index(min(scores)), *range(len(start), len(candidates))]
+    pts = pts[lanes]
     # per lane: its best spacing-feasible objective and deployment, its
     # gap history and its inner iterations, outer rounds and convergence
     run_obj = [math.inf] * restarts
     run_pts = [None] * restarts
-    for lane, trace in enumerate(traces.tolist()):
+    for lane, trace in enumerate(traces[i] for i in lanes):
         if spacing_ok(pts[lane]) and not math.isnan(trace):
             run_obj[lane], run_pts[lane] = trace, pts[lane].copy()
     gaps = [[] for _ in range(restarts)]
@@ -502,7 +514,7 @@ def optimize_positions(
     # the lanes still running, in the order of the rows of pts and anchors
     live = list(range(restarts))
     for outer in range(1, _AO_MAX_ITERS + 1):
-        found = _pgd_loop(pts, anchors, initial, radius, lo, hi, channel, rho)
+        found = _pgd_loop(pts, anchors, proj, channel, rho)
         if any(status == _STATUS_SINGULAR for *_, status in found):
             raise SingularChannel("channel is singular at the starting deployment")
         pts = np.array([p for p, *_ in found])

@@ -196,10 +196,17 @@ class TestSeparateAnchors:
         assert min_pair(out) >= 0.5 - 1e-9
 
 
+def pgd_loop(starts, anchors, centers, radius, lo, hi, channel, rho):
+    """``_pgd_loop`` on an (L, N, 2) stack of lanes, projecting onto the
+    disks of ``radius`` around ``centers`` within the box [lo, hi]."""
+    proj = positioning._lane_projection(centers, len(starts), radius, lo, hi)
+    return positioning._pgd_loop(starts, anchors, proj, channel, rho)
+
+
 def pgd_loop_alone(start, anchors, *shared):
-    """``_pgd_loop`` on one (N, 2) lane: its (positions, trace, iterations,
+    """``pgd_loop`` on one (N, 2) lane: its (positions, trace, iterations,
     status)."""
-    return positioning._pgd_loop(start[None], anchors[None], *shared)[0]
+    return pgd_loop(start[None], anchors[None], *shared)[0]
 
 
 def pgd_loop_from_start(scenario, t_mov, anchors, rho):
@@ -529,7 +536,7 @@ def test_lanes_match_single_lane_loops(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     accepts, ends = [], []
     for starts, anchors, shared in lane_stacks(31, all_line_search_cases()):
-        lanes = positioning._pgd_loop(starts, anchors, *shared)
+        lanes = pgd_loop(starts, anchors, *shared)
         assert len(lanes) == len(starts)
         for (pos, trace, iters, status), start, anchor in zip(lanes, starts, anchors):
             alone = pgd_loop_alone(start, anchor, *shared)
@@ -564,7 +571,7 @@ def test_singular_lane_leaves_the_others_running():
         kernel_args(scenario),
         0.0,
     )
-    lanes = positioning._pgd_loop(starts, starts, *shared)
+    lanes = pgd_loop(starts, starts, *shared)
     for lane, start in zip(lanes, starts):
         alone = pgd_loop_alone(start, start, *shared)
         assert np.array_equal(lane[0], alone[0])
@@ -581,10 +588,11 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
     """Reference ``optimize_positions``: the first restart begins at the
     candidate of the list ``start`` that ``reference_pick_start`` picks, and
     the restarts run one after another, each a one-lane ``_pgd_loop`` per
-    outer round, with the jitters drawn in restart order; a restart has
-    converged if its gap closed and none of its loops hit the iteration cap;
-    the best feasible result wins, ties keep the earliest restart and the
-    initial deployment is the floor."""
+    outer round with a projection built for that loop alone, with the
+    jitters drawn one restart at a time; a restart has converged if its gap
+    closed and none of its loops hit the iteration cap; the best feasible
+    result wins, ties keep the earliest restart and the initial deployment
+    is the floor."""
     radius = scenario.max_speed * t_mov
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
@@ -702,7 +710,8 @@ def test_restart_lanes_match_sequential_restarts():
 @pytest.mark.parametrize("restarts", [1, 4])
 def test_one_separation_per_outer_round(monkeypatch, restarts):
     # the first round runs at rho = 0 and reads no anchors, so the solve
-    # separates once after each round's loop and never before the first
+    # separates once after each round's loop and never before the first;
+    # its one projection serves the starts and every round
     calls = collections.Counter()
 
     def counting(name):
@@ -716,9 +725,11 @@ def test_one_separation_per_outer_round(monkeypatch, restarts):
 
     counting("separate_anchors")
     counting("_pgd_loop")
+    counting("_lane_projection")
     out = optimize_positions(default_scenario(max_speed_wl_s=2), 0.4, PenaltyConfig(restarts))
     # each round is one stacked loop over the lanes still running
     assert out.outer_iterations > 1
+    assert calls["_lane_projection"] == 1
     assert calls["separate_anchors"] == calls["_pgd_loop"] >= out.outer_iterations
     if restarts == 1:
         assert calls["_pgd_loop"] == out.outer_iterations
@@ -887,3 +898,62 @@ def test_solve_rejects_a_bad_duration(t_mov):
 def test_solve_rejects_an_empty_candidate_list(start):
     with pytest.raises(ValueError, match="empty list of candidate starts"):
         optimize_positions(default_scenario(max_speed_wl_s=6), 0.4, start=start)
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_solve_scores_its_set_up_in_one_call(monkeypatch, case_wide, restarts):
+    # a solve of a two-antenna duration chain, from the previous duration's
+    # solution and the speed-free optimum: its first lane ends before a
+    # first step, so the set-up is all the solve costs; it scores the
+    # candidates, the jitter and the initial deployment in one stacked call
+    previous = optimize_positions(case_wide, 0.45).deployment
+    candidates = [previous, unconstrained_deploy(case_wide).deployment]
+    shapes, builds = [], []
+    trace_at, lane_projection = kernels.trace_at, positioning._lane_projection
+
+    def scoring(positions, *rest):
+        shapes.append(positions.shape)
+        return trace_at(positions, *rest)
+
+    def building(centers, lanes, *rest):
+        builds.append(lanes)
+        return lane_projection(centers, lanes, *rest)
+
+    monkeypatch.setattr(kernels, "trace_at", scoring)
+    monkeypatch.setattr(positioning, "_lane_projection", building)
+    statuses = record_loop_statuses(monkeypatch)
+    out = optimize_positions(case_wide, 0.5, PenaltyConfig(restarts), start=candidates)
+    assert out.inner_iterations == 0
+    assert shapes == [(len(candidates) + restarts, 2, 2)]
+    # one projection for the starts and the loops, sized for every start
+    assert builds == [len(candidates) + restarts - 1]
+    assert len(statuses) == restarts
+
+
+@pytest.mark.parametrize("t_mov", [0.0, 0.4])
+def test_singular_initial_deployment_raises(t_mov):
+    # two users at one angle give the initial deployment a rank-deficient
+    # Gram: the solve raises as the trace objective there does
+    base = default_scenario()
+    angles = [list(base.elevation_angles), list(base.azimuth_angles)]
+    for values in angles:
+        values[1] = values[0]
+    scenario = default_scenario(elevation_angles=angles[0], azimuth_angles=angles[1])
+    with pytest.raises(SingularChannel) as expected:
+        trace_objective(scenario, scenario.initial_positions)
+    with pytest.raises(SingularChannel) as got:
+        optimize_positions(scenario, t_mov)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_solve_rejects_a_non_finite_start(value):
+    # a NaN start reached LAPACK, which warned, and then either raised
+    # SingularChannel for the channel or, next to a finite candidate, was
+    # dropped without a word
+    scenario = default_scenario(max_speed_wl_s=6)
+    bad = scenario.initial_positions.coords.copy()
+    bad[2, 1] = value
+    for start, index in ((bad, 0), ([scenario.initial_positions, bad], 1)):
+        with pytest.raises(ValueError, match=f"candidate start {index} has a non-finite"):
+            optimize_positions(scenario, 0.4, start=start)

@@ -470,8 +470,9 @@ def test_solve_starts_from_the_best_candidate(monkeypatch):
         stacked.clear()
         got = solve(t_mov, candidates, restarts)
         monkeypatch.setattr(kernels, "trace_at", trace_at)
-        # every candidate and jitter start is scored in one stacked call
-        assert stacked == [(len(candidates) + restarts - 1, *initial.coords.shape)]
+        # every candidate and jitter start is scored in one stacked call,
+        # and the initial deployment as its last slice
+        assert stacked == [(len(candidates) + restarts, *initial.coords.shape)]
         assert (got is None) == (expected is None)
         if got is not None:
             assert np.array_equal(got.deployment.coords, expected.deployment.coords)

@@ -7,6 +7,7 @@ ever. An in-process round also shows how many speed-free solves it makes.
 The A/B tool runs the benchmark on two checkouts."""
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -134,18 +135,21 @@ def test_ab_compares_a_checkout_with_itself():
     assert done.returncode == 0, done.stderr
     assert "pair  1 (parent first)" in done.stdout
     assert "answers correct, digests equal in every pair" in done.stdout
+    # equal throughputs tie, and a tie is no win
+    assert "throughput_b_hz: claim does not hold (0/1 wins" in done.stdout
 
 
 def test_ab_fails_when_digests_differ(tmp_path):
-    # two stand-in checkouts whose benchmark runs report different digests
-    for side in ("parent", "change"):
+    # two stand-in checkouts whose benchmark runs report different digests,
+    # the change at half the parent's wall time
+    for side, wall in (("parent", 1.0), ("change", 0.5)):
         bench = tmp_path / side / "layerbench"
         (bench / "out").mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text(
             json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]})
         )
         record = json.dumps({"digest": side})
-        result = json.dumps({"correct": True, "metrics": {"wall_s": {"value": 1.0}}})
+        result = json.dumps({"correct": True, "metrics": {"wall_s": {"value": wall}}})
         (bench / "run.py").write_text(
             "import pathlib\n"
             f"pathlib.Path('layerbench/out/grid_search-seed1-trace0.json').write_text({record!r})\n"
@@ -157,3 +161,24 @@ def test_ab_fails_when_digests_differ(tmp_path):
     )
     assert done.returncode == 1
     assert "pair 1: digests differ" in done.stderr and "pair 2: digests differ" in done.stderr
+    assert "wall_s: claim holds (2/2 wins, 9/10 needed; median gap 0.5 vs parent IQR 0)" in (
+        done.stdout
+    )
+
+
+def test_ab_claim_rule(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    # 10/10 wins by more than the parent's IQR of 0.2
+    assert ab.claim(parent, [p - 0.3 for p in parent], True)[:2] == (True, 10)
+    # 10/10 wins, but by less than that IQR
+    assert ab.claim(parent, [p - 0.1 for p in parent], True)[:2] == (False, 10)
+    # 8/10 wins: two ties count for neither side
+    change = [p - 0.3 for p in parent[:8]] + parent[8:]
+    assert ab.claim(parent, change, True)[:2] == (False, 8)
+    # higher is better: the same gap the other way
+    assert ab.claim(parent, [p + 0.3 for p in parent], False)[:2] == (True, 10)

@@ -9,9 +9,12 @@ a time, pair after pair, alternating which side runs first. Prints each
 pair's end-to-end metrics, each side's median and quartiles, and the number
 of pairs in which the change read better, per metric (ties count for
 neither side); the better direction of each metric comes from CHANGE's
-``BENCHMARK.json``. Exits with status 1 when a run reports incorrect
-answers or the two sides' result digests differ in any pair; the digests
-are read from each checkout's ``layerbench/out/<W>-seed<S>-trace0.json``.
+``BENCHMARK.json``. A verdict line per metric says whether a gain may be
+claimed: the change wins at least nine tenths of the pairs, and its median
+is better than the parent's by more than the parent's interquartile range.
+Exits with status 1 when a run reports incorrect answers or the two sides'
+result digests differ in any pair; the digests are read from each
+checkout's ``layerbench/out/<W>-seed<S>-trace0.json``.
 """
 
 import argparse
@@ -63,6 +66,17 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def claim(parent: list, change: list, is_lower: bool) -> tuple[bool, int, float, float]:
+    """(whether a gain may be claimed, the change's wins, the median gap
+    in the better direction, the parent's interquartile range) over paired
+    runs ``parent`` and ``change`` of one metric; ties count for neither."""
+    wins = sum(c < p if is_lower else c > p for p, c in zip(parent, change))
+    p1, p2, p3 = quartiles(parent)
+    c2 = quartiles(change)[1]
+    gap = p2 - c2 if is_lower else c2 - p2
+    return 10 * wins >= 9 * len(parent) and gap > p3 - p1, wins, gap, p3 - p1
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -88,12 +102,18 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<18}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}  wins")
+    verdicts = []
     for name, is_lower in lower.items():
         parent = [run[name] for run in values["parent"]]
         change = [run[name] for run in values["change"]]
-        wins = sum(c < p if is_lower else c > p for p, c in zip(parent, change))
+        holds, wins, gap, iqr = claim(parent, change, is_lower)
         cells = "".join(f"{q:>12.6g}" for runs in (parent, change) for q in quartiles(runs))
         print(f"{name:<18}{cells}  {wins}/{args.pairs}")
+        verdicts.append(
+            f"{name}: claim {'holds' if holds else 'does not hold'} ({wins}/{args.pairs} wins, "
+            f"9/10 needed; median gap {gap:.6g} vs parent IQR {iqr:.6g})"
+        )
+    print("\n".join(verdicts))
     for fault in faults:
         print(f"FAULT: {fault}", file=sys.stderr)
     print(f"{len(faults)} fault(s)" if faults else "answers correct, digests equal in every pair")
