@@ -6,12 +6,16 @@ non-convex pairwise-spacing constraints are carried by auxiliary anchor
 points: spectral projected gradient descent (Barzilai-Borwein steps and a
 nonmonotone line search) lowers log tr(G^-1) plus a quadratic pull toward
 the anchors, the anchors are re-separated to the minimum spacing, and the
-pull strength grows geometrically until positions and anchors agree. The
-first round runs without the pull, so the first anchors are separated from
-its result. The log makes the descent independent of the channel's scale:
-tr(G^-1) spans more than ten orders of magnitude across scenarios and
-layouts, while the solver's step seed, pull schedule and tolerances are
-fixed numbers.
+pull strength is raised until positions and anchors agree. The first round
+runs without the pull, so the first anchors are separated from its result.
+Each later pull is aimed at the spacing tolerance by the quadratic-penalty
+estimate: the gap between positions and anchors is about the log-gradient
+over twice the pull, so the log-gradient after the first round and the gap
+after each pulled one set the next pull, and a solve at small reach closes
+its gap in one pulled round rather than several. The log makes the descent
+independent of the channel's scale: tr(G^-1) spans more than ten orders of
+magnitude across scenarios and layouts, while the solver's step seed, pull
+floor and growth and tolerances are fixed numbers.
 """
 
 from __future__ import annotations
@@ -42,16 +46,18 @@ __all__ = [
 # recent penalized values and asks for this fraction of the linear decrease
 _NONMONOTONE_MEMORY = 10
 _ARMIJO = 1e-4
-# cap of the spectral step: the anchor pull's strength spans ten orders of
-# magnitude over the outer rounds, so the cap only keeps the step finite
+# cap of the spectral step: the anchor pull's strength spans ten or more
+# orders of magnitude over the outer rounds, so the cap only keeps the step
+# finite
 _STEP_MAX = 1e30
 
-# the solver's fixed tuning: the anchor pull of the second outer round and
-# its growth per round, the step that seeds each loop's first spectral step,
-# the loop and round caps, the largest move (per antenna, wavelengths) at
-# which a loop has converged, and the least fall of a loop's best penalized
-# value (log units) across its last 2 * _NONMONOTONE_MEMORY iterates that
-# keeps it running
+# the solver's fixed tuning: the floors of the aimed anchor pull
+# (_next_pull), its least value after the first round and its least growth
+# per round; the step that seeds each loop's first spectral step, the loop
+# and round caps, the largest move (per antenna, wavelengths) at which a
+# loop has converged, and the least fall of a loop's best penalized value
+# (log units) across its last 2 * _NONMONOTONE_MEMORY iterates that keeps
+# it running
 _RHO_INIT = 1.0
 _RHO_GROWTH = 10.0
 _PGD_STEP = 1e-3
@@ -225,17 +231,21 @@ def _lane_projection(centers, lanes, radius, lo, hi):
     ).reshape(pts.shape)
 
 
-def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho: float):
+def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho: np.ndarray):
     """Spectral projected gradient on log tr(G^-1) + rho * ||pos -
     anchors||^2 (SPG2 of Birgin, Martinez and Raydan, 2000), run on
-    (L, N, 2) stacks ``start`` and ``anchors`` of lanes that share
-    everything else: ``proj`` is a ``_lane_projection`` onto the reachable
-    set for at least L lanes, and ``channel`` the trace kernels' arguments
-    after the positions, ``channel.kernel_args``. Returns the best iterate
-    seen by each lane, as a list of one (positions, trace, iterations,
-    status) tuple per lane; the trace is the kernel's tr(G^-1) itself, not
-    the exponential of its log. The log and its gradient, the kernel's
-    gradient over the trace, are taken here from the trace kernels' outputs.
+    (L, N, 2) stacks ``start`` and ``anchors`` of lanes with an (L,) array
+    ``rho`` of pulls, one per lane, that share everything else: ``proj`` is
+    a ``_lane_projection`` onto the reachable set for at least L lanes, and
+    ``channel`` the trace kernels' arguments after the positions,
+    ``channel.kernel_args``. Returns the best iterate seen by each lane, as
+    a list of one (positions, trace, iterations, status, log-gradient)
+    tuple per lane; the trace is the kernel's tr(G^-1) itself, not the
+    exponential of its log, and the log-gradient is the gradient of log
+    tr(G^-1) alone at the positions, without the pull, as a
+    ``trace_and_grad`` call there would give it. The log and its gradient,
+    the kernel's gradient over the trace, are taken here from the trace
+    kernels' outputs.
 
     Each iteration projects once, ``d = P(pos - eta g) - pos``, and tries
     ``pos + lam d`` for lam = 1, 1/2, 1/4, ...: lam = 1 is the projected
@@ -262,45 +272,52 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
     trials of all lanes are scored in one ``trace_and_grad`` call, a lane
     whose first trial fails halves on its own, one ``trace_at`` call per
     halving, and the lanes that accepted a halved step get their gradient
-    in one more ``trace_and_grad`` call. A lane that ends leaves the stack,
-    and each lane comes out bit for bit as it would alone.
+    in one more ``trace_and_grad`` call, made before the progress stop so
+    that every best iterate has its gradient. A lane that ends leaves the
+    stack, and each lane comes out bit for bit as it would alone.
 
-    Work that cannot change an iterate is skipped. At rho = 0, the first
-    outer round of every solve, the pull's value and gradient terms are
-    not computed, since log t + 0 * q is exactly log t. Where every reach
-    disk holds the whole box, ``proj`` is the box clip alone, which is
-    what ``kernels.project_deployment`` returns there; that covers
-    ``unconstrained_deploy``'s radius unless a center sits on a corner.
-    The move of a lane whose first trial passed is ``d`` itself.
+    Work that cannot change an iterate is skipped. Where every pull is 0,
+    as in the first outer round of every solve, the pull's value and
+    gradient terms are not computed, since log t + 0 * q is exactly log t.
+    Where every reach disk holds the whole box, ``proj`` is the box clip
+    alone, which is what ``kernels.project_deployment`` returns there; that
+    covers ``unconstrained_deploy``'s radius unless a center sits on a
+    corner. The move of a lane whose first trial passed is ``d`` itself.
     """
+    pulled = bool(np.any(rho))
 
     def penalized(traces, pts):
-        """log tr(G^-1) plus the pull of each lane of ``pts``; at rho = 0
-        the pull is an exact zero, so it is not computed."""
+        """log tr(G^-1) plus the pull of each lane of ``pts``; where every
+        pull is 0 it is an exact zero, so it is not computed."""
         logs = [math.log(t) for t in traces]
-        if not rho:
+        if not pulled:
             return logs
-        return [x + rho * q for x, q in zip(logs, _lane_sums((pts - anchors) ** 2))]
+        squares = _lane_sums((pts - anchors) ** 2)
+        return [x + r * q for x, r, q in zip(logs, rho.tolist(), squares)]
 
-    # per lane, (positions, trace, iterations, status) once it has ended
+    def pull_gradient(pts):
+        """The gradient of each lane's pull at ``pts``."""
+        return 2.0 * rho[:, None, None] * (pts - anchors)
+
+    # per lane, (positions, trace, iterations, status, log-gradient) once it
+    # has ended
     result = [None] * len(start)
 
     pos = proj(start)
     trace, grad, _ = kernels.trace_and_grad(pos, *channel)
     # the gradient of log tr(G^-1) is the trace's gradient over the trace
-    g = grad / trace[:, None, None]
-    if rho:
-        g = g + 2.0 * rho * (pos - anchors)
+    log_g = grad / trace[:, None, None]
+    g = log_g + pull_gradient(pos) if pulled else log_g
     # the lanes still in the stack, in the order of its rows: their index,
-    # recent penalized values, best (penalized, positions, trace), best
-    # penalized value as of each of the last 2 * _NONMONOTONE_MEMORY
-    # iterates (the start counts as one) and step
+    # recent penalized values, best (penalized, positions, trace,
+    # log-gradient), best penalized value as of each of the last
+    # 2 * _NONMONOTONE_MEMORY iterates (the start counts as one) and step
     lanes, recent, best, progress, singular = [], [], [], [], []
     trace = trace.tolist()
     for i, (t, pen) in enumerate(zip(trace, penalized(trace, pos))):
         lanes.append(i)
         recent.append(collections.deque([pen], maxlen=_NONMONOTONE_MEMORY))
-        best.append((pen, pos[i], t))
+        best.append((pen, pos[i], t, log_g[i]))
         progress.append(collections.deque([pen], maxlen=2 * _NONMONOTONE_MEMORY))
         singular.append(math.isnan(t))
     eta = [_PGD_STEP] * len(start)
@@ -308,11 +325,12 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
     def leave(ended, status, iters):
         """Record the lanes flagged in ``ended`` and drop them from the
         stack; returns the rows of the lanes that stay."""
-        nonlocal lanes, recent, best, progress, eta, pos, g, anchors
+        nonlocal lanes, recent, best, progress, eta, pos, g, anchors, rho
         keep = []
         for i, lane in enumerate(lanes):
             if ended[i]:
-                result[lane] = (best[i][1], best[i][2], iters, status)
+                _, p, t, lg = best[i]
+                result[lane] = (p, t, iters, status, lg)
             else:
                 keep.append(i)
         if not keep:
@@ -321,7 +339,7 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
         lanes, recent, best, progress, eta = (
             [x[i] for i in keep] for x in (lanes, recent, best, progress, eta)
         )
-        pos, g, anchors = pos[keep], g[keep], anchors[keep]
+        pos, g, anchors, rho = pos[keep], g[keep], anchors[keep], rho[keep]
         return keep
 
     if any(singular):
@@ -357,8 +375,8 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
                 trial = pos[i] + lam * d[i]
                 trace_t = float(kernels.trace_at(trial, *channel)[0])
                 pen = math.log(trace_t)
-                if rho:
-                    pen += rho * float(((trial - anchors[i]) ** 2).sum())
+                if pulled:
+                    pen += float(rho[i]) * float(((trial - anchors[i]) ** 2).sum())
                 if pen <= ref + _ARMIJO * lam * slope[i]:
                     cand[i], trace_c[i], pen_c[i] = trial, trace_t, pen
                     break
@@ -375,23 +393,21 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
         rows = [i for i, h in enumerate(halved) if h]
         if rows:
             d[rows] = cand[rows] - pos[rows]
+            trace_h, grad_h, _ = kernels.trace_and_grad(cand[rows], *channel)
+            grad_c[rows] = grad_h / trace_h[:, None, None]
         s, pos = d, cand
         for i, p in enumerate(pen_c):
             recent[i].append(p)
             if p < best[i][0]:
-                best[i] = (p, pos[i], trace_c[i])
+                best[i] = (p, pos[i], trace_c[i], grad_c[i])
             progress[i].append(best[i][0])
         done = [len(h) == h.maxlen and h[0] - h[-1] <= _PROGRESS_TOL for h in progress]
         if any(done):
             keep = leave(done, _STATUS_CONVERGED, it + 1)
             if not keep:
                 break
-            s, grad_c, halved = s[keep], grad_c[keep], [halved[i] for i in keep]
-        if any(halved):
-            rows = [i for i, h in enumerate(halved) if h]
-            trace_h, grad_h, _ = kernels.trace_and_grad(pos[rows], *channel)
-            grad_c[rows] = grad_h / trace_h[:, None, None]
-        g_new = grad_c + 2.0 * rho * (pos - anchors) if rho else grad_c
+            s, grad_c = s[keep], grad_c[keep]
+        g_new = grad_c + pull_gradient(pos) if pulled else grad_c
         # a nonpositive curvature along the move gives no spectral step
         eta = [
             min(a / b if b > 0.0 else 2.0 * e, _STEP_MAX)
@@ -401,6 +417,32 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
     else:
         leave([True] * len(lanes), _STATUS_MAX_ITERS, _PGD_MAX_ITERS)
     return result
+
+
+def _next_pull(rho: float, gap: float, log_grad: np.ndarray) -> float:
+    """The anchor pull of a lane's next outer round, aimed on the log scale
+    at a gap of ``FEASIBILITY_TOL / 2`` between positions and anchors.
+
+    At a stationary point of log f + rho * ||x - a||^2, x - a is about
+    -grad log f / (2 rho): the quadratic-penalty estimate (Nocedal and
+    Wright, Numerical Optimization, 17.1). After the pull-free first round
+    (``rho`` = 0) the pull is the largest row norm of ``log_grad``, the
+    gradient of log tr(G^-1) at the lane's result, over
+    ``FEASIBILITY_TOL``. After a pulled round with gap ``gap`` it is rho *
+    gap / (``FEASIBILITY_TOL`` / 2), since the gap falls as 1 / rho. The
+    pull grows at least ``_RHO_GROWTH``-fold per round and is at least
+    ``_RHO_INIT`` after the first, which also stands in for an aim that is
+    no finite number: a zero, NaN or overflowing gradient.
+    """
+    if rho == 0.0:
+        # a gradient too large to square gives an infinite norm
+        with np.errstate(over="ignore"):
+            aim = _max_row_norms(log_grad[None])[0] / FEASIBILITY_TOL
+    else:
+        aim = rho * gap / (FEASIBILITY_TOL / 2.0)
+    least = rho * _RHO_GROWTH if rho else _RHO_INIT
+    # NaN fails both comparisons
+    return aim if least < aim < math.inf else least
 
 
 def optimize_positions(
@@ -413,15 +455,16 @@ def optimize_positions(
 
     Alternates projected gradient descent with anchor re-separation under a
     growing penalty until positions and anchors agree within half of
-    ``FEASIBILITY_TOL``; the first round descends the objective alone, so
-    each round separates once, after its descent, and an over-packed region
-    raises ``InfeasibleSpacing`` after the first round. The returned
-    deployment lies in the region exactly, in the disks up to rounding
-    (within 2 ulps of its largest coordinate) and keeps the pairwise
-    spacing within ``FEASIBILITY_TOL``; its objective never exceeds the
-    objective of the initial deployment. A solve has converged only if the
-    winning restart closed that gap and none of its gradient loops hit the
-    iteration cap. ``start`` (the initial deployment by default) is one
+    ``FEASIBILITY_TOL``; the first round descends the objective alone, and
+    each restart aims the pull of its next round at that gap
+    (``_next_pull``). So each round separates once, after its descent, and
+    an over-packed region raises ``InfeasibleSpacing`` after the first
+    round. The returned deployment lies in the region exactly, in the disks
+    up to rounding (within 2 ulps of its largest coordinate) and keeps the
+    pairwise spacing within ``FEASIBILITY_TOL``; its objective never exceeds
+    the objective of the initial deployment. A solve has converged only if
+    the winning restart closed that gap and none of its gradient loops hit
+    the iteration cap. ``start`` (the initial deployment by default) is one
     ``Deployment`` or (N, 2) positions, or a sequence or (L, N, 2) stack of
     candidates of which the first restart takes the one with the lowest
     finite tr(G^-1) once projected into reach (the first on a tie or when
@@ -508,20 +551,19 @@ def optimize_positions(
     )
     # the first round descends the raw objective, so it needs no anchors;
     # the pull kicks in once re-separation shows which spacing constraints
-    # bind; every lane still running is in the same round, so the lanes
-    # share rho
-    anchors, rho = pts, 0.0
+    # bind; each lane aims its own pull, so that it ends as it would alone
+    anchors, rho = pts, np.zeros(restarts)
     # the lanes still running, in the order of the rows of pts and anchors
     live = list(range(restarts))
     for outer in range(1, _AO_MAX_ITERS + 1):
         found = _pgd_loop(pts, anchors, proj, channel, rho)
-        if any(status == _STATUS_SINGULAR for *_, status in found):
+        if any(status == _STATUS_SINGULAR for *_, status, _ in found):
             raise SingularChannel("channel is singular at the starting deployment")
         pts = np.array([p for p, *_ in found])
         anchors = separate(pts)
-        # the rows of the lanes that keep running
-        running = []
-        for row, (lane, (p, trace, steps, status), gap) in enumerate(
+        # the rows of the lanes that keep running, and their next pulls
+        running, pulls = [], []
+        for row, (lane, (p, trace, steps, status, log_grad), gap) in enumerate(
             zip(live, found, _max_row_norms(pts - anchors))
         ):
             inner_total[lane] += steps
@@ -534,11 +576,11 @@ def optimize_positions(
                 converged[lane] = not capped[lane]
             else:
                 running.append(row)
+                pulls.append(_next_pull(float(rho[row]), gap, log_grad))
         if not running:
             break
         live = [live[row] for row in running]
-        pts, anchors = pts[running], anchors[running]
-        rho = _RHO_INIT if rho == 0.0 else rho * _RHO_GROWTH
+        pts, anchors, rho = pts[running], anchors[running], np.array(pulls)
 
     # the initial deployment is feasible for every duration: never do
     # worse; ties keep the earliest restart

@@ -77,7 +77,7 @@ def record_loop_statuses(monkeypatch) -> list:
 
     def recording(*args, **kwargs):
         result = pgd_loop(*args, **kwargs)
-        statuses.extend(status for *_, status in result)
+        statuses.extend(status for *_, status, _ in result)
         return result
 
     monkeypatch.setattr(positioning, "_pgd_loop", recording)

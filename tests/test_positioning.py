@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 
@@ -25,6 +26,7 @@ from movant.scenario import (
     min_pair_distance,
     two_antenna_line_scenario,
 )
+from movant.stationarity import speed_threshold
 
 from conftest import random_instance, record_loop_statuses, reference_pick_start
 
@@ -198,9 +200,12 @@ class TestSeparateAnchors:
 
 def pgd_loop(starts, anchors, centers, radius, lo, hi, channel, rho):
     """``_pgd_loop`` on an (L, N, 2) stack of lanes, projecting onto the
-    disks of ``radius`` around ``centers`` within the box [lo, hi]."""
+    disks of ``radius`` around ``centers`` within the box [lo, hi], under
+    the pull ``rho`` (one for all lanes, or one per lane): each lane's
+    (positions, trace, iterations, status)."""
     proj = positioning._lane_projection(centers, len(starts), radius, lo, hi)
-    return positioning._pgd_loop(starts, anchors, proj, channel, rho)
+    pulls = np.broadcast_to(np.asarray(rho, dtype=float), (len(starts),))
+    return [lane[:4] for lane in positioning._pgd_loop(starts, anchors, proj, channel, pulls)]
 
 
 def pgd_loop_alone(start, anchors, *shared):
@@ -518,10 +523,12 @@ def test_line_search_matches_sequential_reference(monkeypatch):
 
 def lane_stacks(seed, cases):
     """Three lanes per ``_pgd_loop`` case, sharing its centers, radius,
-    box, channel and rho: the case's own start and anchors, and two starts
-    jittered by about the radius, each with anchors of its own."""
+    box and channel: the case's own start, anchors and rho, and two starts
+    jittered by about the radius, each with anchors of its own and a pull
+    of its own, 4 and 1/4 times the case's rho. Yields the stacked starts
+    and anchors, the per-lane pulls and the shared arguments."""
     rng = np.random.default_rng(seed)
-    for start, anchors, *shared in cases:
+    for start, anchors, *shared, rho in cases:
         radius, lo, hi = shared[1:4]
         starts = [start] + [
             np.clip(start + rng.normal(0.0, radius, start.shape), lo, hi) for _ in range(2)
@@ -529,21 +536,21 @@ def lane_stacks(seed, cases):
         anchor_sets = [anchors] + [
             np.clip(anchors + rng.normal(0.0, 0.5, anchors.shape), lo, hi) for _ in range(2)
         ]
-        yield np.stack(starts), np.stack(anchor_sets), shared
+        yield np.stack(starts), np.stack(anchor_sets), [rho, 4.0 * rho, rho / 4.0], shared
 
 
 def test_lanes_match_single_lane_loops(monkeypatch):
     monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
     accepts, ends = [], []
-    for starts, anchors, shared in lane_stacks(31, all_line_search_cases()):
-        lanes = pgd_loop(starts, anchors, *shared)
+    for starts, anchors, pulls, shared in lane_stacks(31, all_line_search_cases()):
+        lanes = pgd_loop(starts, anchors, *shared, pulls)
         assert len(lanes) == len(starts)
-        for (pos, trace, iters, status), start, anchor in zip(lanes, starts, anchors):
-            alone = pgd_loop_alone(start, anchor, *shared)
+        for (pos, trace, iters, status), start, anchor, rho in zip(lanes, starts, anchors, pulls):
+            alone = pgd_loop_alone(start, anchor, *shared, rho)
             assert np.array_equal(pos, alone[0])
             assert np.array_equal(trace, alone[1], equal_nan=True)
             assert (iters, status) == alone[2:]
-            sequential_pgd_loop(start, anchor, *shared, accepts)
+            sequential_pgd_loop(start, anchor, *shared, rho, accepts)
         ends.append([(iters, status) for *_, iters, status in lanes])
     # the lanes accept first trials and halved steps, stall and hit the cap,
     # and end at different steps of one stack
@@ -555,6 +562,50 @@ def test_lanes_match_single_lane_loops(monkeypatch):
         positioning._STATUS_MAX_ITERS,
     } <= statuses
     assert any(len(set(lanes)) == len(lanes) for lanes in ends)
+
+
+def test_loop_returns_the_log_gradient_at_each_best_iterate(monkeypatch):
+    # the gradient each lane carries out equals, bit for bit, a fresh
+    # trace_and_grad call at its best iterate, whichever way it ended
+    monkeypatch.setattr(positioning, "_PGD_MAX_ITERS", 60)
+    statuses = set()
+    for starts, anchors, pulls, (centers, radius, lo, hi, channel) in lane_stacks(
+        31, all_line_search_cases()
+    ):
+        proj = positioning._lane_projection(centers, len(starts), radius, lo, hi)
+        found = positioning._pgd_loop(starts, anchors, proj, channel, np.array(pulls))
+        for pos, _, _, status, log_grad in found:
+            trace, grad, _ = kernels.trace_and_grad(pos, *channel)
+            assert np.array_equal(log_grad, grad / trace, equal_nan=True)
+            statuses.add(status)
+    assert statuses == {
+        positioning._STATUS_CONVERGED,
+        positioning._STATUS_MAX_ITERS,
+        positioning._STATUS_SINGULAR,
+        positioning._STATUS_STALLED,
+    }
+
+
+@pytest.mark.parametrize(
+    "rho, gap, log_grad, expected",
+    [
+        # after the pull-free first round the gradient sets the pull, and a
+        # zero, NaN or overflowing one gives the floor of 1
+        (0.0, 1.0, np.full((4, 2), 3.0), math.sqrt(18.0) / FEASIBILITY_TOL),
+        (0.0, 1.0, np.zeros((4, 2)), 1.0),
+        (0.0, 1.0, np.full((4, 2), math.nan), 1.0),
+        (0.0, 1.0, np.full((4, 2), 1e300), 1.0),
+        # after a pulled round the gap sets it, never below 10 times the last
+        (1e3, 10.0, np.full((4, 2), math.nan), 1e3 * 10.0 / (FEASIBILITY_TOL / 2.0)),
+        (1e3, FEASIBILITY_TOL / 8.0, np.full((4, 2), math.nan), 1e4),
+    ],
+    ids=["gradient", "zero-gradient", "nan-gradient", "huge-gradient", "large-gap", "small-gap"],
+)
+def test_next_pull_is_finite_and_grows(rho, gap, log_grad, expected):
+    # a pull stuck at 0 or gone NaN would run a solve through all its rounds
+    pull = positioning._next_pull(rho, gap, log_grad)
+    assert math.isfinite(pull) and pull > rho
+    assert pull == expected
 
 
 def test_singular_lane_leaves_the_others_running():
@@ -592,7 +643,12 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
     jitters drawn one restart at a time; a restart has converged if its gap
     closed and none of its loops hit the iteration cap; the best feasible
     result wins, ties keep the earliest restart and the initial deployment
-    is the floor."""
+    is the floor. Each restart aims its own pull: after the first round at
+    the largest row norm of the log-gradient at its result (from a fresh
+    ``trace_and_grad`` call) over ``FEASIBILITY_TOL``, after a later one at
+    rho * gap / (``FEASIBILITY_TOL`` / 2); at least 1 after the first round
+    and 10 times the last pull after a later one, which also stand in for
+    an aim that is no finite number."""
     radius = scenario.max_speed * t_mov
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
@@ -637,7 +693,13 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
             if gap <= FEASIBILITY_TOL / 2.0:
                 converged = not capped
                 break
-            rho = positioning._RHO_INIT if rho == 0.0 else rho * positioning._RHO_GROWTH
+            if outer == 1:
+                trace_g, grad, _ = kernels.trace_and_grad(pts, *channel)
+                steepest = np.linalg.norm(grad / trace_g, axis=1).max()
+                aim, least = float(steepest) / FEASIBILITY_TOL, 1.0
+            else:
+                aim, least = rho * gap / (FEASIBILITY_TOL / 2.0), 10.0 * rho
+            rho = aim if math.isfinite(aim) and aim > least else least
         run = (outer, inner_total, converged, tuple(gaps))
         if run_pts is not None and run_obj < best_obj:
             best_obj, best_pts, best_run = run_obj, run_pts, run
@@ -659,7 +721,8 @@ def restart_cases():
     comparison: the default scenario at three speeds, its speed-free solve
     (disks that cover the region), a warm start alone and with the
     speed-free optimum, eight antennas (several outer rounds), the segment
-    topology with binding spacing, and random instances."""
+    topology with binding spacing, a slow scenario of criterion 9, and
+    random instances."""
     base = default_scenario(max_speed_wl_s=6)
     warm = optimize_positions(base, 0.4).deployment
     guide = unconstrained_deploy(base).deployment
@@ -675,6 +738,8 @@ def restart_cases():
     yield speed_free(eight), 1.0, 2, None
     line = two_antenna_line_scenario(4.4, 5.6, spatial_freq=np.pi, min_spacing=1.2, max_speed=0.5)
     yield line, 1.0, 5, None
+    # reach of a thousandth of a wavelength: each lane aims its own pulls
+    yield slow_scenarios()[1], 5.6, 3, None
     rng = np.random.default_rng(71)
     for _ in range(6):
         s = random_instance(rng, n_max=5, k_max=3)
@@ -868,6 +933,39 @@ def test_small_reach_solve_leaves_the_start():
     assert out.deployment.min_pair_distance() >= scenario.min_spacing - FEASIBILITY_TOL
     assert out.converged
     assert achievable_rate(scenario, out.deployment) > 1.0
+
+
+@functools.cache
+def slow_scenarios():
+    """The first two non-stationary draws of criterion 9's scenario
+    generator (seed 909; draws with a singular initial channel skipped), at
+    half their own speed threshold: antennas that reach at most a few
+    hundredths of a wavelength in the whole interval."""
+    rng = np.random.default_rng(909)
+    slow = []
+    while len(slow) < 2:
+        thetas, phis = rng.uniform(0.15, 1.45, 4), rng.uniform(0.15, 1.45, 4)
+        s = default_scenario(elevation_angles=list(thetas), azimuth_angles=list(phis))
+        try:
+            report = speed_threshold(s)
+        except SingularChannel:
+            continue
+        if not report.stationary:
+            slow.append(s.with_(max_speed=0.5 * report.speed_threshold))
+    return slow
+
+
+@pytest.mark.parametrize("t_mov", [0.8, 5.6])
+@pytest.mark.parametrize("draw", [0, 1])
+def test_slow_solve_closes_its_gap_in_three_rounds(draw, t_mov):
+    # the pull aimed at the spacing tolerance closes a gap of 1e-4 to 1e-2
+    # wavelengths in one or two pulled rounds; the schedule 1, 10, 100, ...
+    # took 6 to 8 rounds here
+    scenario = slow_scenarios()[draw]
+    out = optimize_positions(scenario, t_mov)
+    assert out.converged and out.outer_iterations <= 3
+    assert out.objective <= trace_objective(scenario, scenario.initial_positions.coords)
+    assert out.deployment.min_pair_distance() >= scenario.min_spacing - FEASIBILITY_TOL
 
 
 def test_penalty_config_needs_a_start():
