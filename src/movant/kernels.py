@@ -17,8 +17,10 @@ warnings filter set to "error" raises. ``Deployment``, ``Scenario`` and
 ``trace_at``, ``trace_and_grad`` and ``project_deployment`` also take a
 stack of deployments, ``(..., N, 2)``, and return one result per slice,
 equal bit for bit to one call per slice: the placement solver runs its
-restarts as lanes of one stack, in lockstep. ``channel_matrix`` takes
-(N, 2) only.
+restarts, and a duration chain's speculative solves, as lanes of one
+stack, in lockstep. ``project_deployment`` also takes one radius per row,
+so that each lane keeps its own reach. ``channel_matrix`` takes (N, 2)
+only.
 
 The trace kernels call LAPACK's Hermitian eigensolvers through the
 gufuncs behind ``np.linalg.eigh`` and ``np.linalg.eigvalsh``: those
@@ -39,7 +41,6 @@ the box. It stays out of ``__all__``: it is a primitive, not a kernel.
 """
 
 import functools
-import struct
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -151,7 +152,9 @@ def project_deployment(points, centers, radius, lo, hi):
     """Euclidean projection of each row of ``points`` onto the box
     [lo, hi] intersected with the closed disk of ``radius`` around the
     matching row of ``centers`` (centers lie in the box, so the set is
-    never empty).
+    never empty). ``radius`` is one radius for every row or an array of one
+    per row of ``centers``; a row projects as it would with its own radius
+    alone.
 
     Closed form: the box clip when it lies in the disk; else the radial
     disk point when it lies in the box; else both constraints bind and the
@@ -181,7 +184,7 @@ def project_deployment(points, centers, radius, lo, hi):
     offset = np.where(outside[..., None], points, centers) - centers
     dist = np.hypot(offset[..., 0], offset[..., 1])
     unit = offset / np.where(outside, dist, 1.0)[..., None]
-    radial = centers + radius * unit
+    radial = centers + np.asarray(radius)[..., None] * unit
     fits = (radial >= lo) & (radial <= hi)
     edge = outside & ~(fits[..., 0] & fits[..., 1])
     out = np.where(outside[..., None], radial, box)
@@ -201,7 +204,7 @@ def _constraint_key(centers, radius, lo, hi):
     return (
         centers.shape,
         centers.tobytes(),
-        struct.pack("d", radius),
+        np.asarray(radius, dtype=np.float64).tobytes(),
         np.asarray(lo, dtype=np.float64).tobytes(),
         np.asarray(hi, dtype=np.float64).tobytes(),
     )
@@ -214,7 +217,8 @@ def _crossings(shape, centers, radius, lo, hi):
     center, whether each crossing lies on the box, the (8 N, 2) crossings
     clipped to the box, and each row's first index into them."""
     c = np.frombuffer(centers).reshape(shape)
-    (radius,) = struct.unpack("d", radius)
+    # one radius, or one per center, as a column against the edge table
+    radius = np.frombuffer(radius)[:, None]
     lo, hi = np.frombuffer(lo), np.frombuffer(hi)
     # the crossings with the edge lines x = lo0, x = hi0, y = lo1, y = hi1
     # as offsets from c: the signed distance across to the line and plus or

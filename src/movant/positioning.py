@@ -12,10 +12,13 @@ Each later pull is aimed at the spacing tolerance by the quadratic-penalty
 estimate: the gap between positions and anchors is about the log-gradient
 over twice the pull, so the log-gradient after the first round and the gap
 after each pulled one set the next pull, and a solve at small reach closes
-its gap in one pulled round rather than several. The log makes the descent
+its gap in one pulled round rather than several; a gap that a pulled
+round no longer halves ends the start's rounds. The log makes the descent
 independent of the channel's scale: tr(G^-1) spans more than ten orders of
 magnitude across scenarios and layouts, while the solver's step seed, pull
-floor and growth and tolerances are fixed numbers.
+floor and growth and tolerances are fixed numbers. Several solves of one
+scenario, at different durations, can run as lanes of one lockstep solve
+(``_optimize_stack``), each lane with its own reach.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from . import kernels
 from .channel import _check_singular, kernel_args, trace_objective
 from .errors import InfeasibleSpacing, SingularChannel
-from .scenario import Deployment, Scenario, Topology, as_positions, min_pair_distance
+from .scenario import Deployment, Scenario, Topology, as_positions
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -205,38 +208,69 @@ def _max_row_norms(x: np.ndarray) -> list:
     return np.sqrt(np.maximum.reduce(np.add.reduce(x * x, axis=-1), axis=-1)).tolist()
 
 
-def _lane_projection(centers, lanes, radius, lo, hi):
-    """Projection of (k, N, 2) stacks, k <= ``lanes``, onto the box [lo,
-    hi] intersected with the disks of ``radius`` around the rows of
-    ``centers``, equal bit for bit to ``kernels.project_deployment``. A
-    solve builds one and projects its starts and every loop of every outer
-    round with it, however many lanes are left.
+def _min_pair_distances(x: np.ndarray) -> list:
+    """The smallest pairwise distance of each lane of an (L, N, 2) stack,
+    bit for bit ``min_pair_distance`` of the lane (inf below two points)."""
+    n = x.shape[1]
+    if n < 2:
+        return [math.inf] * len(x)
+    delta = x[:, :, None, :] - x[:, None, :, :]
+    dist = np.sqrt((delta**2).sum(axis=-1))
+    dist[:, np.arange(n), np.arange(n)] = np.inf
+    return np.minimum.reduce(dist.reshape(len(x), -1), axis=1).tolist()
 
-    Where every disk holds the whole box, it is the box clip alone: the
-    kernel returns the clip when no clipped row lies outside its disk. Else
-    the lanes project as rows against the centers repeated once per lane,
-    k lanes against the first k repeats (one entry of the projection's memo
-    per lane count): broadcasting the (N, 2) centers over a lane axis would
-    cost the projection a few microseconds a call.
+
+def _lane_projection(centers, reach, lo, hi):
+    """Projection of (k, N, 2) stacks of lanes onto the box [lo, hi]
+    intersected with each lane's disks around the rows of ``centers``,
+    equal bit for bit to ``kernels.project_deployment`` lane by lane.
+    ``reach`` holds the radius of each of the L lanes a solve starts with;
+    the projection is called as ``proj(pts, reach)`` with the radii of the
+    k <= L lanes it projects, so a lane that leaves the stack takes its
+    reach with it. A solve builds one and projects its starts and every
+    loop of every outer round with it, however many lanes are left.
+
+    Where every disk of every lane holds the whole box, it is the box clip
+    alone: the kernel returns the clip when no clipped row lies outside its
+    disk. Else the lanes project as rows against the centers repeated once
+    per lane, k lanes against the first k repeats, each row with its lane's
+    radius, or with the one radius of all lanes where they share it, as the
+    restarts of a solve do: broadcasting the (N, 2) centers over a lane axis,
+    or the radii over the rows, would cost the projection a microsecond or
+    more a call.
     """
     # a clipped row's gap to its center rounds to no more, per axis, than
     # the gap of the box corner farthest from it; the margin covers the
     # last bit of hypot, so the test errs only toward the kernel
     far = np.maximum(np.abs(lo - centers), np.abs(hi - centers))
-    if np.all(np.hypot(far[:, 0], far[:, 1]) * (1.0 + 1e-12) <= radius):
-        return lambda pts: kernels.clip_box(pts, lo, hi)
-    center_rows = np.concatenate([centers] * lanes)
-    return lambda pts: kernels.project_deployment(
-        pts.reshape(-1, 2), center_rows[: pts.size // 2], radius, lo, hi
+    if np.all(np.hypot(far[:, 0], far[:, 1]) * (1.0 + 1e-12) <= np.min(reach)):
+        return lambda pts, reach: kernels.clip_box(pts, lo, hi)
+    n = len(centers)
+    center_rows = np.concatenate([centers] * len(reach))
+    shared = float(reach[0]) if np.all(reach == reach[0]) else None
+    return lambda pts, reach: kernels.project_deployment(
+        pts.reshape(-1, 2),
+        center_rows[: pts.size // 2],
+        reach.repeat(n) if shared is None else shared,
+        lo,
+        hi,
     ).reshape(pts.shape)
 
 
-def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho: np.ndarray):
+def _pgd_loop(
+    start: np.ndarray,
+    anchors: np.ndarray,
+    proj,
+    channel: tuple,
+    rho: np.ndarray,
+    radius: np.ndarray,
+):
     """Spectral projected gradient on log tr(G^-1) + rho * ||pos -
     anchors||^2 (SPG2 of Birgin, Martinez and Raydan, 2000), run on
-    (L, N, 2) stacks ``start`` and ``anchors`` of lanes with an (L,) array
-    ``rho`` of pulls, one per lane, that share everything else: ``proj`` is
-    a ``_lane_projection`` onto the reachable set for at least L lanes, and
+    (L, N, 2) stacks ``start`` and ``anchors`` of lanes with (L,) arrays
+    ``rho`` of pulls and ``radius`` of disk radii, one per lane, that share
+    everything else: ``proj`` is a ``_lane_projection`` onto the reachable
+    sets for at least L lanes, and
     ``channel`` the trace kernels' arguments after the positions,
     ``channel.kernel_args``. Returns the best iterate seen by each lane, as
     a list of one (positions, trace, iterations, status, log-gradient)
@@ -303,7 +337,7 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
     # has ended
     result = [None] * len(start)
 
-    pos = proj(start)
+    pos = proj(start, radius)
     trace, grad, _ = kernels.trace_and_grad(pos, *channel)
     # the gradient of log tr(G^-1) is the trace's gradient over the trace
     log_g = grad / trace[:, None, None]
@@ -325,7 +359,7 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
     def leave(ended, status, iters):
         """Record the lanes flagged in ``ended`` and drop them from the
         stack; returns the rows of the lanes that stay."""
-        nonlocal lanes, recent, best, progress, eta, pos, g, anchors, rho
+        nonlocal lanes, recent, best, progress, eta, pos, g, anchors, rho, radius
         keep = []
         for i, lane in enumerate(lanes):
             if ended[i]:
@@ -339,7 +373,7 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
         lanes, recent, best, progress, eta = (
             [x[i] for i in keep] for x in (lanes, recent, best, progress, eta)
         )
-        pos, g, anchors, rho = pos[keep], g[keep], anchors[keep], rho[keep]
+        pos, g, anchors, rho, radius = pos[keep], g[keep], anchors[keep], rho[keep], radius[keep]
         return keep
 
     if any(singular):
@@ -348,7 +382,7 @@ def _pgd_loop(start: np.ndarray, anchors: np.ndarray, proj, channel: tuple, rho:
         if not lanes:
             break
         # the first trial of each lane is the projected point itself
-        cand = proj(pos - np.array(eta)[:, None, None] * g)
+        cand = proj(pos - np.array(eta)[:, None, None] * g, radius)
         d = cand - pos
         reach = _max_row_norms(d)
         if min(reach) <= _GRAD_TOL:
@@ -459,12 +493,16 @@ def optimize_positions(
     each restart aims the pull of its next round at that gap
     (``_next_pull``). So each round separates once, after its descent, and
     an over-packed region raises ``InfeasibleSpacing`` after the first
-    round. The returned deployment lies in the region exactly, in the disks
-    up to rounding (within 2 ulps of its largest coordinate) and keeps the
-    pairwise spacing within ``FEASIBILITY_TOL``; its objective never exceeds
-    the objective of the initial deployment. A solve has converged only if
-    the winning restart closed that gap and none of its gradient loops hit
-    the iteration cap. ``start`` (the initial deployment by default) is one
+    round. A restart ends unconverged where a pulled round leaves its gap
+    above half of the gap of the pulled round before: a stronger pull does
+    not close a gap that stopped falling (anchors that the separation puts
+    out of reach). The returned deployment lies in the region exactly, in
+    the disks up to rounding (within 2 ulps of its largest coordinate) and
+    keeps the pairwise spacing within ``FEASIBILITY_TOL``; its objective
+    never exceeds the objective of the initial deployment. A solve has
+    converged only if the winning restart closed that gap and none of its
+    gradient loops hit the iteration cap. ``start`` (the initial deployment
+    by default) is one
     ``Deployment`` or (N, 2) positions, or a sequence or (L, N, 2) stack of
     candidates of which the first restart takes the one with the lowest
     finite tr(G^-1) once projected into reach (the first on a tie or when
@@ -479,15 +517,21 @@ def optimize_positions(
     coordinate raise ``ValueError``; a singular channel at the initial
     deployment raises ``SingularChannel``.
     """
+    restarts = (config or PenaltyConfig()).restarts
+    return _optimize_stack(scenario, [(t_mov, start)], restarts)[0][0]
+
+
+def _checked_solve(scenario: Scenario, t_mov: float, start) -> tuple:
+    """The reach and the (C, N, 2) candidate starts of one solve, after
+    ``optimize_positions``' checks of its duration and starts."""
     # NaN would give a NaN radius, which the projection ignores
     if not (math.isfinite(t_mov) and t_mov >= 0):
         raise ValueError(f"t_mov must be finite and nonnegative, got {t_mov!r}")
-    initial = scenario.initial_positions.coords
     if start is None or isinstance(start, Deployment):
-        start = [initial if start is None else start]
+        start = [scenario.initial_positions if start is None else start]
     elif len(start) == 0:
         raise ValueError("start is an empty list of candidate starts")
-    elif np.ndim(start[0]) == 1:
+    elif not isinstance(start[0], Deployment) and np.ndim(start[0]) == 1:
         start = [start]
     candidates = np.array([as_positions(s) for s in start])
     # a NaN coordinate would reach LAPACK, which warns, and then pass for a
@@ -495,56 +539,109 @@ def optimize_positions(
     if not np.isfinite(candidates).all():
         bad = np.flatnonzero(~np.isfinite(candidates).all(axis=(1, 2)))[0]
         raise ValueError(f"candidate start {bad} has a non-finite coordinate")
-    restarts = (config or PenaltyConfig()).restarts
-    radius = scenario.max_speed * t_mov
-    if radius <= 0.0:
-        # zero reach pins every antenna at its start regardless of warm start
-        return OptimizeOutcome(
-            deployment=scenario.initial_positions,
-            objective=trace_objective(scenario, initial),
-            outer_iterations=0,
-            inner_iterations=0,
-            max_constraint_violation=0.0,
-            converged=True,
-        )
+    return scenario.max_speed * t_mov, candidates
 
-    lo, hi = scenario.region_bounds()
-    channel = kernel_args(scenario)
-    d_min = scenario.min_spacing
-    spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
 
-    # the jitters are drawn in restart order, one draw for all of them
-    if restarts > 1:
-        jitter_scale = min(radius, scenario.region_side / 4.0)
-        draws = np.random.default_rng(0).uniform(
-            -jitter_scale, jitter_scale, (restarts - 1, *initial.shape)
-        )
-        candidates = np.concatenate([candidates, initial + draws])
-    # one projection serves the starts and every outer round
-    proj = _lane_projection(initial, len(candidates), radius, lo, hi)
-    pts = proj(candidates)
-    # one call scores the starts and, as the last slice, the initial
-    # deployment itself: each slice equals its own (N, 2) call bit for bit
-    traces, conds = kernels.trace_at(np.concatenate([pts, initial[None]]), *channel)
+def _set_up(scenario: Scenario, solves: list, restarts: int) -> tuple:
+    """The set-up of a stacked solve of ``solves``, (radius, candidates)
+    pairs of positive reach: (the projection, each lane's projected start,
+    its reach and its tr(G^-1), the trace at the initial deployment, the
+    candidate each solve starts its first lane from). Lane r of solve s is
+    lane ``s * restarts + r``: the first at the solve's best candidate once
+    projected into reach (the first on a tie or when none is finite), then
+    its jitters of the initial deployment, drawn as the solve alone draws
+    them. One projection serves the starts and every outer round, and one
+    ``trace_at`` call scores every candidate and, as the last slice, the
+    initial deployment; each slice equals its own (N, 2) call bit for bit.
+    """
+    initial = scenario.initial_positions.coords
+    blocks = []
+    for radius, candidates in solves:
+        if restarts > 1:
+            jitter_scale = min(radius, scenario.region_side / 4.0)
+            draws = np.random.default_rng(0).uniform(
+                -jitter_scale, jitter_scale, (restarts - 1, *initial.shape)
+            )
+            candidates = np.concatenate([candidates, initial + draws])
+        blocks.append(candidates)
+    reach = np.repeat([radius for radius, _ in solves], [len(b) for b in blocks])
+    proj = _lane_projection(initial, reach, *scenario.region_bounds())
+    pts = proj(np.concatenate(blocks), reach)
+    traces, conds = kernels.trace_at(np.concatenate([pts, initial[None]]), *kernel_args(scenario))
     _check_singular(traces[-1], conds[-1])
     traces = traces.tolist()
     f_initial = traces.pop()
-    # the first lane starts at the best candidate, the jitter lanes follow
-    scores = [t if math.isfinite(t) else math.inf for t in traces[: len(start)]]
-    lanes = [scores.index(min(scores)), *range(len(start), len(candidates))]
-    pts = pts[lanes]
+    lanes, picks, first = [], [], 0
+    for (_, candidates), block in zip(solves, blocks):
+        scored = traces[first : first + len(candidates)]
+        scores = [t if math.isfinite(t) else math.inf for t in scored]
+        picks.append(scores.index(min(scores)))
+        lanes += [first + picks[-1], *range(first + len(candidates), first + len(block))]
+        first += len(block)
+    return proj, pts[lanes], reach[lanes], [traces[i] for i in lanes], f_initial, picks
+
+
+def _score_starts(scenario: Scenario, solves: list) -> tuple:
+    """The candidate that each of ``solves``, (t_mov, candidates) pairs of
+    positive reach, starts from in a single-start solve, and its tr(G^-1)
+    once projected into reach, scored in one stacked ``trace_at`` call;
+    equal to the pick and the score of each solve alone."""
+    _, _, _, traces, _, picks = _set_up(
+        scenario, [_checked_solve(scenario, t, c) for t, c in solves], 1
+    )
+    return picks, traces
+
+
+def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list:
+    """Placement solves of one scenario as lanes of one lockstep solve:
+    ``solves`` is a list of (t_mov, start) pairs as ``optimize_positions``
+    takes them, each with ``restarts`` lanes, and every lane keeps its own
+    reach. Returns one (``OptimizeOutcome``, pick) pair per solve, pick
+    being the index of the candidate its first lane started from (None at
+    zero reach, where no lane runs); each outcome equals the
+    ``optimize_positions`` call of its solve alone, bit for bit. Every
+    solve is checked before any runs, and an error of any lane raises for
+    the whole stack.
+    """
+    checked = [_checked_solve(scenario, t, start) for t, start in solves]
+    initial = scenario.initial_positions.coords
+    out = [None] * len(solves)
+    moving = []
+    for k, (radius, _) in enumerate(checked):
+        if radius > 0.0:
+            moving.append(k)
+        else:
+            # zero reach pins every antenna at its start regardless of warm start
+            fixed = OptimizeOutcome(
+                deployment=scenario.initial_positions,
+                objective=trace_objective(scenario, initial),
+                outer_iterations=0,
+                inner_iterations=0,
+                max_constraint_violation=0.0,
+                converged=True,
+            )
+            out[k] = (fixed, None)
+    if not moving:
+        return out
+
+    proj, pts, reach, traces, f_initial, picks = _set_up(
+        scenario, [checked[k] for k in moving], restarts
+    )
+    channel = kernel_args(scenario)
+    d_min = scenario.min_spacing
     # per lane: its best spacing-feasible objective and deployment, its
     # gap history and its inner iterations, outer rounds and convergence
-    run_obj = [math.inf] * restarts
-    run_pts = [None] * restarts
-    for lane, trace in enumerate(traces[i] for i in lanes):
-        if spacing_ok(pts[lane]) and not math.isnan(trace):
+    count = len(pts)
+    run_obj = [math.inf] * count
+    run_pts = [None] * count
+    for lane, (trace, spacing) in enumerate(zip(traces, _min_pair_distances(pts))):
+        if spacing >= d_min - FEASIBILITY_TOL and not math.isnan(trace):
             run_obj[lane], run_pts[lane] = trace, pts[lane].copy()
-    gaps = [[] for _ in range(restarts)]
-    inner_total = [0] * restarts
-    outers = [0] * restarts
-    converged = [False] * restarts
-    capped = [False] * restarts
+    gaps = [[] for _ in range(count)]
+    inner_total = [0] * count
+    outers = [0] * count
+    converged = [False] * count
+    capped = [False] * count
 
     separate = lambda p: separate_anchors(
         p, d_min, region_side=scenario.region_side, topology=scenario.topology
@@ -552,58 +649,63 @@ def optimize_positions(
     # the first round descends the raw objective, so it needs no anchors;
     # the pull kicks in once re-separation shows which spacing constraints
     # bind; each lane aims its own pull, so that it ends as it would alone
-    anchors, rho = pts, np.zeros(restarts)
+    anchors, rho = pts, np.zeros(count)
     # the lanes still running, in the order of the rows of pts and anchors
-    live = list(range(restarts))
+    live = list(range(count))
     for outer in range(1, _AO_MAX_ITERS + 1):
-        found = _pgd_loop(pts, anchors, proj, channel, rho)
+        found = _pgd_loop(pts, anchors, proj, channel, rho, reach)
         if any(status == _STATUS_SINGULAR for *_, status, _ in found):
             raise SingularChannel("channel is singular at the starting deployment")
         pts = np.array([p for p, *_ in found])
         anchors = separate(pts)
         # the rows of the lanes that keep running, and their next pulls
         running, pulls = [], []
-        for row, (lane, (p, trace, steps, status, log_grad), gap) in enumerate(
-            zip(live, found, _max_row_norms(pts - anchors))
-        ):
+        rows = zip(live, found, _max_row_norms(pts - anchors), _min_pair_distances(pts))
+        for row, (lane, (p, trace, steps, status, log_grad), gap, spacing) in enumerate(rows):
             inner_total[lane] += steps
             outers[lane] = outer
             capped[lane] |= status == _STATUS_MAX_ITERS
             gaps[lane].append(gap)
-            if trace < run_obj[lane] and spacing_ok(p):
+            if trace < run_obj[lane] and spacing >= d_min - FEASIBILITY_TOL:
                 run_obj[lane], run_pts[lane] = trace, p.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
                 converged[lane] = not capped[lane]
-            else:
+            elif outer < 3 or gap <= gaps[lane][-2] / 2.0:
                 running.append(row)
                 pulls.append(_next_pull(float(rho[row]), gap, log_grad))
         if not running:
             break
         live = [live[row] for row in running]
-        pts, anchors, rho = pts[running], anchors[running], np.array(pulls)
+        pts, anchors, rho, reach = pts[running], anchors[running], np.array(pulls), reach[running]
 
     # the initial deployment is feasible for every duration: never do
     # worse; ties keep the earliest restart
-    best_obj = f_initial
-    best_pts = initial
-    best_run = (0, 0, True, ())
-    for lane in range(restarts):
-        run = (outers[lane], inner_total[lane], converged[lane], tuple(gaps[lane]))
-        if run_pts[lane] is not None and run_obj[lane] < best_obj:
-            best_obj, best_pts, best_run = run_obj[lane], run_pts[lane], run
-        elif lane == 0:
-            best_run = run
-
-    violation = max(0.0, d_min - min_pair_distance(best_pts))
-    return OptimizeOutcome(
-        deployment=Deployment(best_pts),
-        objective=best_obj,
-        outer_iterations=best_run[0],
-        inner_iterations=best_run[1],
-        max_constraint_violation=violation,
-        converged=best_run[2],
-        gap_history=best_run[3],
-    )
+    winners = []
+    for solve in range(len(moving)):
+        best_obj = f_initial
+        best_pts = initial
+        best_run = (0, 0, True, ())
+        for restart in range(restarts):
+            lane = solve * restarts + restart
+            run = (outers[lane], inner_total[lane], converged[lane], tuple(gaps[lane]))
+            if run_pts[lane] is not None and run_obj[lane] < best_obj:
+                best_obj, best_pts, best_run = run_obj[lane], run_pts[lane], run
+            elif restart == 0:
+                best_run = run
+        winners.append((best_obj, best_pts, best_run))
+    spacings = _min_pair_distances(np.array([best_pts for _, best_pts, _ in winners]))
+    for k, pick, (best_obj, best_pts, best_run), spacing in zip(moving, picks, winners, spacings):
+        outcome = OptimizeOutcome(
+            deployment=Deployment(best_pts),
+            objective=best_obj,
+            outer_iterations=best_run[0],
+            inner_iterations=best_run[1],
+            max_constraint_violation=max(0.0, d_min - spacing),
+            converged=best_run[2],
+            gap_history=best_run[3],
+        )
+        out[k] = (outcome, pick)
+    return out
 
 
 def unconstrained_deploy(

@@ -11,9 +11,15 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import achievable_rate
-from .errors import FitDiverged, MovantError, SingularChannel
-from .positioning import OptimizeOutcome, optimize_positions, unconstrained_deploy
+from .channel import achievable_rate, rate_ceiling
+from .errors import FitDiverged, MovantError
+from .positioning import (
+    OptimizeOutcome,
+    _optimize_stack,
+    _score_starts,
+    optimize_positions,
+    unconstrained_deploy,
+)
 from .scenario import Deployment, Scenario
 
 __all__ = [
@@ -33,6 +39,12 @@ DENSE_SEARCH_POINTS = 10_000
 GAUSS_NEWTON_MAX_ITERS = 200
 GAUSS_NEWTON_SSE_RTOL = 1e-10
 DAMPING_INIT = 1e-3
+# the most gradient steps of a guide-started duration solve that still
+# counts toward the run that sizes the chain's window: a solve the guide
+# settles outright costs a stacked solve next to nothing, while a lane
+# that iterates costs about what it would alone, and a discarded one is
+# lost
+SETTLED_ITERATIONS = 0
 
 
 class FitKind(Enum):
@@ -130,6 +142,71 @@ def _fixed_duration_report(
     )
 
 
+def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment) -> list:
+    """Solve the first of ``durations`` from the candidates ``warm`` (None
+    for none) and ``guide``, with guide-started lanes for the rest stacked
+    beside it in one ``_optimize_stack`` call; a window of one duration is
+    one ``optimize_positions`` call. Returns the (t, outcome, settled)
+    triples the chain keeps, in order, where settled means that the guide
+    started the solve and it took at most ``SETTLED_ITERATIONS`` gradient
+    steps; after a miss they are fewer than ``durations``, and the duration
+    after them starts from the last of them.
+
+    A stacked lane is kept while the chain's own pick would start its
+    duration from the guide: ``_score_starts`` scores the previous kept
+    outcome and the guide as a solve of that duration alone would, ties
+    going to the previous outcome. A guide-started solve does not depend on
+    the chain before it, so a kept lane equals the chain's own solve bit for
+    bit. A stack that raises falls back to the first duration alone.
+    """
+    first = durations[0]
+    starts = [d for d in (warm, guide) if d is not None]
+    settles = lambda outcome: outcome.inner_iterations <= SETTLED_ITERATIONS
+    if len(durations) > 1:
+        solves = [(first, starts)] + [(t, [guide]) for t in durations[1:]]
+        try:
+            (outcome, pick), *stacked = _optimize_stack(scenario, solves)
+        except (MovantError, ValueError):
+            # the error may be a stacked lane's: the first duration alone,
+            # below, raises only its own
+            pass
+        else:
+            kept = [(first, outcome, pick == len(starts) - 1 and settles(outcome))]
+            previous = [outcome] + [lane for lane, _ in stacked[:-1]]
+            picks, _ = _score_starts(
+                scenario, [(t, [p.deployment, guide]) for t, p in zip(durations[1:], previous)]
+            )
+            for t, (lane, _), pick in zip(durations[1:], stacked, picks):
+                if pick != 1:
+                    break
+                kept.append((t, lane, settles(lane)))
+            return kept
+    outcome = optimize_positions(scenario, first, start=starts)
+    settled = settles(outcome) and scenario.max_speed * first > 0.0
+    if settled:
+        # which start the solve took matters only where it settled
+        picks, _ = _score_starts(scenario, [(first, starts)])
+        settled = picks[0] == len(starts) - 1
+    return [(first, outcome, settled)]
+
+
+def _solved_before_stop(scenario: Scenario, durations: list, guide, rate_cap, best) -> int:
+    """How many of the next ``durations`` to stack before the bound stop,
+    from the best throughput so far, ``best``, grown as if each duration
+    were solved to the guide pulled into its reach. A solve does at least
+    that well unless that start breaks the spacing: it starts from the
+    better of its candidates and ends no worse than a start that keeps the
+    spacing. A count too high solves lanes past the stop; one too low
+    leaves durations to a later window."""
+    _, traces = _score_starts(scenario, [(t, [guide]) for t in durations])
+    for count, (t, trace) in enumerate(zip(durations, traces)):
+        if (scenario.interval - t) * rate_cap <= best:
+            return count
+        # a NaN trace leaves the best as it is
+        best = max(best, (scenario.interval - t) * math.log2(1.0 + scenario.snr_scale / trace))
+    return len(durations)
+
+
 def _duration_chain(
     scenario: Scenario,
     durations: list,
@@ -150,8 +227,23 @@ def _duration_chain(
     recorded in ``failures`` with a NaN curve point and skipped; other errors
     propagate, and so does a chain in which every duration fails.
 
-    With ``stop_at_bound`` the chain ends where the speed-free rate bound
-    rules out every later duration, as ``general_search`` describes; the
+    A solve that starts from the guide does not depend on the chain before
+    it, so the chain speculates on runs of them (``_solve_window``): the
+    next duration rides as the first lane of one stacked solve, beside
+    guide-started lanes for the durations after it. The window of durations
+    is the largest power of two no longer than the run of durations just
+    before it that the guide settled: started from it and ended within
+    ``SETTLED_ITERATIONS`` gradient steps. It opens after two of them,
+    doubles while they continue and drops back to one after a miss, a stack
+    that raises or any other duration, so a chain the previous solution
+    leads, that alternates between the two starts or whose solves iterate
+    pays nothing extra. Every report is the one-duration-at-a-time chain's,
+    bit for bit.
+
+    With ``stop_at_bound`` the chain ends before the first duration t at
+    which (interval - t) * R is at most the best throughput found, with R
+    the certified ``rate_ceiling`` (or a solved rate above it, were
+    rounding to put one there): no later duration can beat the best. The
     curve is then the full chain's prefix with the same best.
     """
     curve = []
@@ -159,31 +251,53 @@ def _duration_chain(
     solved = []
     best = None  # (throughput, t, rate, deployment, converged)
     warm = None
-    rate_cap = None  # R above; None solves every duration
-    if stop_at_bound:
-        try:
-            rate_cap = achievable_rate(scenario, guide)
-        except SingularChannel:
-            pass
-    for t in durations:
+    rate_cap = rate_ceiling(scenario) if stop_at_bound else None
+
+    def stopped(t):
         bounded = rate_cap is not None and best is not None
-        if bounded and (scenario.interval - t) * rate_cap <= best[0]:
-            break
+        return bounded and (scenario.interval - t) * rate_cap <= best[0]
+
+    # the index of the next duration, and how many durations in a row
+    # before it the guide settled
+    i, run = 0, 0
+    while i < len(durations) and not stopped(durations[i]):
+        # the window is the largest power of two no longer than the run,
+        # less the durations that its own solves would rule out
+        window = durations[i : i + (1 << max(run.bit_length() - 1, 0))]
+        if len(window) > 1 and rate_cap is not None and best is not None:
+            window = window[: _solved_before_stop(scenario, window, guide, rate_cap, best[0])]
         try:
-            starts = [d for d in (warm, guide) if d is not None]
-            rate, outcome = _solve_duration(scenario, t, start=starts)
+            kept = _solve_window(scenario, window, warm, guide)
         except (MovantError, ValueError) as exc:
-            failures.append((t, str(exc)))
-            curve.append(CurvePoint(t, math.nan, math.nan))
+            failures.append((durations[i], str(exc)))
+            curve.append(CurvePoint(durations[i], math.nan, math.nan))
+            i, run = i + 1, 0
             continue
-        warm = outcome.deployment
-        solved.append((t, warm))
-        if rate_cap is not None:
-            rate_cap = max(rate_cap, rate)
-        throughput = (scenario.interval - t) * rate
-        curve.append(CurvePoint(t, rate, throughput))
-        if best is None or throughput > best[0]:
-            best = (throughput, t, rate, warm, outcome.converged)
+        for t, outcome, settled in kept:
+            if stopped(t):
+                break
+            i += 1
+            try:
+                rate = achievable_rate(scenario, outcome.deployment)
+            except (MovantError, ValueError) as exc:
+                # a failed duration like any other: the kept lanes after it
+                # were picked against its outcome, so they go
+                failures.append((t, str(exc)))
+                curve.append(CurvePoint(t, math.nan, math.nan))
+                run = 0
+                break
+            warm = outcome.deployment
+            solved.append((t, warm))
+            if rate_cap is not None:
+                rate_cap = max(rate_cap, rate)
+            throughput = (scenario.interval - t) * rate
+            curve.append(CurvePoint(t, rate, throughput))
+            if best is None or throughput > best[0]:
+                best = (throughput, t, rate, warm, outcome.converged)
+            run = run + 1 if settled else 0
+        # a miss: the next duration starts from the previous solution
+        if len(kept) < len(window):
+            run = 0
     if best is None:
         raise MovantError("every duration sample failed")
     report = TradeoffReport(
@@ -226,13 +340,12 @@ def general_search(
 
     The search stops before the first grid duration t at which
     (interval - t) * R is at most the best throughput found so far, where R
-    is the larger of the guide's rate and every rate solved so far. No
-    reachable set leaves the region, so R stands for the speed-free rate that
-    caps every later duration; the curve ends there and the reported best is
-    the one the whole grid gives. A guide whose rate raises
-    ``SingularChannel`` gives no bound, and the whole grid is solved. Every
+    is the certified ``rate_ceiling``, which no deployment beats (or a
+    solved rate above it, were rounding to put one there); the curve ends
+    there and the reported best is the one the whole grid gives. Every
     duration solve is single-start, so the position optimizer runs once per
-    curve point, plus once when no guide is given. At zero speed the antennas
+    curve point, plus once when no guide is given and once per stacked
+    lane the chain discards (``_duration_chain``). At zero speed the antennas
     cannot move: the initial deployment is reported at duration 0 without
     running the optimizer. A ``grid_step`` that is not a finite positive
     real number (a bool included) raises ``ValueError``.
@@ -404,7 +517,8 @@ def fitting_method(
     t_mov_max; without one it is solved here, single-start. Every duration
     solve is single-start, so the position optimizer runs at most
     ``samples + 1`` times given a guide (one run per sample and the final
-    re-optimization) and ``samples + 2`` times without. ``samples`` must be
+    re-optimization) and ``samples + 2`` times without, plus once per
+    stacked lane the chain discards. ``samples`` must be
     an integer of at least 4, else ``ValueError``. At zero speed, or
     when the initial deployment is already speed-free optimal, the initial
     deployment is reported at duration 0 after at most the speed-free solve.

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from movant import kernels, positioning
 from movant.channel import SINGULAR_COND_LIMIT
-from movant.harness import default_scenario
+from movant.errors import SingularChannel
+from movant.harness import RunConfig, SchemeId, default_scenario, run_scheme
 from movant.scenario import (
     Deployment,
     Scenario,
@@ -11,6 +14,7 @@ from movant.scenario import (
     as_positions,
     two_antenna_line_scenario,
 )
+from movant.stationarity import speed_threshold
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +32,22 @@ def case_narrow():
 @pytest.fixture(scope="session")
 def default_2d():
     return default_scenario()
+
+
+@pytest.fixture(scope="session")
+def default_table():
+    """Every scheme's report on the default scenario at 2, 6 and 18
+    wavelengths/s with a 0.08 s grid step, keyed (speed, scheme), and the
+    seconds the fifteen runs took: solved once, for criterion 7 and the
+    pinned table alike."""
+    rc = RunConfig(grid_step=8.0 / 100)
+    start = time.perf_counter()
+    reports = {}
+    for v in (2.0, 6.0, 18.0):
+        s = default_scenario(max_speed_wl_s=v)
+        for scheme in SchemeId:
+            reports[(v, scheme)] = run_scheme(s, scheme, rc)
+    return reports, time.perf_counter() - start
 
 
 def random_instance(rng, n_max=6, k_max=4, cond_cap=1e4, trace_cap=50.0, region=8.0):
@@ -107,3 +127,22 @@ def reference_pick_start(scenario, t_mov, candidates):
         if np.isfinite(trace) and trace < best_trace:
             best, best_trace = cand, float(trace)
     return best
+
+
+def slow_scenarios():
+    """The first two non-stationary draws of criterion 9's scenario
+    generator (seed 909; draws with a singular initial channel skipped), at
+    half their own speed threshold: antennas that reach at most a few
+    hundredths of a wavelength in the whole interval."""
+    rng = np.random.default_rng(909)
+    slow = []
+    while len(slow) < 2:
+        thetas, phis = rng.uniform(0.15, 1.45, 4), rng.uniform(0.15, 1.45, 4)
+        s = default_scenario(elevation_angles=list(thetas), azimuth_angles=list(phis))
+        try:
+            report = speed_threshold(s)
+        except SingularChannel:
+            continue
+        if not report.stationary:
+            slow.append(s.with_(max_speed=0.5 * report.speed_threshold))
+    return slow

@@ -151,15 +151,13 @@ def test_criterion_06_optimizer_vs_brute_force():
     report(6, "optimizer vs exhaustive grid", time.perf_counter() - start, 60.0)
 
 
-def test_criterion_07_scheme_ordering_and_upper_bound_gap():
-    start = time.perf_counter()
-    rc = RunConfig(grid_step=8.0 / 100)
-    results = {}
-    for v in (2.0, 6.0, 18.0):
-        s = default_scenario(max_speed_wl_s=v)
-        results[v] = {
-            scheme: run_scheme(s, scheme, rc).best_throughput for scheme in SchemeId
-        }
+def test_criterion_07_scheme_ordering_and_upper_bound_gap(default_table):
+    # the fifteen runs are the session's, shared with the pinned table
+    reports, elapsed = default_table
+    results = {
+        v: {scheme: reports[(v, scheme)].best_throughput for scheme in SchemeId}
+        for v in (2.0, 6.0, 18.0)
+    }
     previous = -np.inf
     for v in (2.0, 6.0, 18.0):
         r = results[v]
@@ -168,7 +166,6 @@ def test_criterion_07_scheme_ordering_and_upper_bound_gap():
         assert r[SchemeId.OTGM] >= r[SchemeId.STATIC] - 1e-9
         assert r[SchemeId.OTGM] >= previous - 1e-9
         previous = r[SchemeId.OTGM]
-    elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     ratio = results[18.0][SchemeId.OTGM] / results[18.0][SchemeId.UPPER_BOUND]
     assert ratio >= 0.97, (

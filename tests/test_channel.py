@@ -15,6 +15,7 @@ from movant.channel import (
     common_sinr,
     effective_throughput,
     optimal_power,
+    rate_ceiling,
     trace_objective,
     zf_beamformer,
 )
@@ -209,6 +210,45 @@ class TestTraceObjective:
         gram = rows.conj() @ rows.T
         expected = np.real(np.trace(np.linalg.inv(gram)))
         assert trace_objective(s, pos) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("topology", [Topology.SQUARE_2D, Topology.SEGMENT_1D])
+def test_no_layout_beats_the_rate_ceiling(topology):
+    # G_kk = N b_k^2 for every layout, and (G^-1)_kk >= 1 / G_kk, so
+    # tr(G^-1) >= F = sum_k 1 / (N b_k^2): on random layouts of random
+    # scenarios, within a relative 1e-12, and no rate above the ceiling
+    rng = np.random.default_rng(2026)
+    base = default_scenario()
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        k = int(rng.integers(1, min(n, 4) + 1))
+        scenario = base.with_(
+            num_antennas=n,
+            num_users=k,
+            elevation_angles=rng.uniform(-np.pi / 2, np.pi / 2, k),
+            azimuth_angles=rng.uniform(-np.pi / 2, np.pi / 2, k),
+            fading_coeffs=rng.uniform(0.5, 2.0, k) * 10.0 ** rng.uniform(-9, 0),
+            initial_positions=Deployment.from_x(0.5 * np.arange(n)),
+            topology=topology,
+        )
+        layout = rng.uniform(0.0, scenario.region_side, (n, 2))
+        if topology is Topology.SEGMENT_1D:
+            layout[:, 1] = 0.0
+        try:
+            trace = trace_objective(scenario, layout)
+        except SingularChannel:
+            continue
+        floor = float(np.sum(1.0 / (n * scenario.fading_coeffs)))
+        assert trace >= floor * (1.0 - 1e-12), (trace, floor)
+        rate = achievable_rate(scenario, layout)
+        assert rate <= rate_ceiling(scenario) * (1.0 + 1e-12), (rate, rate_ceiling(scenario))
+
+
+def test_rate_ceiling_of_the_default_scenario():
+    # 5.3409 b/s/Hz caps the throughput of an 8 s interval at 42.7269
+    ceiling = rate_ceiling(default_scenario())
+    assert ceiling == pytest.approx(5.3409, abs=1e-4)
+    assert 8.0 * ceiling == pytest.approx(42.7269, abs=1e-4)
 
 
 class TestZeroForcing:

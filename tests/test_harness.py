@@ -28,7 +28,6 @@ from movant.harness import (
     write_csv,
 )
 from movant.errors import SingularChannel
-from movant.positioning import PenaltyConfig
 from movant.scenario import Deployment, Topology
 from movant.stationarity import speed_threshold
 
@@ -151,16 +150,17 @@ class TestConfig:
 
 
 def record_solves(monkeypatch) -> list:
-    """The list that collects (restarts, speed-free) of every
-    ``optimize_positions`` call from here on; a speed-free solve is one made
-    by ``unconstrained_deploy``."""
+    """The list that collects (restarts, speed-free) of every solve from
+    here on: each ``optimize_positions`` call and each lane of a duration
+    chain's stacked solves is a solve of ``positioning._optimize_stack``;
+    a speed-free solve is one made by ``unconstrained_deploy``."""
     solves = []
     speed_free = []  # one entry per unconstrained_deploy call still running
-    solve, deploy = positioning.optimize_positions, positioning.unconstrained_deploy
+    solve, deploy = positioning._optimize_stack, positioning.unconstrained_deploy
 
-    def recording(scenario, t_mov, config=None, start=None):
-        solves.append(((config or PenaltyConfig()).restarts, bool(speed_free)))
-        return solve(scenario, t_mov, config, start)
+    def recording(scenario, stacked, restarts=1):
+        solves.extend([(restarts, bool(speed_free))] * len(stacked))
+        return solve(scenario, stacked, restarts)
 
     def deploying(scenario, config=None):
         speed_free.append(True)
@@ -169,8 +169,9 @@ def record_solves(monkeypatch) -> list:
         finally:
             speed_free.pop()
 
+    for module in (positioning, scheduling):
+        monkeypatch.setattr(module, "_optimize_stack", recording)
     for module in (positioning, scheduling, harness):
-        monkeypatch.setattr(module, "optimize_positions", recording)
         monkeypatch.setattr(module, "unconstrained_deploy", deploying)
     return solves
 
@@ -615,3 +616,31 @@ class TestCli:
         lines = capsys.readouterr().out.strip().split("\n")
         assert float(lines[1].split(",")[1]) == 0.0
         assert float(lines[2].split(",")[1]) > 0.0
+
+
+# (best_t_mov, best_throughput) of every scheme on the default scenario at
+# 2, 6 and 18 wavelengths/s with a 0.08 s grid step; a change that moves a
+# cell updates it here and names the cell, both values and the cause
+DEFAULT_TABLE = {
+    (2.0, SchemeId.OTGM): (1.52, 32.83457812131144),
+    (2.0, SchemeId.OTFM): (1.5338686410010096, 32.770388938351594),
+    (2.0, SchemeId.UPPER_BOUND): (0.0, 42.65260775817304),
+    (2.0, SchemeId.FMD_OAD): (1.6, 31.837783120677344),
+    (2.0, SchemeId.STATIC): (0.0, 0.012792550158695026),
+    (6.0, SchemeId.OTGM): (0.56, 38.29985400442181),
+    (6.0, SchemeId.OTFM): (0.6206423052106008, 38.32773741262191),
+    (6.0, SchemeId.UPPER_BOUND): (0.0, 42.65260775817304),
+    (6.0, SchemeId.FMD_OAD): (1.6, 31.816454004053913),
+    (6.0, SchemeId.STATIC): (0.0, 0.012792550158695026),
+    (18.0, SchemeId.OTGM): (0.4, 40.519977370264385),
+    (18.0, SchemeId.OTFM): (0.24043654301223358, 40.31041759535255),
+    (18.0, SchemeId.UPPER_BOUND): (0.0, 42.65260775817304),
+    (18.0, SchemeId.FMD_OAD): (1.6, 33.26537348502725),
+    (18.0, SchemeId.STATIC): (0.0, 0.012792550158695026),
+}
+
+
+def test_default_table_is_pinned(default_table):
+    reports, _ = default_table
+    got = {key: (r.best_t_mov, r.best_throughput) for key, r in reports.items()}
+    assert got == DEFAULT_TABLE

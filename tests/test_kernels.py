@@ -356,6 +356,24 @@ def test_stacked_projection_matches_per_slice_calls():
             assert np.array_equal(projected, expected)
 
 
+def test_radius_per_row_matches_each_row_alone():
+    # rows with a radius each, projected in one call, come out as each row
+    # does with its own radius alone, on every branch of the closed form
+    rng = np.random.default_rng(15)
+    branches = Counter()
+    for lo, hi in ((np.zeros(2), np.array([10.0, 10.0])), (np.zeros(2), np.array([10.0, 0.0]))):
+        centers = rng.uniform(lo, hi, (80, 2))
+        radii = np.where(rng.random(80) < 0.1, 0.0, 10.0 ** rng.uniform(-3.0, 1.0, 80))
+        points = centers + rng.normal(size=(80, 2)) * 10.0 ** rng.uniform(-2.0, 2.0, (80, 1))
+        out = kernels.project_deployment(points, centers, radii, lo, hi)
+        for row in range(len(points)):
+            one = slice(row, row + 1)
+            alone = kernels.project_deployment(points[one], centers[one], radii[row], lo, hi)
+            assert_bitwise_equal(out[one], alone)
+            branches += branch_counts(points[one], centers[one], radii[row], lo, hi)
+    assert min(branches[name] for name in ("inside", "radial", "edge")) > 0
+
+
 def test_projection_equals_closed_form_bitwise():
     rng = np.random.default_rng(15)
     stacked = [

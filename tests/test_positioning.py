@@ -26,9 +26,8 @@ from movant.scenario import (
     min_pair_distance,
     two_antenna_line_scenario,
 )
-from movant.stationarity import speed_threshold
 
-from conftest import random_instance, record_loop_statuses, reference_pick_start
+from conftest import random_instance, record_loop_statuses, reference_pick_start, slow_scenarios
 
 
 def min_pair(points):
@@ -203,9 +202,12 @@ def pgd_loop(starts, anchors, centers, radius, lo, hi, channel, rho):
     disks of ``radius`` around ``centers`` within the box [lo, hi], under
     the pull ``rho`` (one for all lanes, or one per lane): each lane's
     (positions, trace, iterations, status)."""
-    proj = positioning._lane_projection(centers, len(starts), radius, lo, hi)
+    reach = np.full(len(starts), float(radius))
+    proj = positioning._lane_projection(centers, reach, lo, hi)
     pulls = np.broadcast_to(np.asarray(rho, dtype=float), (len(starts),))
-    return [lane[:4] for lane in positioning._pgd_loop(starts, anchors, proj, channel, pulls)]
+    return [
+        lane[:4] for lane in positioning._pgd_loop(starts, anchors, proj, channel, pulls, reach)
+    ]
 
 
 def pgd_loop_alone(start, anchors, *shared):
@@ -572,8 +574,9 @@ def test_loop_returns_the_log_gradient_at_each_best_iterate(monkeypatch):
     for starts, anchors, pulls, (centers, radius, lo, hi, channel) in lane_stacks(
         31, all_line_search_cases()
     ):
-        proj = positioning._lane_projection(centers, len(starts), radius, lo, hi)
-        found = positioning._pgd_loop(starts, anchors, proj, channel, np.array(pulls))
+        reach = np.full(len(starts), float(radius))
+        proj = positioning._lane_projection(centers, reach, lo, hi)
+        found = positioning._pgd_loop(starts, anchors, proj, channel, np.array(pulls), reach)
         for pos, _, _, status, log_grad in found:
             trace, grad, _ = kernels.trace_and_grad(pos, *channel)
             assert np.array_equal(log_grad, grad / trace, equal_nan=True)
@@ -641,7 +644,9 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
     the restarts run one after another, each a one-lane ``_pgd_loop`` per
     outer round with a projection built for that loop alone, with the
     jitters drawn one restart at a time; a restart has converged if its gap
-    closed and none of its loops hit the iteration cap; the best feasible
+    closed and none of its loops hit the iteration cap, and it ends
+    unconverged after a pulled round that leaves its gap above half of the
+    pulled round's before; the best feasible
     result wins, ties keep the earliest restart and the initial deployment
     is the floor. Each restart aims its own pull: after the first round at
     the largest row norm of the log-gradient at its result (from a fresh
@@ -692,6 +697,10 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
                 run_obj, run_pts = float(trace), pts.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
                 converged = not capped
+                break
+            # a pulled round that leaves the gap above half of the pulled
+            # round before ends the restart unconverged
+            if outer > 2 and gap > gaps[-2] / 2.0:
                 break
             if outer == 1:
                 trace_g, grad, _ = kernels.trace_and_grad(pts, *channel)
@@ -770,6 +779,42 @@ def test_restart_lanes_match_sequential_restarts():
         rounds.append(got.outer_iterations)
     # some winning restarts need several outer rounds
     assert max(rounds) > 1
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_stacked_solves_match_solves_alone(restarts):
+    # solves of one scenario at different durations, each with its own
+    # reach and starts, run as lanes of one stack: each equals its
+    # optimize_positions call, and reports the candidate it started from
+    base = default_scenario(max_speed_wl_s=6)
+    guide = unconstrained_deploy(base).deployment
+    warm = optimize_positions(base, 0.16).deployment
+    slow = slow_scenarios()[1]
+    cases = [
+        (base, [(0.24, [warm, guide]), (0.0, None), (0.4, [guide]), (0.08, None), (0.56, guide)]),
+        (slow, [(5.6, None), (0.8, None), (2.4, None)]),
+    ]
+    rounds = []
+    for scenario, solves in cases:
+        found = positioning._optimize_stack(scenario, solves, restarts)
+        assert len(found) == len(solves)
+        for (t_mov, start), (outcome, pick) in zip(solves, found):
+            config = PenaltyConfig(restarts)
+            alone = optimize_positions(scenario, t_mov, config, start=start)
+            assert np.array_equal(outcome.deployment.coords, alone.deployment.coords)
+            for name in ("objective", "outer_iterations", "inner_iterations", "converged"):
+                assert getattr(outcome, name) == getattr(alone, name), name
+            assert outcome.gap_history == alone.gap_history
+            if t_mov == 0.0:
+                assert pick is None
+            elif isinstance(start, list):
+                winner = reference_pick_start(scenario, t_mov, start)
+                assert start[pick] is winner
+            else:
+                assert pick == 0
+            rounds.append(outcome.outer_iterations)
+    # the lanes of a stack end after different numbers of rounds
+    assert len(set(rounds)) > 2
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
@@ -936,25 +981,6 @@ def test_small_reach_solve_leaves_the_start():
 
 
 @functools.cache
-def slow_scenarios():
-    """The first two non-stationary draws of criterion 9's scenario
-    generator (seed 909; draws with a singular initial channel skipped), at
-    half their own speed threshold: antennas that reach at most a few
-    hundredths of a wavelength in the whole interval."""
-    rng = np.random.default_rng(909)
-    slow = []
-    while len(slow) < 2:
-        thetas, phis = rng.uniform(0.15, 1.45, 4), rng.uniform(0.15, 1.45, 4)
-        s = default_scenario(elevation_angles=list(thetas), azimuth_angles=list(phis))
-        try:
-            report = speed_threshold(s)
-        except SingularChannel:
-            continue
-        if not report.stationary:
-            slow.append(s.with_(max_speed=0.5 * report.speed_threshold))
-    return slow
-
-
 @pytest.mark.parametrize("t_mov", [0.8, 5.6])
 @pytest.mark.parametrize("draw", [0, 1])
 def test_slow_solve_closes_its_gap_in_three_rounds(draw, t_mov):
@@ -1013,9 +1039,9 @@ def test_solve_scores_its_set_up_in_one_call(monkeypatch, case_wide, restarts):
         shapes.append(positions.shape)
         return trace_at(positions, *rest)
 
-    def building(centers, lanes, *rest):
-        builds.append(lanes)
-        return lane_projection(centers, lanes, *rest)
+    def building(centers, reach, *rest):
+        builds.append(len(reach))
+        return lane_projection(centers, reach, *rest)
 
     monkeypatch.setattr(kernels, "trace_at", scoring)
     monkeypatch.setattr(positioning, "_lane_projection", building)

@@ -1,15 +1,20 @@
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
 
+import movant.positioning as positioning
 import movant.scheduling as scheduling
 from movant import harness, kernels
-from movant.channel import achievable_rate, effective_throughput, kernel_args
-from movant.errors import FitDiverged, SingularChannel
+from movant.channel import achievable_rate, effective_throughput, kernel_args, rate_ceiling
+from movant.errors import FitDiverged, MovantError, SingularChannel
 from movant.scheduling import (
+    CurvePoint,
     FitKind,
     SearchMethod,
+    TradeoffReport,
     compute_t_mov_max,
     fit_rate_model,
     fitting_method,
@@ -20,7 +25,7 @@ from movant.harness import default_scenario
 from movant.positioning import PenaltyConfig, optimize_positions, unconstrained_deploy
 from movant.scenario import Deployment, as_positions, two_antenna_line_scenario
 
-from conftest import reference_pick_start
+from conftest import reference_pick_start, slow_scenarios
 
 
 def closed_form_throughput(gap, t, interval=5.0):
@@ -256,19 +261,20 @@ SCHEDULERS = {
 
 
 def count_optimizer_runs(monkeypatch) -> dict:
-    """Count every position-optimizer run from here on: the defining module
-    (used by unconstrained_deploy) and the scheduler's imported name."""
-    import movant.positioning as positioning
-
+    """Count every position-optimizer solve from here on: each
+    ``optimize_positions`` call and each lane of a duration chain's stacked
+    solves is a solve of ``positioning._optimize_stack``, patched in the
+    defining module (used by optimize_positions) and as the scheduler's
+    imported name."""
     calls = {"count": 0}
-    original = positioning.optimize_positions
+    original = positioning._optimize_stack
 
-    def counting(*args, **kwargs):
-        calls["count"] += 1
-        return original(*args, **kwargs)
+    def counting(scenario, solves, *args, **kwargs):
+        calls["count"] += len(solves)
+        return original(scenario, solves, *args, **kwargs)
 
-    monkeypatch.setattr(positioning, "optimize_positions", counting)
-    monkeypatch.setattr(scheduling, "optimize_positions", counting)
+    monkeypatch.setattr(positioning, "_optimize_stack", counting)
+    monkeypatch.setattr(scheduling, "_optimize_stack", counting)
     return calls
 
 
@@ -330,14 +336,15 @@ def test_bound_stop_keeps_the_full_chains_best(name):
     solved = len(stopped.curve)
     assert solved < len(durations)
     assert stopped.curve == full.curve[:solved]
-    # the bound rules out the first duration left unsolved
+    # the certified ceiling rules out the first duration left unsolved
     t = durations[solved]
-    rate_cap = max([achievable_rate(scenario, guide)] + [p.rate for p in stopped.curve])
+    rate_cap = max([rate_ceiling(scenario)] + [p.rate for p in stopped.curve])
     assert (scenario.interval - t) * rate_cap <= stopped.best_throughput
 
 
-def test_singular_guide_searches_the_full_grid(case_wide):
-    # every antenna at one point: the guide's rate raises SingularChannel
+def test_singular_guide_stops_at_the_rate_ceiling(case_wide):
+    # every antenna at one point: the guide's rate raises SingularChannel,
+    # but the certified ceiling needs no guide, so the search still stops
     guide = Deployment(np.full(case_wide.initial_positions.coords.shape, 5.0))
     with pytest.raises(SingularChannel):
         achievable_rate(case_wide, guide)
@@ -346,8 +353,11 @@ def test_singular_guide_searches_the_full_grid(case_wide):
         case_wide, durations, guide, SearchMethod.GENERAL_SEARCH, case_wide.interval
     )
     report = general_search(case_wide, grid_step=0.5, guide=guide)
-    assert len(report.curve) == len(durations) == 10
-    assert report.curve == full.curve
+    solved = len(report.curve)
+    assert len(full.curve) == len(durations) == 10
+    assert solved < len(durations)
+    assert report.curve == full.curve[:solved]
+    assert (report.best_t_mov, report.best_throughput) == (full.best_t_mov, full.best_throughput)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
@@ -362,22 +372,43 @@ def test_no_movement_possible_stays_at_zero(case_wide, monkeypatch, name):
     )
 
 
+def fail_solves(monkeypatch, scenario, should_fail, error) -> list:
+    """Make every placement solve of ``scenario`` whose duration
+    ``should_fail`` accepts raise ``error``, stacked or alone:
+    ``positioning._optimize_stack`` is patched in the defining module (used
+    by optimize_positions) and as the scheduler's imported name. Returns the
+    list of durations solved, each once, in the order first seen; the
+    speed-free solve poses another scenario and is not among them."""
+    seen = []
+    original = positioning._optimize_stack
+
+    def flaky(posed, solves, *args, **kwargs):
+        if posed is not scenario:
+            return original(posed, solves, *args, **kwargs)
+        durations = [t for t, _ in solves]
+        seen.extend(t for t in durations if t not in seen)
+        if any(should_fail(t, seen) for t in durations):
+            raise error
+        return original(posed, solves, *args, **kwargs)
+
+    monkeypatch.setattr(positioning, "_optimize_stack", flaky)
+    monkeypatch.setattr(scheduling, "_optimize_stack", flaky)
+    return seen
+
+
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_schedulers_isolate_failed_samples(case_wide, monkeypatch, name):
-    original = scheduling._solve_duration
-    calls = []
-
     # the third duration solved: t = 1.0 on the grid, the middle sample of
     # the fitting method
-    def flaky(scenario, t_mov, start=None):
-        calls.append(t_mov)
-        if len(calls) == 3:
-            raise SingularChannel("synthetic solver failure")
-        return original(scenario, t_mov, start=start)
-
-    monkeypatch.setattr(scheduling, "_solve_duration", flaky)
+    seen = fail_solves(
+        monkeypatch,
+        case_wide,
+        lambda t, seen: len(seen) >= 3 and t == seen[2],
+        SingularChannel("synthetic solver failure"),
+    )
     report = SCHEDULERS[name](case_wide)
-    failed_t = calls[2]
+    failed_t = seen[2]
+    assert failed_t == (1.0 if name == "general_search" else report.curve[2].t_mov)
     assert report.failures == ((failed_t, "synthetic solver failure"),)
     failed = [p for p in report.curve if p.t_mov == failed_t]
     assert len(failed) == 1 and np.isnan(failed[0].rate)
@@ -387,14 +418,12 @@ def test_schedulers_isolate_failed_samples(case_wide, monkeypatch, name):
 
 
 def test_general_search_propagates_programming_errors(case_wide, monkeypatch):
-    original = scheduling._solve_duration
-
-    def broken(scenario, t_mov, start=None):
-        if abs(t_mov - 1.0) < 1e-12:
-            raise TypeError("synthetic programming error")
-        return original(scenario, t_mov, start=start)
-
-    monkeypatch.setattr(scheduling, "_solve_duration", broken)
+    fail_solves(
+        monkeypatch,
+        case_wide,
+        lambda t, seen: abs(t - 1.0) < 1e-12,
+        TypeError("synthetic programming error"),
+    )
     with pytest.raises(TypeError, match="synthetic programming error"):
         general_search(case_wide, grid_step=0.5)
 
@@ -489,3 +518,215 @@ def test_solve_starts_from_the_best_candidate(monkeypatch):
     assert not np.array_equal(
         solve(10.0, tied, 1).deployment.coords, solve(10.0, tied[::-1], 1).deployment.coords
     )
+
+
+def one_duration_chain(scenario, durations, guide, method, t_mov_max, stop_at_bound=False):
+    """Reference ``scheduling._duration_chain``: each duration solved alone,
+    in turn, by ``optimize_positions`` from the previous solution and the
+    guide, with its rate (``scheduling._solve_duration``); a solve or rate
+    that raises is a failure with a NaN curve point, and with
+    ``stop_at_bound`` the chain ends where the rate ceiling (or a higher
+    solved rate) rules out every later duration."""
+    curve, failures, solved = [], [], []
+    best, warm = None, None
+    rate_cap = rate_ceiling(scenario) if stop_at_bound else None
+    for t in durations:
+        if rate_cap is not None and best is not None:
+            if (scenario.interval - t) * rate_cap <= best[0]:
+                break
+        try:
+            starts = [d for d in (warm, guide) if d is not None]
+            rate, outcome = scheduling._solve_duration(scenario, t, start=starts)
+        except (MovantError, ValueError) as exc:
+            failures.append((t, str(exc)))
+            curve.append(CurvePoint(t, math.nan, math.nan))
+            continue
+        warm = outcome.deployment
+        solved.append((t, warm))
+        if rate_cap is not None:
+            rate_cap = max(rate_cap, rate)
+        throughput = (scenario.interval - t) * rate
+        curve.append(CurvePoint(t, rate, throughput))
+        if best is None or throughput > best[0]:
+            best = (throughput, t, rate, warm, outcome.converged)
+    if best is None:
+        raise MovantError("every duration sample failed")
+    report = TradeoffReport(
+        best_t_mov=best[1],
+        best_deployment=best[3],
+        best_rate=best[2],
+        best_throughput=best[0],
+        curve=tuple(curve),
+        method=method,
+        t_mov_max=t_mov_max,
+        converged=best[4],
+        failures=tuple(failures),
+    )
+    return report, solved
+
+
+def assert_same_report(got, expected):
+    # NaN curve points compare equal field by field only as the same object
+    assert np.array_equal(got.best_deployment.coords, expected.best_deployment.coords)
+    assert replace(got, best_deployment=None, curve=()) == replace(
+        expected, best_deployment=None, curve=()
+    )
+    assert len(got.curve) == len(expected.curve)
+    for a, b in zip(got.curve, expected.curve):
+        fields = [(p.t_mov, p.rate, p.throughput) for p in (a, b)]
+        assert np.array_equal(*fields, equal_nan=True)
+
+
+# (scenario, grid step, duration index of a solve made to fail or None,
+# whether every guide-started duration counts as settled): the two-antenna
+# pairs, the slow draws and the default scenario, on the benchmark's grids
+# and guides and on the default grid step. Counting every guide-started
+# duration stacks windows in the chains whose solves iterate too, and there
+# they miss; the default chains as the schemes run them are pinned in
+# tests/test_harness.py.
+CHAIN_CASES = {
+    "pair(4,6)": (lambda: two_antenna_line_scenario(4.0, 6.0), 0.05, None, False),
+    "pair(5,5.5)": (lambda: two_antenna_line_scenario(5.0, 5.5), 0.05, None, False),
+    "pair(5,5.5) failing": (lambda: two_antenna_line_scenario(5.0, 5.5), 0.05, 11, False),
+    "slow0": (lambda: slow_scenarios()[0], 0.8, None, False),
+    "slow1": (lambda: slow_scenarios()[1], 0.8, None, False),
+    "slow1 every guide start": (lambda: slow_scenarios()[1], 0.8, None, True),
+    **{
+        f"default@{v} every guide start": (
+            lambda v=v: default_scenario(max_speed_wl_s=v), 0.08, None, True
+        )
+        for v in (2, 6, 18)
+    },
+    "default@2 failing": (lambda: default_scenario(max_speed_wl_s=2), 0.08, 6, True),
+    **{
+        f"default@{v} step interval/400": (
+            lambda v=v: default_scenario(max_speed_wl_s=v), None, None, True
+        )
+        for v in (6, 18)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(CHAIN_CASES))
+def test_stacked_chain_matches_the_one_duration_chain(monkeypatch, name):
+    build, step, failing, every_guide_start = CHAIN_CASES[name]
+    scenario = build()
+    speed_free = harness._speed_free if name.startswith("default") else unconstrained_deploy
+    guide = speed_free(scenario).deployment
+    if every_guide_start:
+        monkeypatch.setattr(scheduling, "SETTLED_ITERATIONS", 10**9)
+    if failing is not None:
+        grid = grid_durations(scenario.interval, step)
+        fail_solves(
+            monkeypatch,
+            scenario,
+            lambda t, seen: t == grid[failing],
+            SingularChannel("synthetic solver failure"),
+        )
+    # the size of each window and the (t, outcome, settled) triples it kept
+    windows = []
+    solve_window = scheduling._solve_window
+
+    def recording(posed, durations, warm, guide):
+        kept = solve_window(posed, durations, warm, guide)
+        windows.append((len(durations), kept))
+        return kept
+
+    monkeypatch.setattr(scheduling, "_solve_window", recording)
+    searches = {
+        "general_search": lambda: general_search(scenario, grid_step=step, guide=guide),
+        "fitting_method": lambda: fitting_method(scenario, guide=guide),
+    }
+    got = {key: search() for key, search in searches.items()}
+    monkeypatch.setattr(scheduling, "_solve_window", solve_window)
+    monkeypatch.setattr(scheduling, "_duration_chain", one_duration_chain)
+    for key, search in searches.items():
+        assert_same_report(got[key], search())
+    if failing is not None:
+        assert got["general_search"].failures[0][0] == grid[failing]
+    # every kept stacked lane is the solve of its duration alone, from the
+    # previous kept solution and the guide
+    stacked = 0
+    for _, kept in windows:
+        for (t, outcome, _), (_, previous, _) in zip(kept[1:], kept):
+            alone = optimize_positions(scenario, t, start=[previous.deployment, guide])
+            assert np.array_equal(outcome.deployment.coords, alone.deployment.coords)
+            assert outcome == replace(alone, deployment=outcome.deployment)
+            stacked += 1
+    if name.startswith("pair"):
+        assert stacked > 20
+    # the guide starts two durations in a row in each of these chains
+    assert max(size for size, _ in windows) > 1 or not every_guide_start
+
+
+def test_stacked_chains_cover_misses_failures_and_the_bound_stop(monkeypatch):
+    # the cases above stack windows that miss partway, raise inside a
+    # window and reach past the bound stop
+    ends = []
+    solve_window = scheduling._solve_window
+
+    def recording(posed, durations, warm, guide):
+        kept = solve_window(posed, durations, warm, guide)
+        ends.append((len(durations), len(kept), [settled for *_, settled in kept]))
+        return kept
+
+    monkeypatch.setattr(scheduling, "_solve_window", recording)
+    scenario = default_scenario(max_speed_wl_s=2)
+    guide = harness._speed_free(scenario).deployment
+    # the guide starts the first five durations, but its solves iterate:
+    # no window opens
+    general_search(scenario, grid_step=0.08, guide=guide)
+    assert {size for size, *_ in ends} == {1}
+    del ends[:]
+    # counted all the same, they open windows, and a window of four keeps
+    # its first duration, from the guide, whose solution starts the second
+    monkeypatch.setattr(scheduling, "SETTLED_ITERATIONS", 10**9)
+    general_search(scenario, grid_step=0.08, guide=guide)
+    assert (4, 1, [True]) in ends
+    monkeypatch.setattr(scheduling, "SETTLED_ITERATIONS", 0)
+    del ends[:]
+    pair = two_antenna_line_scenario(5.0, 5.5)
+    grid = grid_durations(pair.interval, 0.05)
+    report = general_search(pair, grid_step=0.05)
+    # the windows end where the guide's start rates put the bound stop,
+    # and that is where it comes: no lane is solved past it
+    assert len(report.curve) == sum(kept for _, kept, _ in ends) < len(grid)
+    # windows sized without that trim reach past the stop; the chain ends
+    # inside the last one, with the same report
+    del ends[:]
+    solved_before_stop = scheduling._solved_before_stop
+    monkeypatch.setattr(scheduling, "_solved_before_stop", lambda _, window, *rest: len(window))
+    assert_same_report(general_search(pair, grid_step=0.05), report)
+    size, kept, settled = ends[-1]
+    assert kept == size and settled == [True] * kept
+    assert len(report.curve) < sum(kept for _, kept, _ in ends) < len(grid)
+    monkeypatch.setattr(scheduling, "_solved_before_stop", solved_before_stop)
+    del ends[:]
+    fail_solves(monkeypatch, pair, lambda t, seen: t == grid[11], SingularChannel("synthetic"))
+    general_search(pair, grid_step=0.05)
+    # the window of t[8] to t[15] raised and fell back to its first duration
+    assert (8, 1) in [(size, kept) for size, kept, _ in ends]
+
+
+def test_a_rate_that_raises_inside_a_window_fails_its_duration(monkeypatch):
+    # the rate of the kept lane at t[20] raises: that duration fails, the
+    # lanes kept after it go, and the chain goes on from t[19]'s solution,
+    # as the one-duration chain does
+    pair = two_antenna_line_scenario(5.0, 5.5)
+    grid = grid_durations(pair.interval, 0.05)
+    _, solved = one_duration_chain(
+        pair, grid[:21], unconstrained_deploy(pair).deployment, SearchMethod.GENERAL_SEARCH, 5.0
+    )
+    target = solved[20][1].coords
+    rate = scheduling.achievable_rate
+
+    def flaky(scenario, deployment):
+        if np.array_equal(deployment.coords, target):
+            raise SingularChannel("synthetic rate failure")
+        return rate(scenario, deployment)
+
+    monkeypatch.setattr(scheduling, "achievable_rate", flaky)
+    got = general_search(pair, grid_step=0.05)
+    assert got.failures == ((grid[20], "synthetic rate failure"),)
+    monkeypatch.setattr(scheduling, "_duration_chain", one_duration_chain)
+    assert_same_report(got, general_search(pair, grid_step=0.05))

@@ -98,16 +98,17 @@ OUTER_ROUNDS = {"grid_search": 96, "stay_or_move": 130, "antenna_sweep": 21}
 def test_layerbench_loops_end_below_iteration_cap(monkeypatch, layerbench_workloads, workload):
     statuses = record_loop_statuses(monkeypatch)
     rounds = []
-    solve = positioning.optimize_positions
+    solve = positioning._optimize_stack
 
     def counting(*args, **kwargs):
-        outcome = solve(*args, **kwargs)
-        rounds.append(outcome.outer_iterations)
-        return outcome
+        found = solve(*args, **kwargs)
+        rounds.extend(outcome.outer_iterations for outcome, _ in found)
+        return found
 
-    # unconstrained_deploy calls the solver through the positioning module
-    for module in (positioning, harness, scheduling):
-        monkeypatch.setattr(module, "optimize_positions", counting)
+    # every solve, an optimize_positions call or a lane of a duration
+    # chain's stacked solve, runs in positioning._optimize_stack
+    for module in (positioning, scheduling):
+        monkeypatch.setattr(module, "_optimize_stack", counting)
     runner = layerbench_workloads.WORKLOADS[workload](1)
     summary = runner.summarize(runner.run_round())
     assert (summary.attempted, summary.failed, summary.faults) == (ATTEMPTED[workload], 0, [])
@@ -148,13 +149,24 @@ def test_layerbench_speed_free_solves_per_round(monkeypatch, layerbench_workload
 
 def test_ab_compares_a_checkout_with_itself():
     done = run(
-        "tools/ab.py", ".", ".", "--workload", "stay_or_move", "--pairs", "1", "--seconds", "0"
+        "tools/ab.py", ".", ".", "--workload", "stay_or_move", "--pairs", "1", "--seconds", "0",
+        "--seed", "1", "2",
     )
     assert done.returncode == 0, done.stderr
-    assert "pair  1 (parent first)" in done.stdout
+    # the seeds' runs interleave, alternating which side runs first
+    assert "pair  1 seed 1 (parent first)" in done.stdout
+    assert "pair  1 seed 2 (change first)" in done.stdout
     assert "answers correct, digests equal in every pair" in done.stdout
-    # equal throughputs tie, and a tie is no win
-    assert "throughput_b_hz: claim does not hold (0/1 wins" in done.stdout
+    # a verdict per seed and one pooled over both; equal throughputs tie,
+    # and a tie is no win
+    for title in (
+        "stay_or_move, seed 1, 1 pairs of 0 s runs",
+        "stay_or_move, seed 2, 1 pairs of 0 s runs",
+        "stay_or_move, pooled over seeds 1 2, 2 pairs",
+    ):
+        assert title in done.stdout
+    assert done.stdout.count("throughput_b_hz: claim does not hold (0/1 wins") == 2
+    assert "throughput_b_hz: claim does not hold (0/2 wins" in done.stdout
 
 
 def test_ab_fails_when_digests_differ(tmp_path):

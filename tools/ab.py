@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
 """Interleaved A/B runs of the layered benchmark on two checkouts.
 
-    python3 tools/ab.py PARENT CHANGE --workload grid_search --pairs 10 [--seed 1]
+    python3 tools/ab.py PARENT CHANGE --workload grid_search --pairs 10 [--seed 1 [2 ...]]
 
 Runs ``layerbench/run.py --workload W --seed S --seconds X`` (15 s unless
 ``--seconds`` says otherwise) in the PARENT and CHANGE checkouts, one run at
-a time, pair after pair, alternating which side runs first. Prints each
-pair's end-to-end metrics, each side's median and quartiles, and the number
-of pairs in which the change read better, per metric (ties count for
-neither side); the better direction of each metric comes from CHANGE's
-``BENCHMARK.json``. A verdict line per metric says whether a gain may be
-claimed: the change wins at least nine tenths of the pairs, and its median
-is better than the parent's by more than the parent's interquartile range.
-Exits with status 1 when a run reports incorrect answers or the two sides'
-result digests differ in any pair; the digests are read from each
-checkout's ``layerbench/out/<W>-seed<S>-trace0.json``.
+a time, pair after pair, alternating which side runs first. With several
+seeds, each pair runs every seed in turn, so the seeds' pairs interleave.
+Prints each pair's end-to-end metrics, then per seed each side's median and
+quartiles, and the number of pairs in which the change read better, per
+metric (ties count for neither side); the better direction of each metric
+comes from CHANGE's ``BENCHMARK.json``. A verdict line per metric says
+whether a gain may be claimed: the change wins at least nine tenths of the
+pairs, and its median is better than the parent's by more than the
+parent's interquartile range. With several seeds, a pooled table and
+verdict over the pairs of every seed follow. Exits with status 1 when a run
+reports incorrect answers or the two sides' result digests differ in any
+pair; the digests are read from each checkout's
+``layerbench/out/<W>-seed<S>-trace0.json``.
 """
 
 import argparse
@@ -33,7 +36,7 @@ def parse_args(argv=None):
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
     parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -41,18 +44,18 @@ def parse_args(argv=None):
     return args
 
 
-def run_side(root: Path, args) -> tuple[dict, str, bool]:
+def run_side(root: Path, args, seed: int) -> tuple[dict, str, bool]:
     """One untraced benchmark run in ``root``: (end-to-end metric values,
     result digest, whether the answers were correct)."""
     cmd = [
         sys.executable, "layerbench/run.py", "--workload", args.workload,
-        "--seed", str(args.seed), "--seconds", str(args.seconds),
+        "--seed", str(seed), "--seconds", str(args.seconds),
     ]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"ab: layerbench failed in {root} (exit {done.returncode}):\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    record = root / "layerbench" / "out" / f"{args.workload}-seed{args.seed}-trace0.json"
+    record = root / "layerbench" / "out" / f"{args.workload}-seed{seed}-trace0.json"
     digest = json.loads(record.read_text())["digest"]
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
     return metrics, digest, result["correct"] is True
@@ -77,30 +80,11 @@ def claim(parent: list, change: list, is_lower: bool) -> tuple[bool, int, float,
     return 10 * wins >= 9 * len(parent) and gap > p3 - p1, wins, gap, p3 - p1
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-    lower = {metric["name"]: metric["better"] == "lower" for metric in declared}
-    values = {side: [] for side in SIDES}
-    faults = []
-    for pair in range(1, args.pairs + 1):
-        order = SIDES if pair % 2 else SIDES[::-1]
-        digests = {}
-        for side in order:
-            metrics, digests[side], correct = run_side(roots[side], args)
-            values[side].append(metrics)
-            if not correct:
-                faults.append(f"pair {pair}: {side} reports incorrect answers")
-        if digests["parent"] != digests["change"]:
-            faults.append(f"pair {pair}: digests differ, {digests['parent']} / {digests['change']}")
-        cells = "  ".join(
-            f"{name} {values['parent'][-1][name]:.6g} / {values['change'][-1][name]:.6g}"
-            for name in lower
-        )
-        print(f"pair {pair:2d} ({order[0]} first)  parent / change:  {cells}", flush=True)
-
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+def report(title: str, values: dict, lower: dict) -> None:
+    """The quartile table and the verdict lines of the paired runs in
+    ``values``, per side a list of runs' metrics, under ``title``."""
+    pairs = len(values["parent"])
+    print(f"\n{title}")
     print(f"{'metric':<18}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}  wins")
     verdicts = []
     for name, is_lower in lower.items():
@@ -108,12 +92,56 @@ def main(argv=None) -> int:
         change = [run[name] for run in values["change"]]
         holds, wins, gap, iqr = claim(parent, change, is_lower)
         cells = "".join(f"{q:>12.6g}" for runs in (parent, change) for q in quartiles(runs))
-        print(f"{name:<18}{cells}  {wins}/{args.pairs}")
+        print(f"{name:<18}{cells}  {wins}/{pairs}")
         verdicts.append(
-            f"{name}: claim {'holds' if holds else 'does not hold'} ({wins}/{args.pairs} wins, "
+            f"{name}: claim {'holds' if holds else 'does not hold'} ({wins}/{pairs} wins, "
             f"9/10 needed; median gap {gap:.6g} vs parent IQR {iqr:.6g})"
         )
     print("\n".join(verdicts))
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    lower = {metric["name"]: metric["better"] == "lower" for metric in declared}
+    values = {seed: {side: [] for side in SIDES} for seed in args.seed}
+    faults = []
+    runs = 0
+    for pair in range(1, args.pairs + 1):
+        for seed in args.seed:
+            order = SIDES if runs % 2 == 0 else SIDES[::-1]
+            runs += 1
+            label = f"pair {pair}" if len(args.seed) == 1 else f"pair {pair} seed {seed}"
+            digests = {}
+            for side in order:
+                metrics, digests[side], correct = run_side(roots[side], args, seed)
+                values[seed][side].append(metrics)
+                if not correct:
+                    faults.append(f"{label}: {side} reports incorrect answers")
+            if digests["parent"] != digests["change"]:
+                faults.append(
+                    f"{label}: digests differ, {digests['parent']} / {digests['change']}"
+                )
+            cells = "  ".join(
+                f"{name} {values[seed]['parent'][-1][name]:.6g} / "
+                f"{values[seed]['change'][-1][name]:.6g}"
+                for name in lower
+            )
+            shown = label.replace(f"pair {pair}", f"pair {pair:2d}", 1)
+            print(f"{shown} ({order[0]} first)  parent / change:  {cells}", flush=True)
+
+    for seed in args.seed:
+        report(
+            f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs",
+            values[seed],
+            lower,
+        )
+    if len(args.seed) > 1:
+        pooled = {side: [run for seed in args.seed for run in values[seed][side]] for side in SIDES}
+        seeds = " ".join(str(seed) for seed in args.seed)
+        title = f"{args.workload}, pooled over seeds {seeds}, {len(pooled['parent'])} pairs"
+        report(title, pooled, lower)
     for fault in faults:
         print(f"FAULT: {fault}", file=sys.stderr)
     print(f"{len(faults)} fault(s)" if faults else "answers correct, digests equal in every pair")
