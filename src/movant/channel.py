@@ -22,6 +22,7 @@ __all__ = [
     "optimal_power",
     "common_sinr",
     "achievable_rate",
+    "trace_floor",
     "rate_ceiling",
     "effective_throughput",
 ]
@@ -152,17 +153,21 @@ def achievable_rate(scenario: Scenario, deployment) -> float:
     return float(np.log2(1.0 + common_sinr(scenario, deployment)))
 
 
-def rate_ceiling(scenario: Scenario) -> float:
-    """A rate no deployment exceeds: log2(1 + snr_scale / F), with
-    F = sum_k 1 / (N b_k^2) a floor under tr(G^-1) for every layout.
+def trace_floor(scenario: Scenario) -> float:
+    """F = sum_k 1 / (N b_k^2), a floor under tr(G^-1) for every layout.
 
     Column k of H has N entries of modulus b_k, so G_kk = N b_k^2 whatever
     the positions, and for a positive-definite G, (G^-1)_kk >= 1 / G_kk
     (Cauchy-Schwarz on G^(1/2) e_k and G^(-1/2) e_k). Equality holds
     exactly where the users' channels are orthogonal.
     """
-    floor = float(np.sum(1.0 / (scenario.num_antennas * scenario.fading_coeffs)))
-    return float(np.log2(1.0 + scenario.snr_scale / floor))
+    return float(np.sum(1.0 / (scenario.num_antennas * scenario.fading_coeffs)))
+
+
+def rate_ceiling(scenario: Scenario) -> float:
+    """A rate no deployment exceeds: log2(1 + snr_scale / F), with F the
+    ``trace_floor``."""
+    return float(np.log2(1.0 + scenario.snr_scale / trace_floor(scenario)))
 
 
 def effective_throughput(scenario: Scenario, deployment, t_mov: float) -> float:

@@ -18,7 +18,9 @@ independent of the channel's scale: tr(G^-1) spans more than ten orders of
 magnitude across scenarios and layouts, while the solver's step seed, pull
 floor and growth and tolerances are fixed numbers. Several solves of one
 scenario, at different durations, can run as lanes of one lockstep solve
-(``_optimize_stack``), each lane with its own reach.
+(``_optimize_stack``), each lane with its own reach. A multi-start solve
+ends once one start comes within a relative ``_CERTIFIED_MARGIN`` of the
+floor that no layout beats, ``channel.trace_floor``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .channel import _check_singular, kernel_args, trace_objective
+from .channel import _check_singular, kernel_args, trace_floor, trace_objective
 from .errors import InfeasibleSpacing, SingularChannel
 from .scenario import Deployment, Scenario, Topology, as_positions
 
@@ -81,6 +83,12 @@ _STATUS_CONVERGED = 0
 _STATUS_MAX_ITERS = 1
 _STATUS_SINGULAR = 2
 _STATUS_STALLED = 3
+_STATUS_BOUND = 4
+
+# relative margin above the trace floor (``channel.trace_floor``) within
+# which a lane certifies its multi-start solve: no layout beats the floor,
+# so the solve's other lanes could lower tr(G^-1) by at most this fraction
+_CERTIFIED_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,8 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class OptimizeOutcome:
-    """Result of one placement optimization."""
+    """Result of one placement optimization; ``certified`` where a restart
+    reached the trace floor and ended the solve's other restarts."""
 
     deployment: Deployment
     objective: float
@@ -108,6 +117,7 @@ class OptimizeOutcome:
     max_constraint_violation: float
     converged: bool
     gap_history: tuple = field(default=())
+    certified: bool = False
 
 
 @functools.cache
@@ -264,6 +274,7 @@ def _pgd_loop(
     channel: tuple,
     rho: np.ndarray,
     radius: np.ndarray,
+    cut: tuple | None = None,
 ):
     """Spectral projected gradient on log tr(G^-1) + rho * ||pos -
     anchors||^2 (SPG2 of Birgin, Martinez and Raydan, 2000), run on
@@ -310,6 +321,14 @@ def _pgd_loop(
     that every best iterate has its gradient. A lane that ends leaves the
     stack, and each lane comes out bit for bit as it would alone.
 
+    ``cut``, (the solve of each lane, a tr(G^-1) level, a least pair
+    spacing), ends the lanes of a solve once one of them certifies it: it
+    ends converged with a best iterate at or below the level and no pair
+    closer than the spacing (``_certifies``). The solve's other lanes leave
+    at the next convergence test, after their own, with their best iterate,
+    the certifying lane's iteration count and ``_STATUS_BOUND``; a lane cut
+    at the iteration cap leaves that way too.
+
     Work that cannot change an iterate is skipped. Where every pull is 0,
     as in the first outer round of every solve, the pull's value and
     gradient terms are not computed, since log t + 0 * q is exactly log t.
@@ -355,18 +374,36 @@ def _pgd_loop(
         progress.append(collections.deque([pen], maxlen=2 * _NONMONOTONE_MEMORY))
         singular.append(math.isnan(t))
     eta = [_PGD_STEP] * len(start)
+    # the solves that a lane has certified and whose lanes are still to cut
+    bound = set()
 
-    def leave(ended, status, iters):
-        """Record the lanes flagged in ``ended`` and drop them from the
-        stack; returns the rows of the lanes that stay."""
+    def certify(ended):
+        """Add to ``bound`` the solve of each lane flagged in ``ended`` whose
+        best iterate certifies it."""
+        if cut is None:
+            return
+        # the spacing is worth computing only at the level
+        rows = [i for i, e in enumerate(ended) if e and best[i][2] <= cut[1]]
+        if rows:
+            spacings = _min_pair_distances(np.array([best[i][1] for i in rows]))
+            bound.update(
+                cut[0][lanes[i]]
+                for i, spacing in zip(rows, spacings)
+                if _certifies(_STATUS_CONVERGED, best[i][2], spacing, cut)
+            )
+
+    def leave(statuses, iters):
+        """Record the lanes whose entry of ``statuses`` is a status, not
+        None, and drop them from the stack; returns the rows of the lanes
+        that stay."""
         nonlocal lanes, recent, best, progress, eta, pos, g, anchors, rho, radius
         keep = []
-        for i, lane in enumerate(lanes):
-            if ended[i]:
+        for i, (lane, status) in enumerate(zip(lanes, statuses)):
+            if status is None:
+                keep.append(i)
+            else:
                 _, p, t, lg = best[i]
                 result[lane] = (p, t, iters, status, lg)
-            else:
-                keep.append(i)
         if not keep:
             lanes = []
             return keep
@@ -376,8 +413,13 @@ def _pgd_loop(
         pos, g, anchors, rho, radius = pos[keep], g[keep], anchors[keep], rho[keep], radius[keep]
         return keep
 
+    def cut_or(status):
+        """Per lane, ``_STATUS_BOUND`` where its solve is certified, else
+        ``status``."""
+        return [_STATUS_BOUND if bound and cut[0][lane] in bound else status for lane in lanes]
+
     if any(singular):
-        leave(singular, _STATUS_SINGULAR, 0)
+        leave([_STATUS_SINGULAR if s else None for s in singular], 0)
     for it in range(_PGD_MAX_ITERS):
         if not lanes:
             break
@@ -385,8 +427,13 @@ def _pgd_loop(
         cand = proj(pos - np.array(eta)[:, None, None] * g, radius)
         d = cand - pos
         reach = _max_row_norms(d)
-        if min(reach) <= _GRAD_TOL:
-            keep = leave([r <= _GRAD_TOL for r in reach], _STATUS_CONVERGED, it)
+        if min(reach) <= _GRAD_TOL or bound:
+            ended = [r <= _GRAD_TOL for r in reach]
+            certify(ended)
+            keep = leave(
+                [_STATUS_CONVERGED if e else s for e, s in zip(ended, cut_or(None))], it
+            )
+            bound.clear()
             if not keep:
                 break
             cand, d, reach = cand[keep], d[keep], [reach[i] for i in keep]
@@ -418,7 +465,7 @@ def _pgd_loop(
             else:
                 stalled[i] = True
         if any(stalled):
-            keep = leave(stalled, _STATUS_STALLED, it)
+            keep = leave([_STATUS_STALLED if s else None for s in stalled], it)
             if not keep:
                 break
             cand, d, grad_c = cand[keep], d[keep], grad_c[keep]
@@ -437,7 +484,10 @@ def _pgd_loop(
             progress[i].append(best[i][0])
         done = [len(h) == h.maxlen and h[0] - h[-1] <= _PROGRESS_TOL for h in progress]
         if any(done):
-            keep = leave(done, _STATUS_CONVERGED, it + 1)
+            # the lanes of a solve certified here leave at the next
+            # convergence test, after their own
+            certify(done)
+            keep = leave([_STATUS_CONVERGED if e else None for e in done], it + 1)
             if not keep:
                 break
             s, grad_c = s[keep], grad_c[keep]
@@ -449,8 +499,16 @@ def _pgd_loop(
         ]
         g = g_new
     else:
-        leave([True] * len(lanes), _STATUS_MAX_ITERS, _PGD_MAX_ITERS)
+        leave(cut_or(_STATUS_MAX_ITERS), _PGD_MAX_ITERS)
     return result
+
+
+def _certifies(status: int, trace: float, spacing: float, cut: tuple) -> bool:
+    """Whether a lane whose loop ended with ``status``, tr(G^-1) ``trace``
+    and least pair spacing ``spacing`` certifies its solve under ``cut``:
+    it converged, at or below the cut's level and no closer than its
+    spacing."""
+    return status == _STATUS_CONVERGED and trace <= cut[1] and spacing >= cut[2]
 
 
 def _next_pull(rho: float, gap: float, log_grad: np.ndarray) -> float:
@@ -511,7 +569,13 @@ def optimize_positions(
     restart). The restarts run as lanes of one lockstep solve, each outer
     round one stacked ``_pgd_loop`` then one stacked ``separate_anchors``
     over the lanes still running, and every lane ends as the same restart
-    run alone would, bit for bit; with several failing lanes, the first
+    run alone would, bit for bit, but for one cut: once a restart's loop
+    ends converged with tr(G^-1) within a relative ``_CERTIFIED_MARGIN`` of
+    ``channel.trace_floor`` and its spacing within ``FEASIBILITY_TOL``, the
+    other restarts stop at that iteration with their best iterate and take
+    no further round, and the outcome is ``certified``. No layout beats the
+    floor, so the cut costs at most that fraction of tr(G^-1); a restart it
+    stopped has not converged. With several failing lanes, the first
     error in lockstep order is the one raised. A negative or non-finite
     ``t_mov``, an empty candidate list and a candidate with a non-finite
     coordinate raise ``ValueError``; a singular channel at the initial
@@ -642,6 +706,12 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
     outers = [0] * count
     converged = [False] * count
     capped = [False] * count
+    # a multi-start solve ends once a lane certifies it (``_pgd_loop``'s
+    # cut): its other lanes take no further round; the certifying lanes
+    # run on as they would alone
+    if restarts > 1:
+        level = trace_floor(scenario) * (1.0 + _CERTIFIED_MARGIN)
+    certifiers, stopped = set(), set()
 
     separate = lambda p: separate_anchors(
         p, d_min, region_side=scenario.region_side, topology=scenario.topology
@@ -653,14 +723,25 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
     # the lanes still running, in the order of the rows of pts and anchors
     live = list(range(count))
     for outer in range(1, _AO_MAX_ITERS + 1):
-        found = _pgd_loop(pts, anchors, proj, channel, rho, reach)
+        cut = None
+        if restarts > 1:
+            cut = ([lane // restarts for lane in live], level, d_min - FEASIBILITY_TOL)
+        found = _pgd_loop(pts, anchors, proj, channel, rho, reach, cut)
         if any(status == _STATUS_SINGULAR for *_, status, _ in found):
             raise SingularChannel("channel is singular at the starting deployment")
         pts = np.array([p for p, *_ in found])
         anchors = separate(pts)
+        spacings = _min_pair_distances(pts)
+        if cut is not None:
+            certifiers.update(
+                lane
+                for lane, (_, trace, _, status, _), spacing in zip(live, found, spacings)
+                if _certifies(status, trace, spacing, cut)
+            )
+            stopped = {lane // restarts for lane in certifiers}
         # the rows of the lanes that keep running, and their next pulls
         running, pulls = [], []
-        rows = zip(live, found, _max_row_norms(pts - anchors), _min_pair_distances(pts))
+        rows = zip(live, found, _max_row_norms(pts - anchors), spacings)
         for row, (lane, (p, trace, steps, status, log_grad), gap, spacing) in enumerate(rows):
             inner_total[lane] += steps
             outers[lane] = outer
@@ -669,7 +750,9 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
             if trace < run_obj[lane] and spacing >= d_min - FEASIBILITY_TOL:
                 run_obj[lane], run_pts[lane] = trace, p.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
-                converged[lane] = not capped[lane]
+                converged[lane] = not capped[lane] and status != _STATUS_BOUND
+            elif lane // restarts in stopped and lane not in certifiers:
+                continue  # a sibling certified the solve
             elif outer < 3 or gap <= gaps[lane][-2] / 2.0:
                 running.append(row)
                 pulls.append(_next_pull(float(rho[row]), gap, log_grad))
@@ -680,6 +763,7 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
 
     # the initial deployment is feasible for every duration: never do
     # worse; ties keep the earliest restart
+    certified = {moving[lane // restarts] for lane in certifiers}
     winners = []
     for solve in range(len(moving)):
         best_obj = f_initial
@@ -703,6 +787,7 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
             max_constraint_violation=max(0.0, d_min - spacing),
             converged=best_run[2],
             gap_history=best_run[3],
+            certified=k in certified,
         )
         out[k] = (outcome, pick)
     return out

@@ -16,6 +16,7 @@ from movant.channel import (
     effective_throughput,
     optimal_power,
     rate_ceiling,
+    trace_floor,
     trace_objective,
     zf_beamformer,
 )
@@ -239,6 +240,7 @@ def test_no_layout_beats_the_rate_ceiling(topology):
         except SingularChannel:
             continue
         floor = float(np.sum(1.0 / (n * scenario.fading_coeffs)))
+        assert trace_floor(scenario) == floor
         assert trace >= floor * (1.0 - 1e-12), (trace, floor)
         rate = achievable_rate(scenario, layout)
         assert rate <= rate_ceiling(scenario) * (1.0 + 1e-12), (rate, rate_ceiling(scenario))

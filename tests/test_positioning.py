@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
 
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 from movant import harness, kernels, positioning
-from movant.channel import SINGULAR_COND_LIMIT, achievable_rate, kernel_args, trace_objective
+from movant.channel import (
+    SINGULAR_COND_LIMIT,
+    achievable_rate,
+    kernel_args,
+    trace_floor,
+    trace_objective,
+)
 from movant.errors import InfeasibleSpacing, SingularChannel
 from movant.harness import SweepParameter, default_scenario, scenario_variant
 from movant.positioning import (
@@ -653,28 +660,45 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
     ``trace_and_grad`` call) over ``FEASIBILITY_TOL``, after a later one at
     rho * gap / (``FEASIBILITY_TOL`` / 2); at least 1 after the first round
     and 10 times the last pull after a later one, which also stand in for
-    an aim that is no finite number."""
+    an aim that is no finite number.
+
+    With several restarts, a restart certifies the solve at the first loop
+    that ends converged with its trace at or below ``trace_floor`` times
+    1 + ``_CERTIFIED_MARGIN`` and its spacing within ``FEASIBILITY_TOL``.
+    The restarts that certify first, in (round, loop iterations), run on
+    as alone; every other restart is run again and stops there: in that
+    round its loop keeps its own end if it came within that many
+    iterations (a converged end at exactly that many included), and is
+    otherwise the loop under an iteration cap of that many, cut and so not
+    converged; it takes no further round."""
     radius = scenario.max_speed * t_mov
     initial = scenario.initial_positions.coords
     f_initial = trace_objective(scenario, initial)
     lo, hi = scenario.region_bounds()
     channel = kernel_args(scenario)
     d_min = scenario.min_spacing
+    level = trace_floor(scenario) * (1.0 + positioning._CERTIFIED_MARGIN)
     spacing_ok = lambda pts: min_pair_distance(pts) >= d_min - FEASIBILITY_TOL
     separate = lambda pts: separate_anchors(
         pts, d_min, region_side=scenario.region_side, topology=scenario.topology
     )
-    best_obj, best_pts, best_run = f_initial, initial, (0, 0, True, ())
     rng = np.random.default_rng(0)
     jitter_scale = min(radius, scenario.region_side / 4.0)
+    starts = []
     for restart in range(restarts):
         if restart == 0:
             pts = initial if start is None else reference_pick_start(scenario, t_mov, start)
             pts = as_positions(pts)
         else:
             pts = initial + rng.uniform(-jitter_scale, jitter_scale, initial.shape)
-        pts = kernels.project_deployment(pts, initial, radius, lo, hi)
-        run_obj, run_pts = math.inf, None
+        starts.append(kernels.project_deployment(pts, initial, radius, lo, hi))
+
+    def run_restart(pts, stop=None):
+        """One restart from ``pts``, stopped at ``stop`` = (round, loop
+        iterations) if given: (best trace, its positions, (rounds, inner
+        iterations, converged, gap history), the (round, loop iterations)
+        at which it first certified, or None)."""
+        run_obj, run_pts, certified_at = math.inf, None, None
         if spacing_ok(pts):
             trace, _ = kernels.trace_at(pts, *channel)
             if not np.isnan(trace):
@@ -683,9 +707,17 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
         anchors = pts
         rho, gaps, inner_total, converged, capped = 0.0, [], 0, False, False
         for outer in range(1, positioning._AO_MAX_ITERS + 1):
-            pts, trace, inner, status = pgd_loop_alone(
-                pts, anchors, initial, radius, lo, hi, channel, rho
-            )
+            shared = (initial, radius, lo, hi, channel, rho)
+            found = pgd_loop_alone(pts, anchors, *shared)
+            cut = stop is not None and outer == stop[0]
+            if cut:
+                inner, status = found[2:]
+                if inner > stop[1] or (inner == stop[1] and status != positioning._STATUS_CONVERGED):
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(positioning, "_PGD_MAX_ITERS", stop[1])
+                        found = pgd_loop_alone(pts, anchors, *shared)[:3]
+                    found = (*found, positioning._STATUS_BOUND)
+            pts, trace, inner, status = found
             if status == positioning._STATUS_SINGULAR:
                 raise SingularChannel("channel is singular at the starting deployment")
             inner_total += inner
@@ -695,12 +727,19 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
             gaps.append(gap)
             if spacing_ok(pts) and trace < run_obj:
                 run_obj, run_pts = float(trace), pts.copy()
+            if (
+                certified_at is None
+                and status == positioning._STATUS_CONVERGED
+                and trace <= level
+                and spacing_ok(pts)
+            ):
+                certified_at = (outer, inner)
             if gap <= FEASIBILITY_TOL / 2.0:
-                converged = not capped
+                converged = not capped and status != positioning._STATUS_BOUND
                 break
             # a pulled round that leaves the gap above half of the pulled
             # round before ends the restart unconverged
-            if outer > 2 and gap > gaps[-2] / 2.0:
+            if cut or (outer > 2 and gap > gaps[-2] / 2.0):
                 break
             if outer == 1:
                 trace_g, grad, _ = kernels.trace_and_grad(pts, *channel)
@@ -709,7 +748,18 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
             else:
                 aim, least = rho * gap / (FEASIBILITY_TOL / 2.0), 10.0 * rho
             rho = aim if math.isfinite(aim) and aim > least else least
-        run = (outer, inner_total, converged, tuple(gaps))
+        return run_obj, run_pts, (outer, inner_total, converged, tuple(gaps)), certified_at
+
+    runs = [run_restart(pts) for pts in starts]
+    certified_at = [run[3] for run in runs if run[3] is not None] if restarts > 1 else []
+    if certified_at:
+        first = min(certified_at)
+        runs = [
+            run if run[3] == first else run_restart(pts, stop=first)
+            for pts, run in zip(starts, runs)
+        ]
+    best_obj, best_pts, best_run = f_initial, initial, (0, 0, True, ())
+    for restart, (run_obj, run_pts, run, _) in enumerate(runs):
         if run_pts is not None and run_obj < best_obj:
             best_obj, best_pts, best_run = run_obj, run_pts, run
         elif restart == 0:
@@ -722,6 +772,7 @@ def sequential_optimize_positions(scenario, t_mov, restarts, start=None):
         max_constraint_violation=max(0.0, d_min - min_pair_distance(best_pts)),
         converged=best_run[2],
         gap_history=best_run[3],
+        certified=bool(certified_at),
     )
 
 
@@ -753,10 +804,14 @@ def restart_cases():
     for _ in range(6):
         s = random_instance(rng, n_max=5, k_max=3)
         yield s.with_(min_spacing=0.3), float(rng.uniform(0.2, 2.0)), 3, None
+    # a lane cut when a sibling reached the trace floor wins this one
+    rng = np.random.default_rng(590)
+    s = random_instance(rng, n_max=6, k_max=3)
+    yield s.with_(min_spacing=0.3), float(rng.uniform(0.2, 2.0)), 3, None
 
 
 def test_restart_lanes_match_sequential_restarts():
-    rounds = []
+    rounds, certified = [], []
     for scenario, t_mov, restarts, start in restart_cases():
         config = PenaltyConfig(restarts=restarts)
         try:
@@ -774,11 +829,15 @@ def test_restart_lanes_match_sequential_restarts():
             "max_constraint_violation",
             "converged",
             "gap_history",
+            "certified",
         ):
             assert getattr(got, name) == getattr(expected, name), name
         rounds.append(got.outer_iterations)
+        certified.append((got.certified, got.converged))
     # some winning restarts need several outer rounds
     assert max(rounds) > 1
+    # some solves end at the trace floor, one won by a lane cut there
+    assert (True, True) in certified and (True, False) in certified
 
 
 @pytest.mark.parametrize("restarts", [1, 3])
@@ -790,11 +849,16 @@ def test_stacked_solves_match_solves_alone(restarts):
     guide = unconstrained_deploy(base).deployment
     warm = optimize_positions(base, 0.16).deployment
     slow = slow_scenarios()[1]
+    # with several starts the first solve here ends at the trace floor,
+    # and the solve beside it in the stack runs on as alone
+    eight = scenario_variant(base, SweepParameter.NUM_ANTENNAS, 8)
+    eight = eight.with_(max_speed=eight.region_side * math.sqrt(2.0))
     cases = [
         (base, [(0.24, [warm, guide]), (0.0, None), (0.4, [guide]), (0.08, None), (0.56, guide)]),
         (slow, [(5.6, None), (0.8, None), (2.4, None)]),
+        (eight, [(1.0, None), (0.2, None)]),
     ]
-    rounds = []
+    rounds, certified = [], []
     for scenario, solves in cases:
         found = positioning._optimize_stack(scenario, solves, restarts)
         assert len(found) == len(solves)
@@ -805,6 +869,8 @@ def test_stacked_solves_match_solves_alone(restarts):
             for name in ("objective", "outer_iterations", "inner_iterations", "converged"):
                 assert getattr(outcome, name) == getattr(alone, name), name
             assert outcome.gap_history == alone.gap_history
+            assert outcome.certified == alone.certified
+            certified.append(outcome.certified)
             if t_mov == 0.0:
                 assert pick is None
             elif isinstance(start, list):
@@ -815,6 +881,7 @@ def test_stacked_solves_match_solves_alone(restarts):
             rounds.append(outcome.outer_iterations)
     # the lanes of a stack end after different numbers of rounds
     assert len(set(rounds)) > 2
+    assert certified.count(True) == (1 if restarts > 1 else 0)
 
 
 @pytest.mark.parametrize("restarts", [1, 4])
@@ -1081,3 +1148,94 @@ def test_solve_rejects_a_non_finite_start(value):
     for start, index in ((bad, 0), ([scenario.initial_positions, bad], 1)):
         with pytest.raises(ValueError, match=f"candidate start {index} has a non-finite"):
             optimize_positions(scenario, 0.4, start=start)
+
+
+# UpperBound's speed-free solves of the default scenario (None) and of its
+# NumAntennas variants: a digest of the deployment's bytes, the objective
+# and the converged flag, as they were before solves ended at the floor
+SPEED_FREE_PINS = [
+    (None, "e8868462ce7ec085ab6160ffc3dd9d64", "0x1.33326df960f41p+26", True),
+    (4, "645b1553236df683e7bd257474832858", "0x1.7fc76e35b381bp+26", True),
+    (5, "0b02a9c0487208197f152aa9e7588169", "0x1.3337534494205p+26", True),
+    (6, "28aed3f4ee14d5c2247906c1e5481756", "0x1.fca0f0a28969ep+25", True),
+    (7, "396558e54288e4fab6a2661eacbe9f5b", "0x1.b3f76686c5e1bp+25", True),
+    (8, "c27d233df87806e273c1fa6d5cbf1fa9", "0x1.7d785963a607ep+25", True),
+    (9, "03b585f7bc694af75918c1ed1446a9f1", "0x1.5316317fbe7cep+25", True),
+    (10, "0cffcb3b97b2dca4587890b7d17d129a", "0x1.312d2803d68ccp+25", True),
+]
+
+
+def antenna_variant(n):
+    """The default scenario, or its NumAntennas variant with ``n`` antennas."""
+    base = default_scenario()
+    return base if n is None else scenario_variant(base, SweepParameter.NUM_ANTENNAS, n)
+
+
+def speed_free_outcome(n):
+    """UpperBound's multi-start speed-free solve of ``antenna_variant(n)``."""
+    config = PenaltyConfig(restarts=harness._UNCONSTRAINED_RESTARTS)
+    return unconstrained_deploy(antenna_variant(n), config=config)
+
+
+def floor_level(scenario):
+    """The tr(G^-1) at or below which a lane certifies its solve."""
+    return trace_floor(scenario) * (1.0 + positioning._CERTIFIED_MARGIN)
+
+
+@pytest.mark.parametrize("n, digest, objective, converged", SPEED_FREE_PINS)
+def test_speed_free_outcomes_are_pinned(n, digest, objective, converged):
+    # from N = 6 up a lane ends within 1e-5 of the floor and its siblings
+    # stop there; none of the outcomes moves, bit for bit
+    out = speed_free_outcome(n)
+    assert hashlib.sha256(out.deployment.coords.tobytes()).hexdigest()[:32] == digest
+    assert out.objective.hex() == objective
+    assert out.converged is converged
+    assert out.certified is (n is not None and n >= 6)
+    # a certified outcome sits at the floor
+    assert out.certified is (out.objective <= floor_level(antenna_variant(n)))
+
+
+def test_certified_eight_antenna_solve_halves_its_gradient_calls(monkeypatch):
+    # its first lane ends 1.0e-6 above the floor after 113 iterations; the
+    # stack used to run to iteration 361 and make 498 trace_and_grad calls
+    calls = []
+    trace_and_grad = kernels.trace_and_grad
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return trace_and_grad(*args)
+
+    monkeypatch.setattr(kernels, "trace_and_grad", counting)
+    config = PenaltyConfig(restarts=harness._UNCONSTRAINED_RESTARTS)
+    out = unconstrained_deploy(antenna_variant(8), config=config)
+    assert out.certified
+    assert len(calls) <= 498 // 2
+
+
+def test_single_user_solve_ends_with_its_first_lane(monkeypatch):
+    # with one user every layout sits at the floor, so the first lane to
+    # end certifies the solve: every lane ends at its iteration, and the
+    # lanes whose spacing fails take no further round
+    base = default_scenario(max_speed_wl_s=6)
+    scenario = base.with_(
+        num_users=1,
+        elevation_angles=base.elevation_angles[:1],
+        azimuth_angles=base.azimuth_angles[:1],
+        fading_coeffs=base.fading_coeffs[:1],
+    )
+    loops = []
+    pgd_loop = positioning._pgd_loop
+
+    def recording(*args, **kwargs):
+        result = pgd_loop(*args, **kwargs)
+        loops.append([(iters, status) for _, _, iters, status, _ in result])
+        return result
+
+    monkeypatch.setattr(positioning, "_pgd_loop", recording)
+    out = optimize_positions(scenario, 1.0, PenaltyConfig(restarts=4))
+    assert out.certified and out.converged
+    assert out.objective <= floor_level(scenario)
+    assert len(loops) == 1
+    first = min(iters for iters, _ in loops[0])
+    assert all(iters == first for iters, _ in loops[0])
+    assert positioning._STATUS_CONVERGED in [status for _, status in loops[0]]

@@ -147,10 +147,11 @@ def test_layerbench_speed_free_solves_per_round(monkeypatch, layerbench_workload
         assert len(calls) == SPEED_FREE_PER_ROUND[workload], calls
 
 
-def test_ab_compares_a_checkout_with_itself():
+def test_ab_compares_a_checkout_with_itself(tmp_path):
+    record = tmp_path / "ab.json"
     done = run(
         "tools/ab.py", ".", ".", "--workload", "stay_or_move", "--pairs", "1", "--seconds", "0",
-        "--seed", "1", "2",
+        "--seed", "1", "2", "--json", str(record),
     )
     assert done.returncode == 0, done.stderr
     # the seeds' runs interleave, alternating which side runs first
@@ -167,6 +168,22 @@ def test_ab_compares_a_checkout_with_itself():
         assert title in done.stdout
     assert done.stdout.count("throughput_b_hz: claim does not hold (0/1 wins") == 2
     assert "throughput_b_hz: claim does not hold (0/2 wins" in done.stdout
+    # the JSON record holds each pair's metrics and digests, and the
+    # quartiles and verdicts printed per seed and pooled
+    written = json.loads(record.read_text())
+    assert (written["workload"], written["seeds"], written["pairs"]) == ("stay_or_move", [1, 2], 1)
+    assert [(r["pair"], r["seed"], r["first"]) for r in written["runs"]] == [
+        (1, 1, "parent"),
+        (1, 2, "change"),
+    ]
+    for r in written["runs"]:
+        assert r["parent"]["throughput_b_hz"] == r["change"]["throughput_b_hz"]
+        assert r["digests"]["parent"] == r["digests"]["change"]
+    assert [summary["seed"] for summary in written["summaries"]] == [1, 2, "pooled"]
+    pooled = written["summaries"][-1]["metrics"]["throughput_b_hz"]
+    assert (pooled["claim"], pooled["wins"], pooled["pairs"]) == (False, 0, 2)
+    assert pooled["parent"] == pooled["change"] and len(pooled["parent"]) == 3
+    assert written["faults"] == []
 
 
 def test_ab_fails_when_digests_differ(tmp_path):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved A/B runs of the layered benchmark on two checkouts.
 
-    python3 tools/ab.py PARENT CHANGE --workload grid_search --pairs 10 [--seed 1 [2 ...]]
+    python3 tools/ab.py PARENT CHANGE --workload grid_search --pairs 10 [--seed 1 [2 ...]] [--json PATH]
 
 Runs ``layerbench/run.py --workload W --seed S --seconds X`` (15 s unless
 ``--seconds`` says otherwise) in the PARENT and CHANGE checkouts, one run at
@@ -17,11 +17,15 @@ parent's interquartile range. With several seeds, a pooled table and
 verdict over the pairs of every seed follow. Exits with status 1 when a run
 reports incorrect answers or the two sides' result digests differ in any
 pair; the digests are read from each checkout's
-``layerbench/out/<W>-seed<S>-trace0.json``.
+``layerbench/out/<W>-seed<S>-trace0.json``. ``--json PATH`` also writes
+the run to PATH: each pair's metrics and digests, and per seed (and
+pooled) each metric's quartiles, wins and verdict.
 """
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -38,6 +42,7 @@ def parse_args(argv=None):
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
     parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--json", type=Path, help="write the pairs and verdicts to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -80,22 +85,39 @@ def claim(parent: list, change: list, is_lower: bool) -> tuple[bool, int, float,
     return 10 * wins >= 9 * len(parent) and gap > p3 - p1, wins, gap, p3 - p1
 
 
-def report(title: str, values: dict, lower: dict) -> None:
-    """The quartile table and the verdict lines of the paired runs in
-    ``values``, per side a list of runs' metrics, under ``title``."""
-    pairs = len(values["parent"])
-    print(f"\n{title}")
-    print(f"{'metric':<18}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}  wins")
-    verdicts = []
+def summarize(values: dict, lower: dict) -> dict:
+    """Per metric, each side's quartiles and the claim verdict over the
+    paired runs in ``values``, per side a list of runs' metrics."""
+    summary = {}
     for name, is_lower in lower.items():
         parent = [run[name] for run in values["parent"]]
         change = [run[name] for run in values["change"]]
         holds, wins, gap, iqr = claim(parent, change, is_lower)
-        cells = "".join(f"{q:>12.6g}" for runs in (parent, change) for q in quartiles(runs))
-        print(f"{name:<18}{cells}  {wins}/{pairs}")
+        summary[name] = {
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "wins": wins,
+            "pairs": len(parent),
+            "median_gap": gap,
+            "parent_iqr": iqr,
+            "claim": holds,
+        }
+    return summary
+
+
+def report(title: str, summary: dict) -> None:
+    """The quartile table and the verdict lines of ``summarize``'s
+    ``summary`` under ``title``."""
+    print(f"\n{title}")
+    print(f"{'metric':<18}{'parent q1 / median / q3':>36}{'change q1 / median / q3':>36}  wins")
+    verdicts = []
+    for name, row in summary.items():
+        cells = "".join(f"{q:>12.6g}" for side in ("parent", "change") for q in row[side])
+        print(f"{name:<18}{cells}  {row['wins']}/{row['pairs']}")
         verdicts.append(
-            f"{name}: claim {'holds' if holds else 'does not hold'} ({wins}/{pairs} wins, "
-            f"9/10 needed; median gap {gap:.6g} vs parent IQR {iqr:.6g})"
+            f"{name}: claim {'holds' if row['claim'] else 'does not hold'} "
+            f"({row['wins']}/{row['pairs']} wins, 9/10 needed; median gap "
+            f"{row['median_gap']:.6g} vs parent IQR {row['parent_iqr']:.6g})"
         )
     print("\n".join(verdicts))
 
@@ -107,6 +129,7 @@ def main(argv=None) -> int:
     lower = {metric["name"]: metric["better"] == "lower" for metric in declared}
     values = {seed: {side: [] for side in SIDES} for seed in args.seed}
     faults = []
+    pairs = []
     runs = 0
     for pair in range(1, args.pairs + 1):
         for seed in args.seed:
@@ -119,6 +142,15 @@ def main(argv=None) -> int:
                 values[seed][side].append(metrics)
                 if not correct:
                     faults.append(f"{label}: {side} reports incorrect answers")
+            pairs.append(
+                {
+                    "pair": pair,
+                    "seed": seed,
+                    "first": order[0],
+                    **{side: values[seed][side][-1] for side in SIDES},
+                    "digests": digests,
+                }
+            )
             if digests["parent"] != digests["change"]:
                 faults.append(
                     f"{label}: digests differ, {digests['parent']} / {digests['change']}"
@@ -131,20 +163,36 @@ def main(argv=None) -> int:
             shown = label.replace(f"pair {pair}", f"pair {pair:2d}", 1)
             print(f"{shown} ({order[0]} first)  parent / change:  {cells}", flush=True)
 
+    summaries = []
     for seed in args.seed:
-        report(
-            f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs",
-            values[seed],
-            lower,
-        )
+        title = f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs"
+        summaries.append({"seed": seed, "title": title, "metrics": summarize(values[seed], lower)})
     if len(args.seed) > 1:
         pooled = {side: [run for seed in args.seed for run in values[seed][side]] for side in SIDES}
         seeds = " ".join(str(seed) for seed in args.seed)
         title = f"{args.workload}, pooled over seeds {seeds}, {len(pooled['parent'])} pairs"
-        report(title, pooled, lower)
+        summaries.append({"seed": "pooled", "title": title, "metrics": summarize(pooled, lower)})
+    for summary in summaries:
+        report(summary["title"], summary["metrics"])
     for fault in faults:
         print(f"FAULT: {fault}", file=sys.stderr)
     print(f"{len(faults)} fault(s)" if faults else "answers correct, digests equal in every pair")
+    if args.json is not None:
+        record = {
+            "workload": args.workload,
+            "seeds": args.seed,
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "host": {
+                "machine": platform.machine(),
+                "cpus": os.cpu_count(),
+                "python": platform.python_version(),
+            },
+            "runs": pairs,
+            "summaries": summaries,
+            "faults": faults,
+        }
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 1 if faults else 0
 
 
