@@ -36,7 +36,7 @@ import numpy as np
 from . import kernels
 from .channel import _check_singular, kernel_args, trace_floor, trace_objective
 from .errors import InfeasibleSpacing, SingularChannel
-from .scenario import Deployment, Scenario, Topology, as_positions
+from .scenario import Deployment, Scenario, Topology, as_positions, min_pair_distance
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -218,18 +218,6 @@ def _max_row_norms(x: np.ndarray) -> list:
     return np.sqrt(np.maximum.reduce(np.add.reduce(x * x, axis=-1), axis=-1)).tolist()
 
 
-def _min_pair_distances(x: np.ndarray) -> list:
-    """The smallest pairwise distance of each lane of an (L, N, 2) stack,
-    bit for bit ``min_pair_distance`` of the lane (inf below two points)."""
-    n = x.shape[1]
-    if n < 2:
-        return [math.inf] * len(x)
-    delta = x[:, :, None, :] - x[:, None, :, :]
-    dist = np.sqrt((delta**2).sum(axis=-1))
-    dist[:, np.arange(n), np.arange(n)] = np.inf
-    return np.minimum.reduce(dist.reshape(len(x), -1), axis=1).tolist()
-
-
 def _lane_projection(centers, reach, lo, hi):
     """Projection of (k, N, 2) stacks of lanes onto the box [lo, hi]
     intersected with each lane's disks around the rows of ``centers``,
@@ -385,7 +373,7 @@ def _pgd_loop(
         # the spacing is worth computing only at the level
         rows = [i for i, e in enumerate(ended) if e and best[i][2] <= cut[1]]
         if rows:
-            spacings = _min_pair_distances(np.array([best[i][1] for i in rows]))
+            spacings = min_pair_distance(np.array([best[i][1] for i in rows])).tolist()
             bound.update(
                 cut[0][lanes[i]]
                 for i, spacing in zip(rows, spacings)
@@ -698,7 +686,7 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
     count = len(pts)
     run_obj = [math.inf] * count
     run_pts = [None] * count
-    for lane, (trace, spacing) in enumerate(zip(traces, _min_pair_distances(pts))):
+    for lane, (trace, spacing) in enumerate(zip(traces, min_pair_distance(pts).tolist())):
         if spacing >= d_min - FEASIBILITY_TOL and not math.isnan(trace):
             run_obj[lane], run_pts[lane] = trace, pts[lane].copy()
     gaps = [[] for _ in range(count)]
@@ -731,7 +719,7 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
             raise SingularChannel("channel is singular at the starting deployment")
         pts = np.array([p for p, *_ in found])
         anchors = separate(pts)
-        spacings = _min_pair_distances(pts)
+        spacings = min_pair_distance(pts).tolist()
         if cut is not None:
             certifiers.update(
                 lane
@@ -777,7 +765,7 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
             elif restart == 0:
                 best_run = run
         winners.append((best_obj, best_pts, best_run))
-    spacings = _min_pair_distances(np.array([best_pts for _, best_pts, _ in winners]))
+    spacings = min_pair_distance(np.array([best_pts for _, best_pts, _ in winners])).tolist()
     for k, pick, (best_obj, best_pts, best_run), spacing in zip(moving, picks, winners, spacings):
         outcome = OptimizeOutcome(
             deployment=Deployment(best_pts),

@@ -55,17 +55,18 @@ def as_positions(deployment) -> np.ndarray:
     return arr
 
 
-def min_pair_distance(points: np.ndarray) -> float:
-    """Smallest distance between two rows of ``points`` (inf below two)."""
-    n = points.shape[0]
-    if n < 2:
-        return np.inf
-    diffs = points[:, None, :] - points[None, :, :]
-    dists = np.sqrt((diffs**2).sum(axis=2))
+def min_pair_distance(points: np.ndarray) -> float | np.ndarray:
+    """Smallest distance between two rows of ``points`` (inf below two): a
+    float for an (N, 2) array, an array of one per lane for an (..., N, 2)
+    stack."""
+    n = points.shape[-2]
+    diffs = points[..., :, None, :] - points[..., None, :, :]
+    dists = np.sqrt((diffs**2).sum(axis=-1))
     # p_i - p_j is exactly -(p_j - p_i), so the matrix is exactly symmetric
     # and its off-diagonal minimum is the minimum over pairs
-    np.fill_diagonal(dists, np.inf)
-    return float(dists.min())
+    dists[..., np.arange(n), np.arange(n)] = np.inf
+    least = dists.min(axis=(-2, -1), initial=np.inf)
+    return float(least) if points.ndim == 2 else least
 
 
 @dataclass(frozen=True)

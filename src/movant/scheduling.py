@@ -190,23 +190,6 @@ def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment) 
     return [(first, outcome, settled)]
 
 
-def _solved_before_stop(scenario: Scenario, durations: list, guide, rate_cap, best) -> int:
-    """How many of the next ``durations`` to stack before the bound stop,
-    from the best throughput so far, ``best``, grown as if each duration
-    were solved to the guide pulled into its reach. A solve does at least
-    that well unless that start breaks the spacing: it starts from the
-    better of its candidates and ends no worse than a start that keeps the
-    spacing. A count too high solves lanes past the stop; one too low
-    leaves durations to a later window."""
-    _, traces = _score_starts(scenario, [(t, [guide]) for t in durations])
-    for count, (t, trace) in enumerate(zip(durations, traces)):
-        if (scenario.interval - t) * rate_cap <= best:
-            return count
-        # a NaN trace leaves the best as it is
-        best = max(best, (scenario.interval - t) * math.log2(1.0 + scenario.snr_scale / trace))
-    return len(durations)
-
-
 def _duration_chain(
     scenario: Scenario,
     durations: list,
@@ -262,10 +245,9 @@ def _duration_chain(
     i, run = 0, 0
     while i < len(durations) and not stopped(durations[i]):
         # the window is the largest power of two no longer than the run,
-        # less the durations that its own solves would rule out
-        window = durations[i : i + (1 << max(run.bit_length() - 1, 0))]
-        if len(window) > 1 and rate_cap is not None and best is not None:
-            window = window[: _solved_before_stop(scenario, window, guide, rate_cap, best[0])]
+        # less the durations that the bound stop already rules out
+        size = 1 << max(run.bit_length() - 1, 0)
+        window = [t for t in durations[i : i + size] if not stopped(t)]
         try:
             kept = _solve_window(scenario, window, warm, guide)
         except (MovantError, ValueError) as exc:

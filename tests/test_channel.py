@@ -501,6 +501,13 @@ def test_min_pair_distance_equals_upper_triangle_formula():
             points[-1] = np.nextafter(points[0], np.inf)
         got, want = min_pair_distance(points), upper_triangle(points)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # a stack of lanes gives each lane's own, bit for bit
+        lanes = int(rng.integers(1, 5))
+        stack = rng.uniform(-10.0, 10.0, (lanes, n, 2)) * 10.0 ** rng.uniform(-6.0, 3.0)
+        stack[0] = points
+        got = min_pair_distance(stack)
+        assert got.shape == (lanes,)
+        assert got.tobytes() == np.array([upper_triangle(lane) for lane in stack]).tobytes()
 
 
 def test_imports_without_scipy():

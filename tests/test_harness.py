@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import movant.cli as cli
 import movant.harness as harness
 import movant.positioning as positioning
 import movant.scheduling as scheduling
@@ -610,6 +611,17 @@ class TestCli:
         assert main(["sweep", "--sweep", "Vmax=2", "--scheme", schemes]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_programming_error_leaves_main(self, monkeypatch, capsys):
+        # no command raises a KeyError on purpose: one is a bug, so it
+        # leaves main as a traceback, not as "error: ..." and exit code 2
+        def broken(*args):
+            raise KeyError("not a user error")
+
+        monkeypatch.setattr(cli, "run_scheme", broken)
+        with pytest.raises(KeyError, match="not a user error"):
+            main(["optimize", "--scheme", "Static"])
+        assert capsys.readouterr().err == ""
 
     def test_special_case_narrow(self, capsys):
         assert main(["special-case", "--case", "narrow", "--vmax", "0.02,0.04"]) == 0

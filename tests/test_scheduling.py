@@ -667,7 +667,7 @@ def test_stacked_chains_cover_misses_failures_and_the_bound_stop(monkeypatch):
 
     def recording(posed, durations, warm, guide):
         kept = solve_window(posed, durations, warm, guide)
-        ends.append((len(durations), len(kept), [settled for *_, settled in kept]))
+        ends.append((list(durations), len(kept), [settled for *_, settled in kept]))
         return kept
 
     monkeypatch.setattr(scheduling, "_solve_window", recording)
@@ -676,36 +676,39 @@ def test_stacked_chains_cover_misses_failures_and_the_bound_stop(monkeypatch):
     # the guide starts the first five durations, but its solves iterate:
     # no window opens
     general_search(scenario, grid_step=0.08, guide=guide)
-    assert {size for size, *_ in ends} == {1}
+    assert {len(window) for window, *_ in ends} == {1}
     del ends[:]
     # counted all the same, they open windows, and a window of four keeps
     # its first duration, from the guide, whose solution starts the second
     monkeypatch.setattr(scheduling, "SETTLED_ITERATIONS", 10**9)
     general_search(scenario, grid_step=0.08, guide=guide)
-    assert (4, 1, [True]) in ends
+    assert (4, 1, [True]) in [(len(window), kept, settled) for window, kept, settled in ends]
     monkeypatch.setattr(scheduling, "SETTLED_ITERATIONS", 0)
     del ends[:]
     pair = two_antenna_line_scenario(5.0, 5.5)
     grid = grid_durations(pair.interval, 0.05)
     report = general_search(pair, grid_step=0.05)
-    # the windows end where the guide's start rates put the bound stop,
-    # and that is where it comes: no lane is solved past it
-    assert len(report.curve) == sum(kept for _, kept, _ in ends) < len(grid)
-    # windows sized without that trim reach past the stop; the chain ends
-    # inside the last one, with the same report
-    del ends[:]
-    solved_before_stop = scheduling._solved_before_stop
-    monkeypatch.setattr(scheduling, "_solved_before_stop", lambda _, window, *rest: len(window))
+    # every window leaves out the durations that the bound stop rules out
+    # when it opens, from the best throughput and the rate cap so far
+    for window, *_ in ends:
+        before = [point for point in report.curve if point.t_mov < window[0]]
+        best = max((point.throughput for point in before), default=-math.inf)
+        cap = max([rate_ceiling(pair)] + [point.rate for point in before])
+        assert all((pair.interval - t) * cap > best for t in window)
+    # the stop comes inside the last window: its lanes past the stop are
+    # solved and dropped, and the report is the one-duration chain's
+    window, kept, settled = ends[-1]
+    assert kept == len(window) and settled == [True] * kept
+    assert len(report.curve) == 55 < sum(kept for _, kept, _ in ends) == 58 < len(grid) == 100
+    duration_chain = scheduling._duration_chain
+    monkeypatch.setattr(scheduling, "_duration_chain", one_duration_chain)
     assert_same_report(general_search(pair, grid_step=0.05), report)
-    size, kept, settled = ends[-1]
-    assert kept == size and settled == [True] * kept
-    assert len(report.curve) < sum(kept for _, kept, _ in ends) < len(grid)
-    monkeypatch.setattr(scheduling, "_solved_before_stop", solved_before_stop)
+    monkeypatch.setattr(scheduling, "_duration_chain", duration_chain)
     del ends[:]
     fail_solves(monkeypatch, pair, lambda t, seen: t == grid[11], SingularChannel("synthetic"))
     general_search(pair, grid_step=0.05)
     # the window of t[8] to t[15] raised and fell back to its first duration
-    assert (8, 1) in [(size, kept) for size, kept, _ in ends]
+    assert (8, 1) in [(len(window), kept) for window, kept, _ in ends]
 
 
 def test_a_rate_that_raises_inside_a_window_fails_its_duration(monkeypatch):

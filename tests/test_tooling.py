@@ -183,6 +183,11 @@ def test_ab_compares_a_checkout_with_itself(tmp_path):
     pooled = written["summaries"][-1]["metrics"]["throughput_b_hz"]
     assert (pooled["claim"], pooled["wins"], pooled["pairs"]) == (False, 0, 2)
     assert pooled["parent"] == pooled["change"] and len(pooled["parent"]) == 3
+    # and the no-regression verdict of each metric, with its bound
+    for summary in written["summaries"]:
+        for row in summary["metrics"].values():
+            assert {"relative_change", "bound", "regression"} <= row.keys()
+    assert done.stdout.count("throughput_b_hz: no regression (change median") == 3
     assert written["faults"] == []
 
 
@@ -193,7 +198,7 @@ def test_ab_fails_when_digests_differ(tmp_path):
         bench = tmp_path / side / "layerbench"
         (bench / "out").mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text(
-            json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]})
+            json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]})
         )
         record = json.dumps({"digest": side})
         result = json.dumps({"correct": True, "metrics": {"wall_s": {"value": wall}}})
@@ -229,3 +234,21 @@ def test_ab_claim_rule(monkeypatch):
     assert ab.claim(parent, change, True)[:2] == (False, 8)
     # higher is better: the same gap the other way
     assert ab.claim(parent, [p + 0.3 for p in parent], False)[:2] == (True, 10)
+
+
+def test_ab_regression_rule(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+
+    # parent median 1.2, IQR 0.2: a bound of 0.25 allows 0.3 either way
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    verdict, relative = ab.regression(parent, [p + 0.2 for p in parent], True, 0.25)
+    assert verdict == "no regression" and relative == pytest.approx(0.2 / 1.2)
+    assert ab.regression(parent, [p + 0.4 for p in parent], True, 0.25)[0] == "regression"
+    assert ab.regression(parent, [p - 0.4 for p in parent], False, 0.25)[0] == "regression"
+    # a spread wider than the bound leaves the verdict open, unless every
+    # change run reads better than every parent run
+    assert ab.regression(parent, parent, True, 0.1)[0] == "unresolved"
+    assert ab.regression(parent, [0.5] * 10, True, 0.1)[0] == "no regression"

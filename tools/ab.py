@@ -13,17 +13,24 @@ metric (ties count for neither side); the better direction of each metric
 comes from CHANGE's ``BENCHMARK.json``. A verdict line per metric says
 whether a gain may be claimed: the change wins at least nine tenths of the
 pairs, and its median is better than the parent's by more than the
-parent's interquartile range. With several seeds, a pooled table and
-verdict over the pairs of every seed follow. Exits with status 1 when a run
-reports incorrect answers or the two sides' result digests differ in any
-pair; the digests are read from each checkout's
-``layerbench/out/<W>-seed<S>-trace0.json``. ``--json PATH`` also writes
-the run to PATH: each pair's metrics and digests, and per seed (and
-pooled) each metric's quartiles, wins and verdict.
+parent's interquartile range. A second verdict line per metric says
+whether the change is free of regression: its median, shown relative to
+the parent's, is worse by no more than the metric's ``bound`` in
+``BENCHMARK.json``, read as a fraction of the parent's median; it is
+"unresolved" where the parent's interquartile range is wider than that
+bound, unless every run of the change reads better than every run of the
+parent. With several seeds, a pooled table and verdicts over the pairs of
+every seed follow. Exits with status 1 when a run reports incorrect
+answers or the two sides' result digests differ in any pair; the digests
+are read from each checkout's ``layerbench/out/<W>-seed<S>-trace0.json``.
+``--json PATH`` also writes the run to PATH: each pair's metrics and
+digests, and per seed (and pooled) each metric's quartiles, wins and both
+verdicts.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -85,14 +92,38 @@ def claim(parent: list, change: list, is_lower: bool) -> tuple[bool, int, float,
     return 10 * wins >= 9 * len(parent) and gap > p3 - p1, wins, gap, p3 - p1
 
 
-def summarize(values: dict, lower: dict) -> dict:
-    """Per metric, each side's quartiles and the claim verdict over the
-    paired runs in ``values``, per side a list of runs' metrics."""
+def regression(parent: list, change: list, is_lower: bool, bound: float) -> tuple[str, float]:
+    """(verdict, the change's median relative to the parent's) over paired
+    runs ``parent`` and ``change`` of one metric whose ``bound`` is a
+    fraction of the parent's median. The verdict is "regression" where the
+    change's median is worse than the parent's by more than the bound,
+    else "unresolved" where the parent's interquartile range is wider than
+    the bound and some run of the change reads no better than some run of
+    the parent, else "no regression"."""
+    p1, p2, p3 = quartiles(parent)
+    c2 = quartiles(change)[1]
+    allowed = bound * abs(p2)
+    worse = c2 - p2 if is_lower else p2 - c2
+    ahead = max(change) < min(parent) if is_lower else min(change) > max(parent)
+    if worse > allowed:
+        verdict = "regression"
+    elif p3 - p1 > allowed and not ahead:
+        verdict = "unresolved"
+    else:
+        verdict = "no regression"
+    return verdict, (c2 - p2) / abs(p2) if p2 else math.nan
+
+
+def summarize(values: dict, lower: dict, bounds: dict) -> dict:
+    """Per metric, each side's quartiles and the claim and no-regression
+    verdicts over the paired runs in ``values``, per side a list of runs'
+    metrics."""
     summary = {}
     for name, is_lower in lower.items():
         parent = [run[name] for run in values["parent"]]
         change = [run[name] for run in values["change"]]
         holds, wins, gap, iqr = claim(parent, change, is_lower)
+        verdict, relative = regression(parent, change, is_lower, bounds[name])
         summary[name] = {
             "parent": quartiles(parent),
             "change": quartiles(change),
@@ -101,6 +132,9 @@ def summarize(values: dict, lower: dict) -> dict:
             "median_gap": gap,
             "parent_iqr": iqr,
             "claim": holds,
+            "relative_change": relative,
+            "bound": bounds[name],
+            "regression": verdict,
         }
     return summary
 
@@ -119,6 +153,10 @@ def report(title: str, summary: dict) -> None:
             f"({row['wins']}/{row['pairs']} wins, 9/10 needed; median gap "
             f"{row['median_gap']:.6g} vs parent IQR {row['parent_iqr']:.6g})"
         )
+        verdicts.append(
+            f"{name}: {row['regression']} (change median {row['relative_change']:+.2%} "
+            f"from the parent's, bound {row['bound']:.0%})"
+        )
     print("\n".join(verdicts))
 
 
@@ -127,6 +165,7 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     lower = {metric["name"]: metric["better"] == "lower" for metric in declared}
+    bounds = {metric["name"]: metric["bound"] for metric in declared}
     values = {seed: {side: [] for side in SIDES} for seed in args.seed}
     faults = []
     pairs = []
@@ -166,12 +205,14 @@ def main(argv=None) -> int:
     summaries = []
     for seed in args.seed:
         title = f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs"
-        summaries.append({"seed": seed, "title": title, "metrics": summarize(values[seed], lower)})
+        metrics = summarize(values[seed], lower, bounds)
+        summaries.append({"seed": seed, "title": title, "metrics": metrics})
     if len(args.seed) > 1:
         pooled = {side: [run for seed in args.seed for run in values[seed][side]] for side in SIDES}
         seeds = " ".join(str(seed) for seed in args.seed)
         title = f"{args.workload}, pooled over seeds {seeds}, {len(pooled['parent'])} pairs"
-        summaries.append({"seed": "pooled", "title": title, "metrics": summarize(pooled, lower)})
+        metrics = summarize(pooled, lower, bounds)
+        summaries.append({"seed": "pooled", "title": title, "metrics": metrics})
     for summary in summaries:
         report(summary["title"], summary["metrics"])
     for fault in faults:
