@@ -22,6 +22,7 @@ __all__ = [
     "optimal_power",
     "common_sinr",
     "achievable_rate",
+    "rate_of_trace",
     "trace_floor",
     "rate_ceiling",
     "effective_throughput",
@@ -150,7 +151,16 @@ def common_sinr(scenario: Scenario, deployment) -> float:
 
 def achievable_rate(scenario: Scenario, deployment) -> float:
     """Common per-user rate log2(1 + common_sinr), in bits/s/Hz."""
-    return float(np.log2(1.0 + common_sinr(scenario, deployment)))
+    traced = kernels.trace_at(as_positions(deployment), *kernel_args(scenario))
+    return rate_of_trace(scenario, *traced)
+
+
+def rate_of_trace(scenario: Scenario, trace, cond) -> float:
+    """``achievable_rate`` from the (tr(G^-1), cond(G)) that
+    ``kernels.trace_at`` gives for a deployment; ``SingularChannel`` where
+    the trace is NaN."""
+    _check_singular(trace, cond)
+    return float(np.log2(1.0 + scenario.snr_scale / float(trace)))
 
 
 def trace_floor(scenario: Scenario) -> float:

@@ -108,7 +108,9 @@ class PenaltyConfig:
 @dataclass(frozen=True)
 class OptimizeOutcome:
     """Result of one placement optimization; ``certified`` where a restart
-    reached the trace floor and ended the solve's other restarts."""
+    reached the trace floor and ended the solve's other restarts, ``start``
+    the index of the candidate its first restart took (None at zero
+    reach)."""
 
     deployment: Deployment
     objective: float
@@ -118,6 +120,7 @@ class OptimizeOutcome:
     converged: bool
     gap_history: tuple = field(default=())
     certified: bool = False
+    start: int | None = None
 
 
 @functools.cache
@@ -633,27 +636,16 @@ def _set_up(scenario: Scenario, solves: list, restarts: int) -> tuple:
     return proj, pts[lanes], reach[lanes], [traces[i] for i in lanes], f_initial, picks
 
 
-def _score_starts(scenario: Scenario, solves: list) -> tuple:
-    """The candidate that each of ``solves``, (t_mov, candidates) pairs of
-    positive reach, starts from in a single-start solve, and its tr(G^-1)
-    once projected into reach, scored in one stacked ``trace_at`` call;
-    equal to the pick and the score of each solve alone."""
-    _, _, _, traces, _, picks = _set_up(
-        scenario, [_checked_solve(scenario, t, c) for t, c in solves], 1
-    )
-    return picks, traces
-
-
 def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list:
     """Placement solves of one scenario as lanes of one lockstep solve:
     ``solves`` is a list of (t_mov, start) pairs as ``optimize_positions``
     takes them, each with ``restarts`` lanes, and every lane keeps its own
-    reach. Returns one (``OptimizeOutcome``, pick) pair per solve, pick
-    being the index of the candidate its first lane started from (None at
-    zero reach, where no lane runs); each outcome equals the
-    ``optimize_positions`` call of its solve alone, bit for bit. Every
-    solve is checked before any runs, and an error of any lane raises for
-    the whole stack.
+    reach. Returns one (``OptimizeOutcome``, start score) pair per solve,
+    the score being the tr(G^-1) of its first lane's start once projected
+    into reach (None at zero reach, where no lane runs); each outcome
+    equals the ``optimize_positions`` call of its solve alone, bit for bit.
+    Every solve is checked before any runs, and an error of any lane raises
+    for the whole stack.
     """
     checked = [_checked_solve(scenario, t, start) for t, start in solves]
     initial = scenario.initial_positions.coords
@@ -766,7 +758,8 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
                 best_run = run
         winners.append((best_obj, best_pts, best_run))
     spacings = min_pair_distance(np.array([best_pts for _, best_pts, _ in winners])).tolist()
-    for k, pick, (best_obj, best_pts, best_run), spacing in zip(moving, picks, winners, spacings):
+    solved = zip(moving, picks, traces[::restarts], winners, spacings)
+    for k, pick, score, (best_obj, best_pts, best_run), spacing in solved:
         outcome = OptimizeOutcome(
             deployment=Deployment(best_pts),
             objective=best_obj,
@@ -776,8 +769,9 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
             converged=best_run[2],
             gap_history=best_run[3],
             certified=k in certified,
+            start=pick,
         )
-        out[k] = (outcome, pick)
+        out[k] = (outcome, score)
     return out
 
 

@@ -11,12 +11,13 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import achievable_rate, rate_ceiling
+from . import kernels
+from .channel import achievable_rate, kernel_args, rate_ceiling, rate_of_trace
 from .errors import FitDiverged, MovantError
 from .positioning import (
     OptimizeOutcome,
+    _lane_projection,
     _optimize_stack,
-    _score_starts,
     optimize_positions,
     unconstrained_deploy,
 )
@@ -146,48 +147,54 @@ def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment) 
     """Solve the first of ``durations`` from the candidates ``warm`` (None
     for none) and ``guide``, with guide-started lanes for the rest stacked
     beside it in one ``_optimize_stack`` call; a window of one duration is
-    one ``optimize_positions`` call. Returns the (t, outcome, settled)
-    triples the chain keeps, in order, where settled means that the guide
-    started the solve and it took at most ``SETTLED_ITERATIONS`` gradient
-    steps; after a miss they are fewer than ``durations``, and the duration
+    one ``optimize_positions`` call. Returns the (t, outcome, settled,
+    (trace, cond)) of each duration the chain keeps, in order: settled
+    means that the guide started the solve and it took at most
+    ``SETTLED_ITERATIONS`` gradient steps, and (trace, cond) is
+    ``kernels.trace_at`` at its deployment, from one stacked call over the
+    lanes. After a miss they are fewer than ``durations``, and the duration
     after them starts from the last of them.
 
-    A stacked lane is kept while the chain's own pick would start its
-    duration from the guide: ``_score_starts`` scores the previous kept
-    outcome and the guide as a solve of that duration alone would, ties
-    going to the previous outcome. A guide-started solve does not depend on
-    the chain before it, so a kept lane equals the chain's own solve bit for
-    bit. A stack that raises falls back to the first duration alone.
+    A stacked lane is kept while the chain's own pick would start it from
+    the guide: while the guide's start score is below the previous lane's
+    trace, non-finite values counting as infinite and a tie going to the
+    previous lane. A deployment lies in the box exactly and in its disks up
+    to rounding, so the next reach leaves it as it is unless it grows by
+    less; one that it moves is scored moved, in the same call. A kept lane
+    thus equals the chain's own solve bit for bit. A stack that raises falls
+    back to the first duration alone.
     """
     first = durations[0]
     starts = [d for d in (warm, guide) if d is not None]
     settles = lambda outcome: outcome.inner_iterations <= SETTLED_ITERATIONS
-    if len(durations) > 1:
-        solves = [(first, starts)] + [(t, [guide]) for t in durations[1:]]
-        try:
-            (outcome, pick), *stacked = _optimize_stack(scenario, solves)
-        except (MovantError, ValueError):
-            # the error may be a stacked lane's: the first duration alone,
-            # below, raises only its own
-            pass
-        else:
-            kept = [(first, outcome, pick == len(starts) - 1 and settles(outcome))]
-            previous = [outcome] + [lane for lane, _ in stacked[:-1]]
-            picks, _ = _score_starts(
-                scenario, [(t, [p.deployment, guide]) for t, p in zip(durations[1:], previous)]
-            )
-            for t, (lane, _), pick in zip(durations[1:], stacked, picks):
-                if pick != 1:
-                    break
-                kept.append((t, lane, settles(lane)))
-            return kept
-    outcome = optimize_positions(scenario, first, start=starts)
-    settled = settles(outcome) and scenario.max_speed * first > 0.0
-    if settled:
-        # which start the solve took matters only where it settled
-        picks, _ = _score_starts(scenario, [(first, starts)])
-        settled = picks[0] == len(starts) - 1
-    return [(first, outcome, settled)]
+    solves = [(first, starts)] + [(t, [guide]) for t in durations[1:]]
+    try:
+        found = _optimize_stack(scenario, solves) if len(solves) > 1 else None
+    except (MovantError, ValueError):
+        # the error may be a stacked lane's: the first duration alone,
+        # below, raises only its own
+        found = None
+    if found is None:
+        found = [(optimize_positions(scenario, first, start=starts), None)]
+    pts = np.array([outcome.deployment.coords for outcome, _ in found])
+    moved, stack = [], pts
+    if len(pts) > 1:
+        # each lane's deployment projected into the next lane's reach
+        reach = scenario.max_speed * np.array(durations[1:])
+        initial = scenario.initial_positions.coords
+        ahead = _lane_projection(initial, reach, *scenario.region_bounds())(pts[:-1], reach)
+        moved = np.flatnonzero((ahead != pts[:-1]).any(axis=(1, 2))).tolist()
+        stack = np.concatenate([pts, ahead[moved]])
+    traces, conds = (x.tolist() for x in kernels.trace_at(stack, *kernel_args(scenario)))
+    previous = dict(zip(moved, traces[len(pts) :]))
+    finite = lambda x: x if math.isfinite(x) else math.inf
+    outcome = found[0][0]
+    kept = [(first, outcome, outcome.start == len(starts) - 1 and settles(outcome))]
+    for i, (t, (lane, score)) in enumerate(zip(durations[1:], found[1:])):
+        if not finite(score) < finite(previous.get(i, traces[i])):
+            break
+        kept.append((t, lane, settles(lane)))
+    return [(*lane, (trace, cond)) for lane, trace, cond in zip(kept, traces, conds)]
 
 
 def _duration_chain(
@@ -255,12 +262,12 @@ def _duration_chain(
             curve.append(CurvePoint(durations[i], math.nan, math.nan))
             i, run = i + 1, 0
             continue
-        for t, outcome, settled in kept:
+        for t, outcome, settled, traced in kept:
             if stopped(t):
                 break
             i += 1
             try:
-                rate = achievable_rate(scenario, outcome.deployment)
+                rate = rate_of_trace(scenario, *traced)
             except (MovantError, ValueError) as exc:
                 # a failed duration like any other: the kept lanes after it
                 # were picked against its outcome, so they go
@@ -337,13 +344,10 @@ def general_search(
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
     if scenario.max_speed == 0:
         return _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)
-    durations = []
-    t = 0.0
-    index = 0
-    while t < scenario.interval - 1e-12:
-        durations.append(t)
+    durations, index = [], 0
+    while index * step < scenario.interval - 1e-12:
+        durations.append(index * step)
         index += 1
-        t = index * step
 
     if guide is None:
         guide = unconstrained_deploy(scenario).deployment
@@ -440,21 +444,13 @@ def _fit_sigmoid(t, y):
     c4 = 4.0 * float(slopes.max()) / c2 if span > 0 else 1.0
     params = np.array([float(y.min()) - 0.05 * span, c2, -c4 * t_inflect, c4])
 
-    pred, _ = _sigmoid_eval(t, params)
+    pred, s = _sigmoid_eval(t, params)
     sse = float(((pred - y) ** 2).sum())
     damping = DAMPING_INIT
     for _ in range(GAUSS_NEWTON_MAX_ITERS):
-        pred, s = _sigmoid_eval(t, params)
         resid = pred - y
-        jac = np.stack(
-            [
-                np.ones_like(t),
-                s,
-                params[1] * s * (1.0 - s),
-                params[1] * t * s * (1.0 - s),
-            ],
-            axis=1,
-        )
+        columns = [np.ones_like(t), s, params[1] * s * (1.0 - s), params[1] * t * s * (1.0 - s)]
+        jac = np.stack(columns, axis=1)
         jtj = jac.T @ jac
         rhs = -jac.T @ resid
         try:
@@ -463,11 +459,11 @@ def _fit_sigmoid(t, y):
             damping *= 10.0
             continue
         trial = params + delta
-        pred_t, _ = _sigmoid_eval(t, trial)
+        pred_t, s_t = _sigmoid_eval(t, trial)
         sse_t = float(((pred_t - y) ** 2).sum())
         if sse_t <= sse:
             improved = sse - sse_t
-            params = trial
+            params, pred, s = trial, pred_t, s_t
             damping = max(damping / 10.0, 1e-15)
             converged = improved <= GAUSS_NEWTON_SSE_RTOL * max(sse, 1e-30)
             sse = sse_t

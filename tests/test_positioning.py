@@ -862,7 +862,7 @@ def test_stacked_solves_match_solves_alone(restarts):
     for scenario, solves in cases:
         found = positioning._optimize_stack(scenario, solves, restarts)
         assert len(found) == len(solves)
-        for (t_mov, start), (outcome, pick) in zip(solves, found):
+        for (t_mov, start), (outcome, score) in zip(solves, found):
             config = PenaltyConfig(restarts)
             alone = optimize_positions(scenario, t_mov, config, start=start)
             assert np.array_equal(outcome.deployment.coords, alone.deployment.coords)
@@ -870,15 +870,27 @@ def test_stacked_solves_match_solves_alone(restarts):
                 assert getattr(outcome, name) == getattr(alone, name), name
             assert outcome.gap_history == alone.gap_history
             assert outcome.certified == alone.certified
+            assert outcome.start == alone.start
             certified.append(outcome.certified)
+            rounds.append(outcome.outer_iterations)
+            pick = outcome.start
             if t_mov == 0.0:
-                assert pick is None
+                assert pick is None and score is None
+                continue
             elif isinstance(start, list):
                 winner = reference_pick_start(scenario, t_mov, start)
                 assert start[pick] is winner
             else:
+                winner = scenario.initial_positions if start is None else start
                 assert pick == 0
-            rounds.append(outcome.outer_iterations)
+            # the start score is the picked candidate's trace once in reach
+            pts = kernels.project_deployment(
+                as_positions(winner),
+                scenario.initial_positions.coords,
+                scenario.max_speed * t_mov,
+                *scenario.region_bounds(),
+            )
+            assert score == kernels.trace_at(pts, *kernel_args(scenario))[0]
     # the lanes of a stack end after different numbers of rounds
     assert len(set(rounds)) > 2
     assert certified.count(True) == (1 if restarts > 1 else 0)

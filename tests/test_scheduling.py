@@ -7,7 +7,7 @@ import pytest
 
 import movant.positioning as positioning
 import movant.scheduling as scheduling
-from movant import harness, kernels
+from movant import channel, harness, kernels
 from movant.channel import achievable_rate, effective_throughput, kernel_args, rate_ceiling
 from movant.errors import FitDiverged, MovantError, SingularChannel
 from movant.scheduling import (
@@ -623,7 +623,8 @@ def test_stacked_chain_matches_the_one_duration_chain(monkeypatch, name):
             lambda t, seen: t == grid[failing],
             SingularChannel("synthetic solver failure"),
         )
-    # the size of each window and the (t, outcome, settled) triples it kept
+    # the size of each window and the (t, outcome, settled, (trace, cond))
+    # of each duration it kept
     windows = []
     solve_window = scheduling._solve_window
 
@@ -648,10 +649,13 @@ def test_stacked_chain_matches_the_one_duration_chain(monkeypatch, name):
     # previous kept solution and the guide
     stacked = 0
     for _, kept in windows:
-        for (t, outcome, _), (_, previous, _) in zip(kept[1:], kept):
+        for (t, outcome, *_), (_, previous, *_) in zip(kept[1:], kept):
             alone = optimize_positions(scenario, t, start=[previous.deployment, guide])
             assert np.array_equal(outcome.deployment.coords, alone.deployment.coords)
-            assert outcome == replace(alone, deployment=outcome.deployment)
+            # the lane started from its one candidate, the guide, which the
+            # solve alone picks from the two
+            assert (outcome.start, alone.start) == (0, 1)
+            assert outcome == replace(alone, deployment=outcome.deployment, start=0)
             stacked += 1
     if name.startswith("pair"):
         assert stacked > 20
@@ -667,7 +671,7 @@ def test_stacked_chains_cover_misses_failures_and_the_bound_stop(monkeypatch):
 
     def recording(posed, durations, warm, guide):
         kept = solve_window(posed, durations, warm, guide)
-        ends.append((list(durations), len(kept), [settled for *_, settled in kept]))
+        ends.append((list(durations), len(kept), [settled for _, _, settled, _ in kept]))
         return kept
 
     monkeypatch.setattr(scheduling, "_solve_window", recording)
@@ -720,16 +724,142 @@ def test_a_rate_that_raises_inside_a_window_fails_its_duration(monkeypatch):
     _, solved = one_duration_chain(
         pair, grid[:21], unconstrained_deploy(pair).deployment, SearchMethod.GENERAL_SEARCH, 5.0
     )
-    target = solved[20][1].coords
-    rate = scheduling.achievable_rate
+    # every rate comes from a deployment's trace, the chain's from its
+    # window's stacked trace_at call and achievable_rate's from its own
+    target, _ = kernels.trace_at(solved[20][1].coords, *kernel_args(pair))
+    assert [kernels.trace_at(d.coords, *kernel_args(pair))[0] for _, d in solved].count(target) == 1
+    rate = scheduling.rate_of_trace
 
-    def flaky(scenario, deployment):
-        if np.array_equal(deployment.coords, target):
+    def flaky(scenario, trace, cond):
+        if trace == target:
             raise SingularChannel("synthetic rate failure")
-        return rate(scenario, deployment)
+        return rate(scenario, trace, cond)
 
-    monkeypatch.setattr(scheduling, "achievable_rate", flaky)
+    monkeypatch.setattr(scheduling, "rate_of_trace", flaky)
+    monkeypatch.setattr(channel, "rate_of_trace", flaky)
     got = general_search(pair, grid_step=0.05)
     assert got.failures == ((grid[20], "synthetic rate failure"),)
     monkeypatch.setattr(scheduling, "_duration_chain", one_duration_chain)
     assert_same_report(got, general_search(pair, grid_step=0.05))
+
+
+def solve_windows(scenario, durations, guide, size) -> tuple[int, int]:
+    """Run ``durations`` through ``scheduling._solve_window`` in windows of
+    ``size``, each from the last kept solution, as the chain runs them
+    while the guide settles, and check every keep decision against the
+    re-scoring it replaces: ``reference_pick_start`` on [previous outcome,
+    guide] at each stacked duration up to the first miss. Returns the
+    stacked lanes kept and the windows that missed."""
+    warm, i, keeps, misses = None, 0, 0, 0
+    while i < len(durations):
+        window = durations[i : i + size]
+        kept = scheduling._solve_window(scenario, window, warm, guide)
+        for j in range(1, min(len(kept) + 1, len(window))):
+            previous = kept[j - 1][1].deployment
+            picked = reference_pick_start(scenario, window[j], [previous, guide])
+            assert (picked is guide) == (j < len(kept)), (window, j)
+        keeps += len(kept) - 1
+        misses += len(kept) < len(window)
+        warm = kept[-1][1].deployment
+        i += len(kept)
+    return keeps, misses
+
+
+def test_keep_checks_match_rescored_starts():
+    # random two-antenna chains, and default-geometry chains at random
+    # speeds, on random grids and window sizes
+    rng = np.random.default_rng(29)
+    pairs = [0, 0]
+    for _ in range(8):
+        x1, x2 = sorted(rng.uniform(0.0, 10.0, 2))
+        scenario = two_antenna_line_scenario(x1, x2, max_speed=float(rng.uniform(0.1, 2.0)))
+        guide = unconstrained_deploy(scenario).deployment
+        step = float(rng.uniform(0.02, 0.3))
+        durations = [k * step for k in range(int(rng.integers(8, 20)))]
+        counts = solve_windows(scenario, durations, guide, int(rng.integers(2, 9)))
+        pairs = [a + b for a, b in zip(pairs, counts)]
+    guide = unconstrained_deploy(default_scenario()).deployment
+    defaults = [0, 0]
+    for _ in range(4):
+        scenario = default_scenario(max_speed_wl_s=float(rng.uniform(1.0, 20.0)))
+        step, start = float(rng.uniform(0.02, 0.2)), float(rng.uniform(0.0, 2.0))
+        durations = [start + k * step for k in range(int(rng.integers(6, 12)))]
+        counts = solve_windows(scenario, durations, guide, int(rng.integers(2, 9)))
+        defaults = [a + b for a, b in zip(defaults, counts)]
+    # both decisions are made, in both kinds of chain
+    assert min(pairs) > 10 and min(defaults) > 0, (pairs, defaults)
+
+
+def test_keep_checks_project_where_the_reach_barely_grows(monkeypatch):
+    # the reach grows by about 2e-16 wl per duration, less than the
+    # rounding of a deployment in its disks: a projection into the next
+    # reach moves some previous deployments, and the window's one trace_at
+    # call scores them moved, as the re-scoring of the starts did
+    scenario = default_scenario(max_speed_wl_s=0.5)
+    guide = unconstrained_deploy(default_scenario()).deployment
+    durations = [0.1 + k * 4e-16 for k in range(8)]
+    reach = [scenario.max_speed * t for t in durations]
+    assert len(set(reach)) == len(reach) and max(np.diff(reach)) < 1e-13
+    calls = []
+    trace_at = kernels.trace_at
+
+    def recording(positions, *rest):
+        calls.append(positions)
+        return trace_at(positions, *rest)
+
+    monkeypatch.setattr(kernels, "trace_at", recording)
+    kept = scheduling._solve_window(scenario, durations, None, guide)
+    monkeypatch.setattr(kernels, "trace_at", trace_at)
+    # the window's own call comes last: every lane's deployment, then the
+    # previous deployments that the next reach moves, projected there
+    lanes, ahead = calls[-1][: len(durations)], calls[-1][len(durations) :]
+    initial = scenario.initial_positions.coords
+    lo, hi = scenario.region_bounds()
+    projected = [kernels.project_deployment(p, initial, r, lo, hi) for p, r in zip(lanes, reach[1:])]
+    moved = [q for p, q in zip(lanes, projected) if not np.array_equal(p, q)]
+    assert len(moved) > 0
+    assert np.array_equal(ahead, np.array(moved))
+    assert np.array_equal(lanes[0], kept[0][1].deployment.coords)
+    # and every keep decision of this window and of the windows after it
+    # is the re-scoring's
+    assert solve_windows(scenario, durations, guide, len(durations))[1] > 1
+    # the moved trace decides: with a previous deployment p that the next
+    # reach moves to q, where q stays put and scores below p, and the guide
+    # at q, the two starts tie and the lane goes, where p's own trace would
+    # keep it
+    trace = lambda pts: trace_at(pts, *kernel_args(scenario))[0]
+    i = next(
+        i
+        for i, (p, q) in enumerate(zip(lanes, projected))
+        if trace(q) < trace(p)
+        and np.array_equal(q, kernels.project_deployment(q, initial, reach[i + 1], lo, hi))
+    )
+    pose_first_lane(monkeypatch, Deployment(lanes[i]))
+    at = Deployment(projected[i])
+    window = durations[i : i + 2]
+    assert len(scheduling._solve_window(scenario, window, None, at)) == 1
+    assert reference_pick_start(scenario, window[1], [Deployment(lanes[i]), at]) is not at
+
+
+def pose_first_lane(monkeypatch, deployment):
+    """Make the first lane of every stacked solve from here on end at
+    ``deployment``, as the previous outcome of the lane beside it."""
+    stack = scheduling._optimize_stack
+
+    def posed(scenario, solves):
+        (first, score), *rest = stack(scenario, solves)
+        return [(replace(first, deployment=deployment), score), *rest]
+
+    monkeypatch.setattr(scheduling, "_optimize_stack", posed)
+
+
+def test_a_singular_previous_outcome_loses_the_keep_check(monkeypatch):
+    # every antenna at the center: the previous trace is NaN, which counts
+    # as infinite, so the guide's finite score keeps the lane
+    scenario = default_scenario(max_speed_wl_s=18)
+    guide = unconstrained_deploy(scenario).deployment
+    singular = Deployment(np.full(scenario.initial_positions.coords.shape, 5.0))
+    assert np.isnan(kernels.trace_at(singular.coords, *kernel_args(scenario))[0])
+    pose_first_lane(monkeypatch, singular)
+    assert len(scheduling._solve_window(scenario, [1.0, 1.1], None, guide)) == 2
+    assert reference_pick_start(scenario, 1.1, [singular, guide]) is guide

@@ -236,6 +236,25 @@ def test_ab_claim_rule(monkeypatch):
     assert ab.claim(parent, [p + 0.3 for p in parent], False)[:2] == (True, 10)
 
 
+def test_ab_alternates_each_seed(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+
+    # with one, two or three seeds, each seed runs a different side first in
+    # two pairs in a row, and the seeds of one pair alternate too
+    for seeds in (1, 2, 3):
+        for pair in (1, 2, 3):
+            for position in range(seeds):
+                firsts = {ab.run_order(pair + k, position)[0] for k in (0, 1)}
+                assert firsts == set(ab.SIDES)
+                assert set(ab.run_order(pair, position)) == set(ab.SIDES)
+            order = [ab.run_order(pair, position)[0] for position in range(seeds)]
+            assert all(a != b for a, b in zip(order, order[1:]))
+    assert ab.run_order(1, 0) == ("parent", "change")
+
+
 def test_ab_regression_rule(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")

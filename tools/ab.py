@@ -5,8 +5,10 @@
 
 Runs ``layerbench/run.py --workload W --seed S --seconds X`` (15 s unless
 ``--seconds`` says otherwise) in the PARENT and CHANGE checkouts, one run at
-a time, pair after pair, alternating which side runs first. With several
-seeds, each pair runs every seed in turn, so the seeds' pairs interleave.
+a time, pair after pair. With several seeds, each pair runs every seed in
+turn, so the seeds' pairs interleave. Each seed alternates which side runs
+first from one pair to the next, and so do the seeds of one pair
+(``run_order``), so that no seed's verdict carries an effect of the order.
 Prints each pair's end-to-end metrics, then per seed each side's median and
 quartiles, and the number of pairs in which the change read better, per
 metric (ties count for neither side); the better direction of each metric
@@ -54,6 +56,13 @@ def parse_args(argv=None):
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return args
+
+
+def run_order(pair: int, position: int) -> tuple:
+    """The sides in the order they run in pair ``pair`` (counted from 1) of
+    the seed at ``position`` (counted from 0) in ``--seed``: the parent
+    first where pair + position is odd, else the change."""
+    return SIDES if (pair + position) % 2 else SIDES[::-1]
 
 
 def run_side(root: Path, args, seed: int) -> tuple[dict, str, bool]:
@@ -169,11 +178,9 @@ def main(argv=None) -> int:
     values = {seed: {side: [] for side in SIDES} for seed in args.seed}
     faults = []
     pairs = []
-    runs = 0
     for pair in range(1, args.pairs + 1):
-        for seed in args.seed:
-            order = SIDES if runs % 2 == 0 else SIDES[::-1]
-            runs += 1
+        for position, seed in enumerate(args.seed):
+            order = run_order(pair, position)
             label = f"pair {pair}" if len(args.seed) == 1 else f"pair {pair} seed {seed}"
             digests = {}
             for side in order:
