@@ -94,8 +94,8 @@ class RunConfig:
         scheduling._check_samples(self.samples)
 
 
-# fewest restarts of the speed-free solve that guides OTGM and OTFM and
-# gives UpperBound its deployment
+# fewest restarts of the speed-free solve that guides OTGM, OTFM and
+# FMDOAD and gives UpperBound its deployment
 _UNCONSTRAINED_RESTARTS = 4
 
 CSV_HEADER = "param,scheme,t_mov,rate_bps_hz,throughput_b_hz,converged,error"
@@ -293,25 +293,31 @@ def run_scheme(
 ) -> TradeoffReport:
     """Execute one benchmark scheme on a scenario.
 
-    OTGM, OTFM and UpperBound make one multi-start speed-free solve: it is
-    UpperBound's deployment and the guide passed to the schedulers, whose
-    duration solves are single-start. At zero speed the schedulers solve
-    nothing, so they get no guide. A call made by ``run_sweep`` shares that
-    solve with the sweep's other cells that pose the same speed-free
-    problem; any other call solves it afresh.
+    OTGM, OTFM, UpperBound and FMDOAD make one multi-start speed-free solve:
+    it is UpperBound's deployment and the guide passed to the schedulers,
+    whose duration solves are single-start. FMDOAD's single-start solve at
+    20% of the interval starts from whichever of the initial deployment and
+    that guide, projected into reach, has the lower tr(G^-1), as a duration
+    chain picks its starts. At zero speed the schedulers solve nothing and
+    FMDOAD cannot move, so none of them gets a guide. A call made by
+    ``run_sweep`` shares that solve with the sweep's other cells that pose
+    the same speed-free problem; any other call solves it afresh.
     """
     rc = run_config or RunConfig()
-    if scheme is SchemeId.OTGM or scheme is SchemeId.OTFM:
-        guide = _speed_free(scenario).deployment if scenario.max_speed > 0 else None
-        if scheme is SchemeId.OTGM:
-            return general_search(scenario, grid_step=rc.grid_step, guide=guide)
+    guide = None
+    if scheme in (SchemeId.OTGM, SchemeId.OTFM, SchemeId.FMD_OAD) and scenario.max_speed > 0:
+        guide = _speed_free(scenario).deployment
+    if scheme is SchemeId.OTGM:
+        return general_search(scenario, grid_step=rc.grid_step, guide=guide)
+    if scheme is SchemeId.OTFM:
         return fitting_method(scenario, samples=rc.samples, guide=guide)
     if scheme is SchemeId.UPPER_BOUND:
         outcome = _speed_free(scenario)
         return _fixed_duration_report(scenario, 0.0, outcome.deployment, outcome.converged)
     if scheme is SchemeId.FMD_OAD:
         t_mov = 0.2 * scenario.interval
-        outcome = optimize_positions(scenario, t_mov)
+        start = None if guide is None else [scenario.initial_positions, guide]
+        outcome = optimize_positions(scenario, t_mov, start=start)
         return _fixed_duration_report(scenario, t_mov, outcome.deployment, outcome.converged)
     if scheme is SchemeId.STATIC:
         return _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)

@@ -65,12 +65,16 @@ class FitModel:
 
     Quadratic: g(t) = C1*(t - C2)^2 + C3 with C1 < 0, C2 > 0, C3 > 0.
     Sigmoidal: g(t) = C1 + C2 / (1 + exp(-(C3 + C4*t))) with C2 > 0, C4 > 0.
+    ``converged`` is False where the sigmoid's Gauss-Newton iteration
+    stopped at ``GAUSS_NEWTON_MAX_ITERS`` or at its damping cap rather than
+    on a settled residual; a quadratic fit is exact, so always True.
     """
 
     kind: FitKind
     coefficients: tuple
     residual_sse: float
     sample_count: int
+    converged: bool = True
 
     def predict(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -415,12 +419,14 @@ def fit_rate_model(samples, kind: FitKind) -> FitModel:
             raise FitDiverged("quadratic fit does not beat a constant model")
         return FitModel(FitKind.QUADRATIC, (c1, c2, c3), sse, len(t))
 
-    params, sse = _fit_sigmoid(t, y)
+    params, sse, converged = _fit_sigmoid(t, y)
     if not np.all(np.isfinite(params)) or params[1] <= 0 or params[3] <= 0:
         raise FitDiverged("sigmoidal fit violates its sign constraints")
     if sse > sse_const:
         raise FitDiverged("sigmoidal fit does not beat a constant model")
-    return FitModel(FitKind.SIGMOIDAL, tuple(float(p) for p in params), float(sse), len(t))
+    return FitModel(
+        FitKind.SIGMOIDAL, tuple(float(p) for p in params), float(sse), len(t), converged
+    )
 
 
 def _sigmoid_eval(t, params):
@@ -434,7 +440,9 @@ def _fit_sigmoid(t, y):
 
     Damping is multiplied by 10 whenever a step increases the squared
     residual and divided by 10 on success; iteration stops when the relative
-    SSE change drops below GAUSS_NEWTON_SSE_RTOL.
+    SSE change drops below GAUSS_NEWTON_SSE_RTOL. Returns (parameters, SSE,
+    converged), converged being False where the iteration or damping cap
+    ended the loop instead.
     """
     span = float(y.max() - y.min())
     slopes = np.diff(y) / np.diff(t)
@@ -447,6 +455,7 @@ def _fit_sigmoid(t, y):
     pred, s = _sigmoid_eval(t, params)
     sse = float(((pred - y) ** 2).sum())
     damping = DAMPING_INIT
+    converged = False
     for _ in range(GAUSS_NEWTON_MAX_ITERS):
         resid = pred - y
         columns = [np.ones_like(t), s, params[1] * s * (1.0 - s), params[1] * t * s * (1.0 - s)]
@@ -473,7 +482,7 @@ def _fit_sigmoid(t, y):
             damping *= 10.0
             if damping > 1e12:
                 break
-    return params, sse
+    return params, sse, converged
 
 
 def fitting_method(

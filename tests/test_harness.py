@@ -28,7 +28,7 @@ from movant.harness import (
     threshold_summary,
     write_csv,
 )
-from movant.errors import SingularChannel
+from movant.errors import InfeasibleSpacing, SingularChannel
 from movant.scenario import Deployment, Topology
 from movant.stationarity import speed_threshold
 
@@ -178,7 +178,9 @@ def record_solves(monkeypatch) -> list:
 
 
 class TestSchemes:
-    @pytest.mark.parametrize("scheme", [SchemeId.OTGM, SchemeId.OTFM, SchemeId.UPPER_BOUND])
+    @pytest.mark.parametrize(
+        "scheme", [SchemeId.OTGM, SchemeId.OTFM, SchemeId.UPPER_BOUND, SchemeId.FMD_OAD]
+    )
     def test_one_speed_free_solve_per_scheme(self, default_2d, monkeypatch, scheme):
         solves = record_solves(monkeypatch)
         run_scheme(default_2d, scheme, QUICK)
@@ -192,6 +194,32 @@ class TestSchemes:
         solves = record_solves(monkeypatch)
         run_scheme(default_2d.with_(max_speed=0.0), scheme, QUICK)
         assert solves == []
+
+    def test_fmdoad_starts_from_the_speed_free_optimum(self, default_2d):
+        report = run_scheme(default_2d, SchemeId.FMD_OAD, QUICK)
+        t_mov = 0.2 * default_2d.interval
+        guide = harness._speed_free(default_2d).deployment
+        outcome = positioning.optimize_positions(
+            default_2d, t_mov, start=[default_2d.initial_positions, guide]
+        )
+        # the guide, projected into reach, scores better than the initial layout
+        assert outcome.start == 1
+        expected = scheduling._fixed_duration_report(
+            default_2d, t_mov, outcome.deployment, outcome.converged
+        )
+        coords = report.best_deployment.coords
+        assert coords.tobytes() == expected.best_deployment.coords.tobytes()
+        assert dataclasses.replace(report, best_deployment=None) == dataclasses.replace(
+            expected, best_deployment=None
+        )
+
+    def test_fmdoad_makes_no_speed_free_solve_at_zero_speed(self, default_2d, monkeypatch):
+        still = default_2d.with_(max_speed=0.0)
+        solves = record_solves(monkeypatch)
+        report = run_scheme(still, SchemeId.FMD_OAD, QUICK)
+        assert solves == [(1, False)]
+        outcome = positioning.optimize_positions(still, 0.2 * still.interval)
+        assert report.best_deployment.coords.tobytes() == outcome.deployment.coords.tobytes()
 
     def test_static_value(self, default_2d):
         report = run_scheme(default_2d, SchemeId.STATIC, QUICK)
@@ -328,9 +356,10 @@ class TestSweepSharesSpeedFreeSolve:
                 (SchemeId.OTGM, SchemeId.OTFM, SchemeId.UPPER_BOUND),
                 1,
             ),
+            (SweepParameter.VMAX, (2.0, 6.0, 18.0), (SchemeId.FMD_OAD, SchemeId.UPPER_BOUND), 1),
             (SweepParameter.NUM_ANTENNAS, (4, 6, 8), (SchemeId.OTFM, SchemeId.UPPER_BOUND), 3),
         ],
-        ids=["vmax", "num_antennas"],
+        ids=["vmax", "vmax_fmdoad", "num_antennas"],
     )
     def test_one_solve_per_problem_and_rows_unchanged(
         self, default_2d, monkeypatch, parameter, values, schemes, expected
@@ -376,6 +405,17 @@ class TestSweepSharesSpeedFreeSolve:
         # each cell solves again and writes its own error row
         assert calls == [2.0, 2.0, 6.0, 6.0]
         assert all(row.endswith("synthetic speed-free failure") for row in rows[1:]), rows
+
+    def test_infeasible_speed_free_solve_fails_the_fmdoad_cell(self, default_2d, monkeypatch):
+        def failing(scenario, config=None):
+            raise InfeasibleSpacing("synthetic speed-free failure")
+
+        monkeypatch.setattr(harness, "unconstrained_deploy", failing)
+        spec = SweepSpec(SweepParameter.VMAX, (6.0,), (SchemeId.OTGM, SchemeId.FMD_OAD))
+        rows = run_sweep(default_2d, spec, QUICK)
+        assert [row.split(",")[1] for row in rows[1:]] == ["OTGM", "FMDOAD"]
+        # FMDOAD's cell fails with the speed-free solve, as OTGM's does
+        assert all(row.endswith(",,,,,synthetic speed-free failure") for row in rows[1:]), rows
 
     def test_key_is_every_field_but_max_speed(self, default_2d):
         key = harness._speed_free_key
@@ -637,17 +677,17 @@ DEFAULT_TABLE = {
     (2.0, SchemeId.OTGM): (1.52, 32.83457812131144),
     (2.0, SchemeId.OTFM): (1.5338686410010096, 32.770388938351594),
     (2.0, SchemeId.UPPER_BOUND): (0.0, 42.65260775817304),
-    (2.0, SchemeId.FMD_OAD): (1.6, 31.837783120677344),
+    (2.0, SchemeId.FMD_OAD): (1.6, 32.693894058560566),
     (2.0, SchemeId.STATIC): (0.0, 0.012792550158695026),
     (6.0, SchemeId.OTGM): (0.56, 38.29985400442181),
     (6.0, SchemeId.OTFM): (0.6206423052106008, 38.32773741262191),
     (6.0, SchemeId.UPPER_BOUND): (0.0, 42.65260775817304),
-    (6.0, SchemeId.FMD_OAD): (1.6, 31.816454004053913),
+    (6.0, SchemeId.FMD_OAD): (1.6, 34.122086206538434),
     (6.0, SchemeId.STATIC): (0.0, 0.012792550158695026),
     (18.0, SchemeId.OTGM): (0.4, 40.519977370264385),
     (18.0, SchemeId.OTFM): (0.24043654301223358, 40.31041759535255),
     (18.0, SchemeId.UPPER_BOUND): (0.0, 42.65260775817304),
-    (18.0, SchemeId.FMD_OAD): (1.6, 33.26537348502725),
+    (18.0, SchemeId.FMD_OAD): (1.6, 34.122086206538434),
     (18.0, SchemeId.STATIC): (0.0, 0.012792550158695026),
 }
 

@@ -162,6 +162,34 @@ class TestFitRateModel:
         with pytest.raises(ValueError):
             fit_rate_model([(0, 1), (0, 2), (1, 3)], FitKind.QUADRATIC)
 
+    def test_converged_says_why_the_sigmoid_fit_stopped(self, monkeypatch):
+        t = np.linspace(0.0, 3.0, 7)
+        wobble = 0.01 * np.array([1.0, -1.0, 0.5, 0.0, -0.5, 1.0, -1.0])
+        pairs = list(zip(t, 0.2 + 1.5 / (1.0 + np.exp(3.0 - 2.0 * t)) + wobble))
+        settled = fit_rate_model(pairs, FitKind.SIGMOIDAL)
+        assert settled.converged
+        concave = list(zip(t, -0.4 * (t - 3.5) ** 2 + 2.0 + wobble))
+        assert fit_rate_model(concave, FitKind.QUADRATIC).converged
+        # stopped at the iteration cap: the same first step, not converged
+        monkeypatch.setattr(scheduling, "GAUSS_NEWTON_MAX_ITERS", 1)
+        capped = fit_rate_model(pairs, FitKind.SIGMOIDAL)
+        assert not capped.converged and capped.coefficients != settled.coefficients
+        monkeypatch.undo()
+        # stopped at the damping cap: every trial step raises the residual
+        evals = []
+        inner = scheduling._sigmoid_eval
+
+        def worse_trials(times, params):
+            pred, s = inner(times, params)
+            evals.append(len(evals))
+            return (pred if len(evals) == 1 else pred + 1.0), s
+
+        monkeypatch.setattr(scheduling, "_sigmoid_eval", worse_trials)
+        t_arr, y_arr = np.array(pairs).T
+        *_, converged = scheduling._fit_sigmoid(t_arr, y_arr)
+        # damping grows tenfold from DAMPING_INIT until it passes 1e12
+        assert not converged and len(evals) == 1 + 16 < scheduling.GAUSS_NEWTON_MAX_ITERS
+
     def test_sse_beats_constant_model_gate(self, case_narrow):
         t_max, _ = compute_t_mov_max(case_narrow)
         times = np.linspace(0, t_max, 5)

@@ -84,7 +84,7 @@ def layerbench_workloads(monkeypatch):
 ROWS_DIGEST = {
     "grid_search": "24cdacaa2b5f85986e525106a49b44585ff0fe2bea9f887c96145cc2b1d66bd8",
     "stay_or_move": "0bee2bd5d891af05e2a8e597eb5d87710819946f47f1607a9b829d4b598458b6",
-    "antenna_sweep": "50d9aa03a9062a9627cb4866c5cf1c3ee1814bfe91c98d944f6540c521fc0bb5",
+    "antenna_sweep": "a00be53ae969ea6b87fa01be67f9f613e4afea705afd6d81676f8a7f6204788a",
 }
 
 
@@ -118,6 +118,19 @@ def test_layerbench_loops_end_below_iteration_cap(monkeypatch, layerbench_worklo
     assert sum(rounds) <= OUTER_ROUNDS[workload], sum(rounds)
     digest = hashlib.sha256("\n".join(sorted(summary.rows)).encode()).hexdigest()
     assert digest == ROWS_DIGEST[workload]
+
+
+def test_antenna_sweep_fits_report_their_convergence(layerbench_workloads):
+    # the N = 8 sigmoid fit runs to GAUSS_NEWTON_MAX_ITERS, and says so
+    runner = layerbench_workloads.WORKLOADS["antenna_sweep"](1)
+    _, reports = runner.run_round()
+    fits = {n: reports[(n, harness.SchemeId.OTFM)][1].fit for n in runner.VALUES}
+    sigmoid = scheduling.FitKind.SIGMOIDAL
+    assert {n: (fit.kind, fit.converged) for n, fit in fits.items()} == {
+        4: (sigmoid, True),
+        6: (sigmoid, True),
+        8: (sigmoid, False),
+    }
 
 
 # speed-free solves per round: antenna_sweep's sweep shares one per antenna
@@ -188,19 +201,20 @@ def test_ab_compares_a_checkout_with_itself(tmp_path):
         for row in summary["metrics"].values():
             assert {"relative_change", "bound", "regression"} <= row.keys()
     assert done.stdout.count("throughput_b_hz: no regression (change median") == 3
-    assert written["faults"] == []
+    assert written["faults"] == [] and written["moved_rows"] == []
 
 
 def test_ab_fails_when_digests_differ(tmp_path):
-    # two stand-in checkouts whose benchmark runs report different digests,
-    # the change at half the parent's wall time
+    # two stand-in checkouts whose benchmark runs report different digests
+    # and one different row, the change at half the parent's wall time
     for side, wall in (("parent", 1.0), ("change", 0.5)):
         bench = tmp_path / side / "layerbench"
         (bench / "out").mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text(
             json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]})
         )
-        record = json.dumps({"digest": side})
+        rows = ["param,scheme,rate", f"4.0,FMDOAD,{wall}", "4.0,Static,0.1"]
+        record = json.dumps({"digest": side, "rows": rows})
         result = json.dumps({"correct": True, "metrics": {"wall_s": {"value": wall}}})
         (bench / "run.py").write_text(
             "import pathlib\n"
@@ -209,10 +223,19 @@ def test_ab_fails_when_digests_differ(tmp_path):
         )
     done = run(
         "tools/ab.py", str(tmp_path / "parent"), str(tmp_path / "change"),
-        "--workload", "grid_search", "--pairs", "2",
+        "--workload", "grid_search", "--pairs", "2", "--json", str(tmp_path / "ab.json"),
     )
     assert done.returncode == 1
     assert "pair 1: digests differ" in done.stderr and "pair 2: digests differ" in done.stderr
+    # the rows that moved, once for the seed, not once per pair
+    moved = "\nseed 1: result rows that differ (- parent only, + change only)\n"
+    assert done.stdout.count(moved) == 1
+    assert moved + "- 4.0,FMDOAD,1.0\n+ 4.0,FMDOAD,0.5\n" in done.stdout
+    assert "Static" not in done.stdout
+    written = json.loads((tmp_path / "ab.json").read_text())
+    assert written["moved_rows"] == [
+        {"seed": 1, "parent": ["4.0,FMDOAD,1.0"], "change": ["4.0,FMDOAD,0.5"]}
+    ]
     assert "wall_s: claim holds (2/2 wins, 9/10 needed; median gap 0.5 vs parent IQR 0)" in (
         done.stdout
     )

@@ -24,10 +24,13 @@ bound, unless every run of the change reads better than every run of the
 parent. With several seeds, a pooled table and verdicts over the pairs of
 every seed follow. Exits with status 1 when a run reports incorrect
 answers or the two sides' result digests differ in any pair; the digests
-are read from each checkout's ``layerbench/out/<W>-seed<S>-trace0.json``.
-``--json PATH`` also writes the run to PATH: each pair's metrics and
-digests, and per seed (and pooled) each metric's quartiles, wins and both
-verdicts.
+and result rows are read from each checkout's
+``layerbench/out/<W>-seed<S>-trace0.json``. Where the digests differ, the
+result rows that only one side's record holds are printed once per seed,
+so a change that moves results shows which rows it moved. ``--json PATH``
+also writes the run to PATH: each pair's metrics and digests, per seed
+(and pooled) each metric's quartiles, wins and both verdicts, and per seed
+the rows that differ.
 """
 
 import argparse
@@ -65,9 +68,9 @@ def run_order(pair: int, position: int) -> tuple:
     return SIDES if (pair + position) % 2 else SIDES[::-1]
 
 
-def run_side(root: Path, args, seed: int) -> tuple[dict, str, bool]:
+def run_side(root: Path, args, seed: int) -> tuple[dict, dict, bool]:
     """One untraced benchmark run in ``root``: (end-to-end metric values,
-    result digest, whether the answers were correct)."""
+    its run record, whether the answers were correct)."""
     cmd = [
         sys.executable, "layerbench/run.py", "--workload", args.workload,
         "--seed", str(seed), "--seconds", str(args.seconds),
@@ -77,9 +80,17 @@ def run_side(root: Path, args, seed: int) -> tuple[dict, str, bool]:
         sys.exit(f"ab: layerbench failed in {root} (exit {done.returncode}):\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record = root / "layerbench" / "out" / f"{args.workload}-seed{seed}-trace0.json"
-    digest = json.loads(record.read_text())["digest"]
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
-    return metrics, digest, result["correct"] is True
+    return metrics, json.loads(record.read_text()), result["correct"] is True
+
+
+def moved_rows(parent: list, change: list) -> dict:
+    """Per side, in its own order, the result rows the other side lacks."""
+    in_parent, in_change = set(parent), set(change)
+    return {
+        "parent": [row for row in parent if row not in in_change],
+        "change": [row for row in change if row not in in_parent],
+    }
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -178,13 +189,14 @@ def main(argv=None) -> int:
     values = {seed: {side: [] for side in SIDES} for seed in args.seed}
     faults = []
     pairs = []
+    moved = {}  # per seed, the rows of its first pair whose digests differ
     for pair in range(1, args.pairs + 1):
         for position, seed in enumerate(args.seed):
             order = run_order(pair, position)
             label = f"pair {pair}" if len(args.seed) == 1 else f"pair {pair} seed {seed}"
-            digests = {}
+            records = {}
             for side in order:
-                metrics, digests[side], correct = run_side(roots[side], args, seed)
+                metrics, records[side], correct = run_side(roots[side], args, seed)
                 values[seed][side].append(metrics)
                 if not correct:
                     faults.append(f"{label}: {side} reports incorrect answers")
@@ -194,13 +206,16 @@ def main(argv=None) -> int:
                     "seed": seed,
                     "first": order[0],
                     **{side: values[seed][side][-1] for side in SIDES},
-                    "digests": digests,
+                    "digests": {side: records[side]["digest"] for side in SIDES},
                 }
             )
+            digests = pairs[-1]["digests"]
             if digests["parent"] != digests["change"]:
                 faults.append(
                     f"{label}: digests differ, {digests['parent']} / {digests['change']}"
                 )
+                if seed not in moved:
+                    moved[seed] = moved_rows(records["parent"]["rows"], records["change"]["rows"])
             cells = "  ".join(
                 f"{name} {values[seed]['parent'][-1][name]:.6g} / "
                 f"{values[seed]['change'][-1][name]:.6g}"
@@ -222,6 +237,11 @@ def main(argv=None) -> int:
         summaries.append({"seed": "pooled", "title": title, "metrics": metrics})
     for summary in summaries:
         report(summary["title"], summary["metrics"])
+    for seed, rows in moved.items():
+        print(f"\nseed {seed}: result rows that differ (- parent only, + change only)")
+        for side, mark in (("parent", "-"), ("change", "+")):
+            for row in rows[side]:
+                print(f"{mark} {row}")
     for fault in faults:
         print(f"FAULT: {fault}", file=sys.stderr)
     print(f"{len(faults)} fault(s)" if faults else "answers correct, digests equal in every pair")
@@ -239,6 +259,7 @@ def main(argv=None) -> int:
             "runs": pairs,
             "summaries": summaries,
             "faults": faults,
+            "moved_rows": [{"seed": seed, **rows} for seed, rows in moved.items()],
         }
         args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 1 if faults else 0
