@@ -25,6 +25,7 @@ __all__ = [
     "rate_of_trace",
     "trace_floor",
     "rate_ceiling",
+    "reach_rate_ceiling",
     "effective_throughput",
 ]
 
@@ -178,6 +179,64 @@ def rate_ceiling(scenario: Scenario) -> float:
     """A rate no deployment exceeds: log2(1 + snr_scale / F), with F the
     ``trace_floor``."""
     return float(np.log2(1.0 + scenario.snr_scale / trace_floor(scenario)))
+
+
+def reach_rate_ceiling(scenario: Scenario, reach):
+    """A rate that no deployment beats when every antenna lies within
+    ``reach`` (wavelengths, one value or an array of them) of its initial
+    position, capped at ``rate_ceiling``; one rate per reach, equal to the
+    initial rate at reach 0 up to the rounding margin below.
+
+    X -> tr(X^-1) is convex on positive-definite matrices (Boyd and
+    Vandenberghe, Convex Optimization, 3.1), so tr(G^-1) >= tr(G0^-1) -
+    sum_n [phi(a_n) - phi(a0_n)], with G0 the Gram at the initial layout and
+    phi(a) = Re sum_kl C_kl exp(j kappa a.(d_k - d_l)), C_kl = (G0^-2)_lk
+    b_k b_l: the tangent plane at G0, written per antenna. Its gradient at
+    a0_n is minus row n of ``kernels.trace_and_grad`` there. Each
+    antenna's rise of phi within distance r is at most the smaller of its
+    third-order Taylor bound, |grad| r + ||Hessian|| r^2 / 2 + sum_kl
+    |C_kl| (kappa |d_k - d_l| r)^3 / 6, and the chord bound sum_kl |C_kl|
+    min(kappa r |d_k - d_l|, 2). The trace bound is floored at
+    ``trace_floor`` and lowered by a rounding margin of 4 eps cond(G0),
+    so the ceiling errs high.
+
+    Raises
+    ------
+    SingularChannel
+        If the initial channel is singular.
+    """
+    initial = scenario.initial_positions.coords
+    directions, amplitudes, wavenumber, cond_limit = kernel_args(scenario)
+    _, w, V, trace, cond, _, _ = kernels._gram_spectrum(
+        initial, directions, amplitudes, wavenumber, cond_limit, True
+    )
+    _check_singular(trace, cond)
+    G_inv2 = (V / w**2) @ np.conj(V.T)
+    coeffs = G_inv2.T * np.outer(amplitudes, amplitudes)
+    # the (K, K, 2) differences d_k - d_l and each antenna's (N, K, K)
+    # terms C_kl exp(j kappa a0_n.(d_k - d_l))
+    delta = directions[:, None, :] - directions[None, :, :]
+    phase = np.exp(1j * wavenumber * (initial @ directions.T))
+    terms = coeffs * phase[:, :, None] * np.conj(phase)[:, None, :]
+    grad = -wavenumber * np.einsum("nkl,kli->ni", terms.imag, delta)
+    hess = -(wavenumber**2) * np.einsum("nkl,kli,klj->nij", terms.real, delta, delta)
+    # the spectral norm of each symmetric 2 x 2 Hessian
+    mid = 0.5 * (hess[:, 0, 0] + hess[:, 1, 1])
+    half_gap = np.hypot(0.5 * (hess[:, 0, 0] - hess[:, 1, 1]), hess[:, 0, 1])
+    hess_norm = np.abs(mid) + half_gap
+    weight, spread = np.abs(coeffs), wavenumber * np.hypot(delta[..., 0], delta[..., 1])
+    r = np.asarray(reach, dtype=float)[..., None]
+    taylor = (
+        np.hypot(grad[:, 0], grad[:, 1]) * r
+        + 0.5 * hess_norm * r**2
+        + np.sum(weight * spread**3) * r**3 / 6.0
+    )
+    chord = np.sum(weight * np.minimum(spread * r[..., None], 2.0), axis=(-2, -1))
+    rise = np.minimum(taylor, chord[..., None]).sum(axis=-1)
+    bound = np.maximum(trace - rise, trace_floor(scenario))
+    bound = bound * (1.0 - 4.0 * np.finfo(float).eps * cond)
+    rate = np.minimum(np.log2(1.0 + scenario.snr_scale / bound), rate_ceiling(scenario))
+    return rate[()]
 
 
 def effective_throughput(scenario: Scenario, deployment, t_mov: float) -> float:

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .channel import achievable_rate, kernel_args, rate_ceiling, rate_of_trace
+from .channel import achievable_rate, kernel_args, rate_of_trace, reach_rate_ceiling
 from .errors import FitDiverged, MovantError
 from .positioning import (
     OptimizeOutcome,
@@ -147,12 +147,13 @@ def _fixed_duration_report(
     )
 
 
-def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment) -> list:
-    """Solve the first of ``durations`` from the candidates ``warm`` (None
-    for none) and ``guide``, with guide-started lanes for the rest stacked
-    beside it in one ``_optimize_stack`` call; a window of one duration is
-    one ``optimize_positions`` call. Returns the (t, outcome, settled,
-    (trace, cond)) of each duration the chain keeps, in order: settled
+def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment | None) -> list:
+    """Solve the first of ``durations`` from the candidates ``warm`` and
+    ``guide`` (None for none; with neither, from the initial deployment, as
+    a chain without a guide solves t = 0), with guide-started lanes for the
+    rest stacked beside it in one ``_optimize_stack`` call; a window of one
+    duration is one ``optimize_positions`` call. Returns the (t, outcome,
+    settled, (trace, cond)) of each duration the chain keeps, in order: settled
     means that the guide started the solve and it took at most
     ``SETTLED_ITERATIONS`` gradient steps, and (trace, cond) is
     ``kernels.trace_at`` at its deployment, from one stacked call over the
@@ -179,7 +180,7 @@ def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment) 
         # below, raises only its own
         found = None
     if found is None:
-        found = [(optimize_positions(scenario, first, start=starts), None)]
+        found = [(optimize_positions(scenario, first, start=starts or None), None)]
     pts = np.array([outcome.deployment.coords for outcome, _ in found])
     moved, stack = [], pts
     if len(pts) > 1:
@@ -204,7 +205,7 @@ def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment) 
 def _duration_chain(
     scenario: Scenario,
     durations: list,
-    guide: Deployment,
+    guide: Deployment | None,
     method: SearchMethod,
     t_mov_max: float,
     stop_at_bound: bool = False,
@@ -235,30 +236,54 @@ def _duration_chain(
     bit for bit.
 
     With ``stop_at_bound`` the chain ends before the first duration t at
-    which (interval - t) * R is at most the best throughput found, with R
-    the certified ``rate_ceiling`` (or a solved rate above it, were
-    rounding to put one there): no later duration can beat the best. The
+    which every later duration t' (t included) has (interval - t') * R(t')
+    at most the best throughput found, with R(t') the larger of the
+    certified ``reach_rate_ceiling`` at the reach max_speed * t' and the
+    best solved rate (above it only were rounding to put one there): no
+    later duration can beat the best. Below the speed threshold the
+    ceiling often proves the stay right after the solve at t = 0. The
     curve is then the full chain's prefix with the same best.
+
+    ``guide`` None is solved here, single-start (``unconstrained_deploy``),
+    once the chain first reaches a positive duration: a chain that the
+    bound stops at t = 0 makes no placement solve.
     """
     curve = []
     failures = []
     solved = []
     best = None  # (throughput, t, rate, deployment, converged)
     warm = None
-    rate_cap = rate_ceiling(scenario) if stop_at_bound else None
+    # with the bound stop, the most throughput that each duration and the
+    # durations after it could give at the reach ceiling (once the chain
+    # has a best), and the best solved rate
+    later, top_rate = None, -math.inf
 
-    def stopped(t):
-        bounded = rate_cap is not None and best is not None
-        return bounded and (scenario.interval - t) * rate_cap <= best[0]
+    def stopped(j):
+        """Whether the bound stop rules out ``durations[j]`` and every
+        duration after it."""
+        nonlocal later
+        if not stop_at_bound or best is None:
+            return False
+        if later is None:
+            # a best means that the initial channel is regular, as the
+            # ceiling needs
+            grid = np.array(durations)
+            ceiling = reach_rate_ceiling(scenario, scenario.max_speed * grid)
+            later = np.maximum.accumulate(((scenario.interval - grid) * ceiling)[::-1])
+            later = later[::-1].tolist()
+        t = durations[j]
+        return max(later[j], (scenario.interval - t) * top_rate) <= best[0]
 
     # the index of the next duration, and how many durations in a row
     # before it the guide settled
     i, run = 0, 0
-    while i < len(durations) and not stopped(durations[i]):
+    while i < len(durations) and not stopped(i):
         # the window is the largest power of two no longer than the run,
         # less the durations that the bound stop already rules out
         size = 1 << max(run.bit_length() - 1, 0)
-        window = [t for t in durations[i : i + size] if not stopped(t)]
+        window = [t for j, t in enumerate(durations[i : i + size], i) if not stopped(j)]
+        if guide is None and window[-1] > 0.0:
+            guide = unconstrained_deploy(scenario).deployment
         try:
             kept = _solve_window(scenario, window, warm, guide)
         except (MovantError, ValueError) as exc:
@@ -267,7 +292,7 @@ def _duration_chain(
             i, run = i + 1, 0
             continue
         for t, outcome, settled, traced in kept:
-            if stopped(t):
+            if stopped(i):
                 break
             i += 1
             try:
@@ -281,8 +306,7 @@ def _duration_chain(
                 break
             warm = outcome.deployment
             solved.append((t, warm))
-            if rate_cap is not None:
-                rate_cap = max(rate_cap, rate)
+            top_rate = max(top_rate, rate)
             throughput = (scenario.interval - t) * rate
             curve.append(CurvePoint(t, rate, throughput))
             if best is None or throughput > best[0]:
@@ -329,19 +353,24 @@ def general_search(
     because the reachable disks only grow). A duration whose solve raises a
     ``MovantError`` or ``ValueError`` is recorded in ``failures`` and
     skipped; other errors propagate. ``guide`` is the speed-free optimum
-    (``unconstrained_deploy``); without one it is solved here, single-start.
+    (``unconstrained_deploy``); without one it is solved here, single-start,
+    once the search first reaches a positive duration.
 
-    The search stops before the first grid duration t at which
-    (interval - t) * R is at most the best throughput found so far, where R
-    is the certified ``rate_ceiling``, which no deployment beats (or a
-    solved rate above it, were rounding to put one there); the curve ends
-    there and the reported best is the one the whole grid gives. Every
-    duration solve is single-start, so the position optimizer runs once per
-    curve point, plus once when no guide is given and once per stacked
-    lane the chain discards (``_duration_chain``). At zero speed the antennas
-    cannot move: the initial deployment is reported at duration 0 without
-    running the optimizer. A ``grid_step`` that is not a finite positive
-    real number (a bool included) raises ``ValueError``.
+    The search stops before the first grid duration t from which on every
+    grid duration t' has (interval - t') * R(t') at most the best
+    throughput found so far, where R(t') is the certified
+    ``reach_rate_ceiling`` at the reach max_speed * t', which no deployment
+    within that reach beats (or a solved rate above it, were rounding to
+    put one there); the curve ends there and the reported best is the one
+    the whole grid gives. Below the speed threshold the ceiling often
+    proves the stay at once: the curve is the point t = 0 and no placement
+    solve runs, not even the guide's. Every duration solve is
+    single-start, so the position optimizer runs once per curve point,
+    plus once when no guide is given and the search moves past t = 0, and
+    once per stacked lane the chain discards (``_duration_chain``). At zero
+    speed the antennas cannot move: the initial deployment is reported at
+    duration 0 without running the optimizer. A ``grid_step`` that is not a
+    finite positive real number (a bool included) raises ``ValueError``.
     """
     if grid_step is not None:
         _check_grid_step(grid_step)
@@ -353,8 +382,6 @@ def general_search(
         durations.append(index * step)
         index += 1
 
-    if guide is None:
-        guide = unconstrained_deploy(scenario).deployment
     report, _ = _duration_chain(
         scenario,
         durations,

@@ -1,6 +1,6 @@
 """Move-or-stay analysis: closed-form speed and interval thresholds below
-which keeping the antennas at their initial positions maximizes the
-effective throughput, validated on an analytic two-antenna line case."""
+which the first-order condition favors keeping the antennas at their
+initial positions, validated on an analytic two-antenna line case."""
 
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ class ThresholdReport:
 
     ``speed_threshold * interval == time_threshold * max_speed`` whenever both
     are finite. ``stationary`` marks a vanishing rate gradient, in which case
-    both thresholds are unbounded and staying is always optimal.
+    both thresholds are unbounded: to first order, moving gains nothing at
+    any speed.
     """
 
     speed_threshold: float
@@ -52,10 +53,18 @@ class ThresholdReport:
 
 
 def speed_threshold(scenario: Scenario) -> ThresholdReport:
-    """Largest movement speed for which staying put is provably optimal.
+    """Largest movement speed at which the first-order condition favors
+    staying put.
 
     Computed as initial_rate / (interval * sum of per-antenna rate-gradient
-    norms). Staying is optimal whenever the speed limit does not exceed it.
+    norms). At or below it the throughput (interval - t) * R(t) does not
+    rise at t = 0 to first order: moving for a short time cannot pay. That
+    is a first-order condition, not a proof that staying is optimal, since
+    the rate can grow faster than linearly in the reach. The grid search
+    (``scheduling.general_search``) proves the stay with the certified
+    ``channel.reach_rate_ceiling`` instead, at speeds up to 0.24-0.78 of
+    this threshold (median 0.64) over 40 of criterion 9's random-angle
+    draws on a 50-point duration grid.
     """
     rate0 = achievable_rate(scenario, scenario.initial_positions)
     norm_sum = grad_rate(scenario, scenario.initial_positions).norm_sum()
@@ -81,9 +90,9 @@ def speed_threshold(scenario: Scenario) -> ThresholdReport:
 
 
 def time_threshold(scenario: Scenario) -> float:
-    """Interval length below which staying put is optimal at the scenario's
-    speed limit; unbounded when the initial deployment is already
-    stationary."""
+    """Interval length below which the first-order condition favors
+    staying put at the scenario's speed limit (see ``speed_threshold``);
+    unbounded when the initial deployment is already stationary."""
     if scenario.max_speed <= 0:
         raise ValueError("max_speed must be positive")
     return speed_threshold(scenario).time_threshold

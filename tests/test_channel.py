@@ -14,14 +14,18 @@ from movant.channel import (
     channel_vector,
     common_sinr,
     effective_throughput,
+    kernel_args,
     optimal_power,
     rate_ceiling,
+    reach_rate_ceiling,
     trace_floor,
     trace_objective,
     zf_beamformer,
 )
 from movant.errors import SingularChannel
-from movant.harness import default_scenario
+from movant.harness import SweepParameter, default_scenario, scenario_variant
+from movant.positioning import optimize_positions
+from movant.stationarity import speed_threshold
 from movant.scenario import (
     Deployment,
     Scenario,
@@ -251,6 +255,64 @@ def test_rate_ceiling_of_the_default_scenario():
     ceiling = rate_ceiling(default_scenario())
     assert ceiling == pytest.approx(5.3409, abs=1e-4)
     assert 8.0 * ceiling == pytest.approx(42.7269, abs=1e-4)
+
+
+def ceiling_cases():
+    """Criterion 9's first 10 draws, the default scenario at 4, 6 and 8
+    antennas and the two two-antenna line cases."""
+    rng = np.random.default_rng(909)
+    draws = []
+    while len(draws) < 10:
+        thetas, phis = rng.uniform(0.15, 1.45, 4), rng.uniform(0.15, 1.45, 4)
+        s = default_scenario(elevation_angles=list(thetas), azimuth_angles=list(phis))
+        if not speed_threshold(s).stationary:
+            draws.append(s)
+    base = default_scenario()
+    sizes = [scenario_variant(base, SweepParameter.NUM_ANTENNAS, n) for n in (4, 6, 8)]
+    pairs = [two_antenna_line_scenario(4.0, 6.0), two_antenna_line_scenario(5.0, 5.5)]
+    return draws + sizes + pairs
+
+
+CEILING_REACHES = (0.0, 0.005, 0.02, 0.1, 0.5, 2.0)
+
+
+def test_no_layout_in_reach_beats_the_reach_rate_ceiling():
+    # 2,000 layouts uniform in the reach disks, and the placement solver's
+    # outcome at that reach, never beat the ceiling; it never passes the
+    # rate ceiling, and at reach 0 it is the initial rate
+    rng = np.random.default_rng(31)
+    for scenario in ceiling_cases():
+        initial = scenario.initial_positions.coords
+        ceilings = reach_rate_ceiling(scenario, np.array(CEILING_REACHES))
+        assert ceilings.shape == (len(CEILING_REACHES),)
+        assert list(ceilings) == [reach_rate_ceiling(scenario, r) for r in CEILING_REACHES]
+        assert np.all(np.diff(ceilings) >= 0.0)
+        assert np.all(ceilings <= rate_ceiling(scenario))
+        start = achievable_rate(scenario, initial)
+        assert start <= ceilings[0] <= start + 1e-12
+        for reach, ceiling in zip(CEILING_REACHES, ceilings):
+            radius = reach * np.sqrt(rng.uniform(size=(2000, len(initial), 1)))
+            angle = rng.uniform(0.0, 2.0 * np.pi, (2000, len(initial)))
+            layouts = initial + radius * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+            traces, _ = kernels.trace_at(layouts, *kernel_args(scenario))
+            sampled = np.log2(1.0 + scenario.snr_scale / np.nanmin(traces))
+            assert sampled <= ceiling, (reach, sampled, ceiling)
+            solved = optimize_positions(scenario, reach / scenario.max_speed).deployment
+            assert achievable_rate(scenario, solved) <= ceiling * (1.0 + 1e-12), reach
+
+
+def test_reach_rate_ceiling_uses_the_trace_gradient():
+    # the per-antenna gradient of phi at the initial layout is minus the
+    # trace gradient, so a reach-r ceiling's first-order slope is the sum
+    # of the trace gradient's row norms
+    scenario = ceiling_cases()[0]
+    initial = scenario.initial_positions.coords
+    trace, grad, _ = kernels.trace_and_grad(initial, *kernel_args(scenario))
+    r = 1e-9
+    bound = scenario.snr_scale / (2.0 ** reach_rate_ceiling(scenario, r) - 1.0)
+    slope = (trace - bound) / r
+    norms = np.hypot(grad[:, 0], grad[:, 1]).sum()
+    assert slope == pytest.approx(norms, rel=1e-3)
 
 
 class TestZeroForcing:

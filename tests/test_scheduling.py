@@ -8,7 +8,7 @@ import pytest
 import movant.positioning as positioning
 import movant.scheduling as scheduling
 from movant import channel, harness, kernels
-from movant.channel import achievable_rate, effective_throughput, kernel_args, rate_ceiling
+from movant.channel import achievable_rate, effective_throughput, kernel_args
 from movant.errors import FitDiverged, MovantError, SingularChannel
 from movant.scheduling import (
     CurvePoint,
@@ -364,10 +364,46 @@ def test_bound_stop_keeps_the_full_chains_best(name):
     solved = len(stopped.curve)
     assert solved < len(durations)
     assert stopped.curve == full.curve[:solved]
-    # the certified ceiling rules out the first duration left unsolved
-    t = durations[solved]
-    rate_cap = max([rate_ceiling(scenario)] + [p.rate for p in stopped.curve])
-    assert (scenario.interval - t) * rate_cap <= stopped.best_throughput
+    # the reach rate ceiling rules out the first duration left unsolved and
+    # every duration after it
+    top = max(p.rate for p in stopped.curve)
+    assert bound_from(scenario, durations[solved:], top) <= stopped.best_throughput
+
+
+def test_slow_draws_stay_without_a_placement_solve(monkeypatch):
+    # below the speed threshold the reach rate ceiling proves the stay once
+    # t = 0 is solved: no lane of positive reach runs, the guide's solve
+    # included, and the best is the full chain's
+    reaches, guides = [], []
+    stack, deploy = positioning._optimize_stack, scheduling.unconstrained_deploy
+
+    def recording(posed, solves, *rest):
+        reaches.extend(posed.max_speed * t for t, _ in solves)
+        return stack(posed, solves, *rest)
+
+    def counting(posed):
+        guides.append(posed)
+        return deploy(posed)
+
+    for scenario in slow_scenarios():
+        durations = grid_durations(scenario.interval, 0.8)
+        full, _ = scheduling._duration_chain(
+            scenario,
+            durations,
+            unconstrained_deploy(scenario).deployment,
+            SearchMethod.GENERAL_SEARCH,
+            scenario.interval,
+        )
+        del reaches[:], guides[:]
+        for module in (positioning, scheduling):
+            monkeypatch.setattr(module, "_optimize_stack", recording)
+        monkeypatch.setattr(scheduling, "unconstrained_deploy", counting)
+        report = general_search(scenario, grid_step=0.8)
+        monkeypatch.undo()
+        assert (reaches, guides) == ([0.0], [])
+        assert [p.t_mov for p in report.curve] == [0.0]
+        assert (report.best_t_mov, report.best_throughput) == (0.0, full.best_throughput)
+        assert full.best_t_mov == 0.0 and len(full.curve) == len(durations)
 
 
 def test_singular_guide_stops_at_the_rate_ceiling(case_wide):
@@ -548,31 +584,41 @@ def test_solve_starts_from_the_best_candidate(monkeypatch):
     )
 
 
+def bound_from(scenario, durations, top):
+    """The most throughput that any of ``durations`` could give: (interval
+    - t) times the larger of the reach rate ceiling at max_speed * t and a
+    solved rate ``top``."""
+    reach = scenario.max_speed * np.array(durations)
+    ceilings = channel.reach_rate_ceiling(scenario, reach).tolist()
+    return max((scenario.interval - t) * max(c, top) for t, c in zip(durations, ceilings))
+
+
 def one_duration_chain(scenario, durations, guide, method, t_mov_max, stop_at_bound=False):
     """Reference ``scheduling._duration_chain``: each duration solved alone,
     in turn, by ``optimize_positions`` from the previous solution and the
     guide, with its rate (``scheduling._solve_duration``); a solve or rate
     that raises is a failure with a NaN curve point, and with
-    ``stop_at_bound`` the chain ends where the rate ceiling (or a higher
-    solved rate) rules out every later duration."""
+    ``stop_at_bound`` the chain ends where the reach rate ceiling of each
+    later duration (or a higher solved rate) rules it out. A guide of None
+    is solved at the first positive duration."""
     curve, failures, solved = [], [], []
-    best, warm = None, None
-    rate_cap = rate_ceiling(scenario) if stop_at_bound else None
-    for t in durations:
-        if rate_cap is not None and best is not None:
-            if (scenario.interval - t) * rate_cap <= best[0]:
+    best, warm, top = None, None, -math.inf
+    for j, t in enumerate(durations):
+        if stop_at_bound and best is not None:
+            if bound_from(scenario, durations[j:], top) <= best[0]:
                 break
+        if guide is None and t > 0.0:
+            guide = unconstrained_deploy(scenario).deployment
         try:
             starts = [d for d in (warm, guide) if d is not None]
-            rate, outcome = scheduling._solve_duration(scenario, t, start=starts)
+            rate, outcome = scheduling._solve_duration(scenario, t, start=starts or None)
         except (MovantError, ValueError) as exc:
             failures.append((t, str(exc)))
             curve.append(CurvePoint(t, math.nan, math.nan))
             continue
         warm = outcome.deployment
         solved.append((t, warm))
-        if rate_cap is not None:
-            rate_cap = max(rate_cap, rate)
+        top = max(top, rate)
         throughput = (scenario.interval - t) * rate
         curve.append(CurvePoint(t, rate, throughput))
         if best is None or throughput > best[0]:
@@ -605,10 +651,17 @@ def assert_same_report(got, expected):
         assert np.array_equal(*fields, equal_nan=True)
 
 
+def at_threshold(slow):
+    """A slow draw at twice its speed, its speed threshold: above the speed
+    at which the reach rate ceiling proves the stay on the 0.8 s grid, so
+    its chain runs every duration."""
+    return slow.with_(max_speed=2.0 * slow.max_speed)
+
+
 # (scenario, grid step, duration index of a solve made to fail or None,
 # whether every guide-started duration counts as settled): the two-antenna
-# pairs, the slow draws and the default scenario, on the benchmark's grids
-# and guides and on the default grid step. Counting every guide-started
+# pairs, the slow draws at their speed threshold and the default scenario,
+# on the benchmark's grids and guides and on the default grid step. Counting every guide-started
 # duration stacks windows in the chains whose solves iterate too, and there
 # they miss; the default chains as the schemes run them are pinned in
 # tests/test_harness.py.
@@ -616,9 +669,9 @@ CHAIN_CASES = {
     "pair(4,6)": (lambda: two_antenna_line_scenario(4.0, 6.0), 0.05, None, False),
     "pair(5,5.5)": (lambda: two_antenna_line_scenario(5.0, 5.5), 0.05, None, False),
     "pair(5,5.5) failing": (lambda: two_antenna_line_scenario(5.0, 5.5), 0.05, 11, False),
-    "slow0": (lambda: slow_scenarios()[0], 0.8, None, False),
-    "slow1": (lambda: slow_scenarios()[1], 0.8, None, False),
-    "slow1 every guide start": (lambda: slow_scenarios()[1], 0.8, None, True),
+    "slow0": (lambda: at_threshold(slow_scenarios()[0]), 0.8, None, False),
+    "slow1": (lambda: at_threshold(slow_scenarios()[1]), 0.8, None, False),
+    "slow1 every guide start": (lambda: at_threshold(slow_scenarios()[1]), 0.8, None, True),
     **{
         f"default@{v} every guide start": (
             lambda v=v: default_scenario(max_speed_wl_s=v), 0.08, None, True
@@ -721,12 +774,13 @@ def test_stacked_chains_cover_misses_failures_and_the_bound_stop(monkeypatch):
     grid = grid_durations(pair.interval, 0.05)
     report = general_search(pair, grid_step=0.05)
     # every window leaves out the durations that the bound stop rules out
-    # when it opens, from the best throughput and the rate cap so far
+    # when it opens, from the best throughput and solved rate so far
     for window, *_ in ends:
         before = [point for point in report.curve if point.t_mov < window[0]]
         best = max((point.throughput for point in before), default=-math.inf)
-        cap = max([rate_ceiling(pair)] + [point.rate for point in before])
-        assert all((pair.interval - t) * cap > best for t in window)
+        top = max((point.rate for point in before), default=-math.inf)
+        later = grid[grid.index(window[-1]) :]
+        assert bound_from(pair, later, top) > best
     # the stop comes inside the last window: its lanes past the stop are
     # solved and dropped, and the report is the one-duration chain's
     window, kept, settled = ends[-1]

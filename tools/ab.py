@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Interleaved A/B runs of the layered benchmark on two checkouts.
 
-    python3 tools/ab.py PARENT CHANGE --workload grid_search --pairs 10 [--seed 1 [2 ...]] [--json PATH]
+    python3 tools/ab.py PARENT CHANGE --workload W [W ...] --pairs 10 [--seed 1 [2 ...]] [--json PATH]
 
 Runs ``layerbench/run.py --workload W --seed S --seconds X`` (15 s unless
 ``--seconds`` says otherwise) in the PARENT and CHANGE checkouts, one run at
-a time, pair after pair. With several seeds, each pair runs every seed in
-turn, so the seeds' pairs interleave. Each seed alternates which side runs
-first from one pair to the next, and so do the seeds of one pair
-(``run_order``), so that no seed's verdict carries an effect of the order.
+a time, pair after pair. With several workloads or seeds, each pair runs
+every workload at every seed in turn, so their pairs interleave. Each run
+alternates which side goes first from one pair to the next, and so do the
+runs of one pair (``run_order``), so that no verdict carries an effect of
+the order. Everything below is reported per workload: one run shows a
+claimed gain on one workload and the no-regression verdicts on the others.
 Prints each pair's end-to-end metrics, then per seed each side's median and
 quartiles, and the number of pairs in which the change read better, per
 metric (ties count for neither side); the better direction of each metric
@@ -30,7 +32,8 @@ result rows that only one side's record holds are printed once per seed,
 so a change that moves results shows which rows it moved. ``--json PATH``
 also writes the run to PATH: each pair's metrics and digests, per seed
 (and pooled) each metric's quartiles, wins and both verdicts, and per seed
-the rows that differ.
+the rows that differ; with several workloads it holds a list of such
+records, one per workload.
 """
 
 import argparse
@@ -50,7 +53,7 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, nargs="+", default=[1])
     parser.add_argument("--seconds", type=float, default=15.0)
@@ -63,23 +66,24 @@ def parse_args(argv=None):
 
 def run_order(pair: int, position: int) -> tuple:
     """The sides in the order they run in pair ``pair`` (counted from 1) of
-    the seed at ``position`` (counted from 0) in ``--seed``: the parent
-    first where pair + position is odd, else the change."""
+    the run at ``position`` (counted from 0) among the pair's runs, each
+    workload's seeds in turn: the parent first where pair + position is
+    odd, else the change."""
     return SIDES if (pair + position) % 2 else SIDES[::-1]
 
 
-def run_side(root: Path, args, seed: int) -> tuple[dict, dict, bool]:
+def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, bool]:
     """One untraced benchmark run in ``root``: (end-to-end metric values,
     its run record, whether the answers were correct)."""
     cmd = [
-        sys.executable, "layerbench/run.py", "--workload", args.workload,
-        "--seed", str(seed), "--seconds", str(args.seconds),
+        sys.executable, "layerbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds),
     ]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"ab: layerbench failed in {root} (exit {done.returncode}):\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    record = root / "layerbench" / "out" / f"{args.workload}-seed{seed}-trace0.json"
+    record = root / "layerbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
     return metrics, json.loads(record.read_text()), result["correct"] is True
 
@@ -180,89 +184,117 @@ def report(title: str, summary: dict) -> None:
     print("\n".join(verdicts))
 
 
+def label(pair: int, workload: str, seed: int, args) -> str:
+    """A run's name in the printed lines: its pair, then its workload and
+    seed where ``--workload`` or ``--seed`` name several."""
+    parts = [f"pair {pair}"]
+    if len(args.workload) > 1:
+        parts.append(workload)
+    if len(args.seed) > 1:
+        parts.append(f"seed {seed}")
+    return " ".join(parts)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     lower = {metric["name"]: metric["better"] == "lower" for metric in declared}
     bounds = {metric["name"]: metric["bound"] for metric in declared}
-    values = {seed: {side: [] for side in SIDES} for seed in args.seed}
-    faults = []
-    pairs = []
-    moved = {}  # per seed, the rows of its first pair whose digests differ
+    # each pair runs every workload at every seed, in this order
+    runs = [(workload, seed) for workload in args.workload for seed in args.seed]
+    values = {run: {side: [] for side in SIDES} for run in runs}
+    faults = {workload: [] for workload in args.workload}
+    pairs = {workload: [] for workload in args.workload}
+    # per workload and seed, the rows of its first pair whose digests differ
+    moved = {workload: {} for workload in args.workload}
     for pair in range(1, args.pairs + 1):
-        for position, seed in enumerate(args.seed):
+        for position, (workload, seed) in enumerate(runs):
             order = run_order(pair, position)
-            label = f"pair {pair}" if len(args.seed) == 1 else f"pair {pair} seed {seed}"
+            name = label(pair, workload, seed, args)
+            got = values[(workload, seed)]
             records = {}
             for side in order:
-                metrics, records[side], correct = run_side(roots[side], args, seed)
-                values[seed][side].append(metrics)
+                metrics, records[side], correct = run_side(
+                    roots[side], workload, seed, args.seconds
+                )
+                got[side].append(metrics)
                 if not correct:
-                    faults.append(f"{label}: {side} reports incorrect answers")
-            pairs.append(
+                    faults[workload].append(f"{name}: {side} reports incorrect answers")
+            pairs[workload].append(
                 {
                     "pair": pair,
                     "seed": seed,
                     "first": order[0],
-                    **{side: values[seed][side][-1] for side in SIDES},
+                    **{side: got[side][-1] for side in SIDES},
                     "digests": {side: records[side]["digest"] for side in SIDES},
                 }
             )
-            digests = pairs[-1]["digests"]
+            digests = pairs[workload][-1]["digests"]
             if digests["parent"] != digests["change"]:
-                faults.append(
-                    f"{label}: digests differ, {digests['parent']} / {digests['change']}"
+                faults[workload].append(
+                    f"{name}: digests differ, {digests['parent']} / {digests['change']}"
                 )
-                if seed not in moved:
-                    moved[seed] = moved_rows(records["parent"]["rows"], records["change"]["rows"])
+                if seed not in moved[workload]:
+                    moved[workload][seed] = moved_rows(
+                        records["parent"]["rows"], records["change"]["rows"]
+                    )
             cells = "  ".join(
-                f"{name} {values[seed]['parent'][-1][name]:.6g} / "
-                f"{values[seed]['change'][-1][name]:.6g}"
-                for name in lower
+                f"{metric} {got['parent'][-1][metric]:.6g} / {got['change'][-1][metric]:.6g}"
+                for metric in lower
             )
-            shown = label.replace(f"pair {pair}", f"pair {pair:2d}", 1)
+            shown = name.replace(f"pair {pair}", f"pair {pair:2d}", 1)
             print(f"{shown} ({order[0]} first)  parent / change:  {cells}", flush=True)
 
-    summaries = []
-    for seed in args.seed:
-        title = f"{args.workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs"
-        metrics = summarize(values[seed], lower, bounds)
-        summaries.append({"seed": seed, "title": title, "metrics": metrics})
-    if len(args.seed) > 1:
-        pooled = {side: [run for seed in args.seed for run in values[seed][side]] for side in SIDES}
-        seeds = " ".join(str(seed) for seed in args.seed)
-        title = f"{args.workload}, pooled over seeds {seeds}, {len(pooled['parent'])} pairs"
-        metrics = summarize(pooled, lower, bounds)
-        summaries.append({"seed": "pooled", "title": title, "metrics": metrics})
-    for summary in summaries:
-        report(summary["title"], summary["metrics"])
-    for seed, rows in moved.items():
-        print(f"\nseed {seed}: result rows that differ (- parent only, + change only)")
-        for side, mark in (("parent", "-"), ("change", "+")):
-            for row in rows[side]:
-                print(f"{mark} {row}")
-    for fault in faults:
+    records = []
+    for workload in args.workload:
+        summaries = []
+        for seed in args.seed:
+            title = f"{workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs"
+            metrics = summarize(values[(workload, seed)], lower, bounds)
+            summaries.append({"seed": seed, "title": title, "metrics": metrics})
+        if len(args.seed) > 1:
+            pooled = {
+                side: [run for seed in args.seed for run in values[(workload, seed)][side]]
+                for side in SIDES
+            }
+            seeds = " ".join(str(seed) for seed in args.seed)
+            title = f"{workload}, pooled over seeds {seeds}, {len(pooled['parent'])} pairs"
+            metrics = summarize(pooled, lower, bounds)
+            summaries.append({"seed": "pooled", "title": title, "metrics": metrics})
+        for summary in summaries:
+            report(summary["title"], summary["metrics"])
+        prefix = f"{workload} " if len(args.workload) > 1 else ""
+        for seed, rows in moved[workload].items():
+            print(f"\n{prefix}seed {seed}: result rows that differ (- parent only, + change only)")
+            for side, mark in (("parent", "-"), ("change", "+")):
+                for row in rows[side]:
+                    print(f"{mark} {row}")
+        records.append(
+            {
+                "workload": workload,
+                "seeds": args.seed,
+                "pairs": args.pairs,
+                "seconds": args.seconds,
+                "host": {
+                    "machine": platform.machine(),
+                    "cpus": os.cpu_count(),
+                    "python": platform.python_version(),
+                },
+                "runs": pairs[workload],
+                "summaries": summaries,
+                "faults": faults[workload],
+                "moved_rows": [{"seed": seed, **rows} for seed, rows in moved[workload].items()],
+            }
+        )
+    every = [fault for workload in args.workload for fault in faults[workload]]
+    for fault in every:
         print(f"FAULT: {fault}", file=sys.stderr)
-    print(f"{len(faults)} fault(s)" if faults else "answers correct, digests equal in every pair")
+    print(f"{len(every)} fault(s)" if every else "answers correct, digests equal in every pair")
     if args.json is not None:
-        record = {
-            "workload": args.workload,
-            "seeds": args.seed,
-            "pairs": args.pairs,
-            "seconds": args.seconds,
-            "host": {
-                "machine": platform.machine(),
-                "cpus": os.cpu_count(),
-                "python": platform.python_version(),
-            },
-            "runs": pairs,
-            "summaries": summaries,
-            "faults": faults,
-            "moved_rows": [{"seed": seed, **rows} for seed, rows in moved.items()],
-        }
-        args.json.write_text(json.dumps(record, indent=2) + "\n")
-    return 1 if faults else 0
+        written = records[0] if len(records) == 1 else records
+        args.json.write_text(json.dumps(written, indent=2) + "\n")
+    return 1 if every else 0
 
 
 if __name__ == "__main__":
