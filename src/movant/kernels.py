@@ -16,11 +16,12 @@ warnings filter set to "error" raises. ``Deployment``, ``Scenario`` and
 
 ``trace_at``, ``trace_and_grad`` and ``project_deployment`` also take a
 stack of deployments, ``(..., N, 2)``, and return one result per slice,
-equal bit for bit to one call per slice: the placement solver runs its
-restarts, and a duration chain's speculative solves, as lanes of one
-stack, in lockstep. ``project_deployment`` also takes one radius per row,
-so that each lane keeps its own reach. ``channel_matrix`` takes (N, 2)
-only.
+equal bit for bit to one call per slice: the placement solver runs
+single-start solves as lanes of one stack, in lockstep, whether they are
+the racing starts of a multi-start solve or a duration chain's
+speculative durations. ``project_deployment`` also takes one radius per
+row, so that each lane keeps its own reach. ``channel_matrix`` takes
+(N, 2) only.
 
 The trace kernels call LAPACK's Hermitian eigensolvers through the
 gufuncs behind ``np.linalg.eigh`` and ``np.linalg.eigvalsh``: those

@@ -16,11 +16,12 @@ its gap in one pulled round rather than several; a gap that a pulled
 round no longer halves ends the start's rounds. The log makes the descent
 independent of the channel's scale: tr(G^-1) spans more than ten orders of
 magnitude across scenarios and layouts, while the solver's step seed, pull
-floor and growth and tolerances are fixed numbers. Several solves of one
-scenario, at different durations, can run as lanes of one lockstep solve
-(``_optimize_stack``), each lane with its own reach. A multi-start solve
-ends once one start comes within a relative ``_CERTIFIED_MARGIN`` of the
-floor that no layout beats, ``channel.trace_floor``.
+floor and growth and tolerances are fixed numbers. Single-start solves of
+one scenario run as lanes of one lockstep solve (``_optimize_stack``), each
+lane with its own reach: the durations of a chain's window, or the starts
+of one multi-start solve. The starts race: they end once one comes within
+a relative ``_CERTIFIED_MARGIN`` of the floor that no layout beats,
+``channel.trace_floor``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import collections
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,10 +85,11 @@ _STATUS_MAX_ITERS = 1
 _STATUS_SINGULAR = 2
 _STATUS_STALLED = 3
 _STATUS_BOUND = 4
+_STATUS_CERTIFIED = 5
 
 # relative margin above the trace floor (``channel.trace_floor``) within
-# which a lane certifies its multi-start solve: no layout beats the floor,
-# so the solve's other lanes could lower tr(G^-1) by at most this fraction
+# which a lane certifies its race: no layout beats the floor, so the race's
+# other lanes could lower tr(G^-1) by at most this fraction
 _CERTIFIED_MARGIN = 1e-5
 
 
@@ -107,10 +109,10 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class OptimizeOutcome:
-    """Result of one placement optimization; ``certified`` where a restart
-    reached the trace floor and ended the solve's other restarts, ``start``
-    the index of the candidate its first restart took (None at zero
-    reach)."""
+    """Result of one placement optimization; ``certified`` where a start
+    reached the trace floor and cut the race of the solve's other starts,
+    ``start`` the index of the candidate its first start took (None at
+    zero reach)."""
 
     deployment: Deployment
     objective: float
@@ -236,7 +238,7 @@ def _lane_projection(centers, reach, lo, hi):
     disk. Else the lanes project as rows against the centers repeated once
     per lane, k lanes against the first k repeats, each row with its lane's
     radius, or with the one radius of all lanes where they share it, as the
-    restarts of a solve do: broadcasting the (N, 2) centers over a lane axis,
+    lanes of a race do: broadcasting the (N, 2) centers over a lane axis,
     or the radii over the rows, would cost the projection a microsecond or
     more a call.
     """
@@ -312,13 +314,13 @@ def _pgd_loop(
     that every best iterate has its gradient. A lane that ends leaves the
     stack, and each lane comes out bit for bit as it would alone.
 
-    ``cut``, (the solve of each lane, a tr(G^-1) level, a least pair
-    spacing), ends the lanes of a solve once one of them certifies it: it
-    ends converged with a best iterate at or below the level and no pair
-    closer than the spacing (``_certifies``). The solve's other lanes leave
-    at the next convergence test, after their own, with their best iterate,
-    the certifying lane's iteration count and ``_STATUS_BOUND``; a lane cut
-    at the iteration cap leaves that way too.
+    ``cut``, (a tr(G^-1) level, a least pair spacing), makes the stack a
+    race that ends once a lane certifies it: the lane ends converged with a
+    best iterate at or below the level and no pair closer than the spacing,
+    and leaves with ``_STATUS_CERTIFIED``. The other lanes leave at the next
+    convergence test, after their own, with their best iterate, the
+    certifying lane's iteration count and ``_STATUS_BOUND``; a lane cut at
+    the iteration cap leaves that way too.
 
     Work that cannot change an iterate is skipped. Where every pull is 0,
     as in the first outer round of every solve, the pull's value and
@@ -365,23 +367,23 @@ def _pgd_loop(
         progress.append(collections.deque([pen], maxlen=2 * _NONMONOTONE_MEMORY))
         singular.append(math.isnan(t))
     eta = [_PGD_STEP] * len(start)
-    # the solves that a lane has certified and whose lanes are still to cut
-    bound = set()
+    # whether a lane has certified the race, whose other lanes are to cut
+    bound = False
 
-    def certify(ended):
-        """Add to ``bound`` the solve of each lane flagged in ``ended`` whose
-        best iterate certifies it."""
-        if cut is None:
-            return
+    def converged(ended):
+        """Per lane, ``_STATUS_CERTIFIED`` where ``ended`` flags it and its
+        best iterate certifies the race, ``_STATUS_CONVERGED`` where it
+        flags it otherwise, else None."""
+        nonlocal bound
+        statuses = [_STATUS_CONVERGED if e else None for e in ended]
         # the spacing is worth computing only at the level
-        rows = [i for i, e in enumerate(ended) if e and best[i][2] <= cut[1]]
+        rows = [i for i, e in enumerate(ended) if e and cut and best[i][2] <= cut[0]]
         if rows:
             spacings = min_pair_distance(np.array([best[i][1] for i in rows])).tolist()
-            bound.update(
-                cut[0][lanes[i]]
-                for i, spacing in zip(rows, spacings)
-                if _certifies(_STATUS_CONVERGED, best[i][2], spacing, cut)
-            )
+            for i, spacing in zip(rows, spacings):
+                if spacing >= cut[1]:
+                    statuses[i], bound = _STATUS_CERTIFIED, True
+        return statuses
 
     def leave(statuses, iters):
         """Record the lanes whose entry of ``statuses`` is a status, not
@@ -404,11 +406,6 @@ def _pgd_loop(
         pos, g, anchors, rho, radius = pos[keep], g[keep], anchors[keep], rho[keep], radius[keep]
         return keep
 
-    def cut_or(status):
-        """Per lane, ``_STATUS_BOUND`` where its solve is certified, else
-        ``status``."""
-        return [_STATUS_BOUND if bound and cut[0][lane] in bound else status for lane in lanes]
-
     if any(singular):
         leave([_STATUS_SINGULAR if s else None for s in singular], 0)
     for it in range(_PGD_MAX_ITERS):
@@ -419,12 +416,9 @@ def _pgd_loop(
         d = cand - pos
         reach = _max_row_norms(d)
         if min(reach) <= _GRAD_TOL or bound:
-            ended = [r <= _GRAD_TOL for r in reach]
-            certify(ended)
-            keep = leave(
-                [_STATUS_CONVERGED if e else s for e, s in zip(ended, cut_or(None))], it
-            )
-            bound.clear()
+            statuses = converged([r <= _GRAD_TOL for r in reach])
+            # once the race is certified, every lane leaves
+            keep = leave([_STATUS_BOUND if bound and s is None else s for s in statuses], it)
             if not keep:
                 break
             cand, d, reach = cand[keep], d[keep], [reach[i] for i in keep]
@@ -475,10 +469,9 @@ def _pgd_loop(
             progress[i].append(best[i][0])
         done = [len(h) == h.maxlen and h[0] - h[-1] <= _PROGRESS_TOL for h in progress]
         if any(done):
-            # the lanes of a solve certified here leave at the next
+            # the lanes of a race certified here leave at the next
             # convergence test, after their own
-            certify(done)
-            keep = leave([_STATUS_CONVERGED if e else None for e in done], it + 1)
+            keep = leave(converged(done), it + 1)
             if not keep:
                 break
             s, grad_c = s[keep], grad_c[keep]
@@ -490,16 +483,8 @@ def _pgd_loop(
         ]
         g = g_new
     else:
-        leave(cut_or(_STATUS_MAX_ITERS), _PGD_MAX_ITERS)
+        leave([_STATUS_BOUND if bound else _STATUS_MAX_ITERS] * len(lanes), _PGD_MAX_ITERS)
     return result
-
-
-def _certifies(status: int, trace: float, spacing: float, cut: tuple) -> bool:
-    """Whether a lane whose loop ended with ``status``, tr(G^-1) ``trace``
-    and least pair spacing ``spacing`` certifies its solve under ``cut``:
-    it converged, at or below the cut's level and no closer than its
-    spacing."""
-    return status == _STATUS_CONVERGED and trace <= cut[1] and spacing >= cut[2]
 
 
 def _next_pull(rho: float, gap: float, log_grad: np.ndarray) -> float:
@@ -539,41 +524,55 @@ def optimize_positions(
     Alternates projected gradient descent with anchor re-separation under a
     growing penalty until positions and anchors agree within half of
     ``FEASIBILITY_TOL``; the first round descends the objective alone, and
-    each restart aims the pull of its next round at that gap
+    each start aims the pull of its next round at that gap
     (``_next_pull``). So each round separates once, after its descent, and
     an over-packed region raises ``InfeasibleSpacing`` after the first
-    round. A restart ends unconverged where a pulled round leaves its gap
+    round. A start ends unconverged where a pulled round leaves its gap
     above half of the gap of the pulled round before: a stronger pull does
     not close a gap that stopped falling (anchors that the separation puts
     out of reach). The returned deployment lies in the region exactly, in
     the disks up to rounding (within 2 ulps of its largest coordinate) and
     keeps the pairwise spacing within ``FEASIBILITY_TOL``; its objective
     never exceeds the objective of the initial deployment. A solve has
-    converged only if the winning restart closed that gap and none of its
+    converged only if the winning start closed that gap and none of its
     gradient loops hit the iteration cap. ``start`` (the initial deployment
-    by default) is one
-    ``Deployment`` or (N, 2) positions, or a sequence or (L, N, 2) stack of
-    candidates of which the first restart takes the one with the lowest
-    finite tr(G^-1) once projected into reach (the first on a tie or when
-    none is finite); further restarts jitter the initial deployment
-    deterministically. The best feasible result wins (ties keep the earliest
-    restart). The restarts run as lanes of one lockstep solve, each outer
-    round one stacked ``_pgd_loop`` then one stacked ``separate_anchors``
-    over the lanes still running, and every lane ends as the same restart
-    run alone would, bit for bit, but for one cut: once a restart's loop
-    ends converged with tr(G^-1) within a relative ``_CERTIFIED_MARGIN`` of
-    ``channel.trace_floor`` and its spacing within ``FEASIBILITY_TOL``, the
-    other restarts stop at that iteration with their best iterate and take
-    no further round, and the outcome is ``certified``. No layout beats the
-    floor, so the cut costs at most that fraction of tr(G^-1); a restart it
-    stopped has not converged. With several failing lanes, the first
+    by default) is one ``Deployment`` or (N, 2) positions, or a sequence or
+    (L, N, 2) stack of candidates of which the first start takes the one
+    with the lowest finite tr(G^-1) once projected into reach (the first on
+    a tie or when none is finite).
+
+    With ``config.restarts`` = R > 1 the solve is R single-start solves of
+    the duration: its own, then R - 1 from jitters of the initial
+    deployment, drawn deterministically. They run as the lanes of one
+    lockstep race (``_optimize_stack``), each outer round one stacked
+    ``_pgd_loop`` then one stacked ``separate_anchors`` over the lanes
+    still running, and each lane ends as its solve run alone would, bit for
+    bit, but for one cut: once a lane's loop ends converged with tr(G^-1)
+    within a relative ``_CERTIFIED_MARGIN`` of ``channel.trace_floor`` and
+    its spacing within ``FEASIBILITY_TOL``, the other lanes stop at that
+    iteration with their best iterate and take no further round, and the
+    outcome is ``certified``. No layout beats the floor, so the cut costs at
+    most that fraction of tr(G^-1); a lane it stopped has not converged.
+    The lane with the lowest objective wins (the earliest on a tie), and
+    ``start`` is the first lane's. With several failing lanes, the first
     error in lockstep order is the one raised. A negative or non-finite
     ``t_mov``, an empty candidate list and a candidate with a non-finite
     coordinate raise ``ValueError``; a singular channel at the initial
     deployment raises ``SingularChannel``.
     """
     restarts = (config or PenaltyConfig()).restarts
-    return _optimize_stack(scenario, [(t_mov, start)], restarts)[0][0]
+    solves = [(t_mov, start)]
+    if restarts > 1:
+        # the duration is checked before it scales the jitters
+        reach, _ = _checked_solve(scenario, t_mov, start)
+        scale = min(reach, scenario.region_side / 4.0)
+        initial = scenario.initial_positions.coords
+        draws = np.random.default_rng(0).uniform(-scale, scale, (restarts - 1, *initial.shape))
+        solves += [(t_mov, initial + draw) for draw in draws]
+    lanes = [outcome for outcome, _ in _optimize_stack(scenario, solves, race=restarts > 1)]
+    best = min(lanes, key=lambda outcome: outcome.objective)
+    certified = any(outcome.certified for outcome in lanes)
+    return replace(best, certified=certified, start=lanes[0].start)
 
 
 def _checked_solve(scenario: Scenario, t_mov: float, start) -> tuple:
@@ -597,53 +596,48 @@ def _checked_solve(scenario: Scenario, t_mov: float, start) -> tuple:
     return scenario.max_speed * t_mov, candidates
 
 
-def _set_up(scenario: Scenario, solves: list, restarts: int) -> tuple:
+def _set_up(scenario: Scenario, solves: list) -> tuple:
     """The set-up of a stacked solve of ``solves``, (radius, candidates)
-    pairs of positive reach: (the projection, each lane's projected start,
-    its reach and its tr(G^-1), the trace at the initial deployment, the
-    candidate each solve starts its first lane from). Lane r of solve s is
-    lane ``s * restarts + r``: the first at the solve's best candidate once
-    projected into reach (the first on a tie or when none is finite), then
-    its jitters of the initial deployment, drawn as the solve alone draws
-    them. One projection serves the starts and every outer round, and one
-    ``trace_at`` call scores every candidate and, as the last slice, the
-    initial deployment; each slice equals its own (N, 2) call bit for bit.
+    pairs of positive reach, one lane each: (the projection, each lane's
+    start, its reach and its tr(G^-1), the trace at the initial deployment,
+    the candidate each lane starts from). A lane starts at its solve's best
+    candidate once projected into reach (the first on a tie or when none is
+    finite). One projection serves the starts and every outer round, and
+    one ``trace_at`` call scores every candidate and, as the last slice,
+    the initial deployment; each slice equals its own (N, 2) call bit for
+    bit.
     """
     initial = scenario.initial_positions.coords
-    blocks = []
-    for radius, candidates in solves:
-        if restarts > 1:
-            jitter_scale = min(radius, scenario.region_side / 4.0)
-            draws = np.random.default_rng(0).uniform(
-                -jitter_scale, jitter_scale, (restarts - 1, *initial.shape)
-            )
-            candidates = np.concatenate([candidates, initial + draws])
-        blocks.append(candidates)
-    reach = np.repeat([radius for radius, _ in solves], [len(b) for b in blocks])
+    reach = np.repeat([radius for radius, _ in solves], [len(c) for _, c in solves])
     proj = _lane_projection(initial, reach, *scenario.region_bounds())
-    pts = proj(np.concatenate(blocks), reach)
+    pts = proj(np.concatenate([candidates for _, candidates in solves]), reach)
     traces, conds = kernels.trace_at(np.concatenate([pts, initial[None]]), *kernel_args(scenario))
     _check_singular(traces[-1], conds[-1])
     traces = traces.tolist()
     f_initial = traces.pop()
     lanes, picks, first = [], [], 0
-    for (_, candidates), block in zip(solves, blocks):
+    for _, candidates in solves:
         scored = traces[first : first + len(candidates)]
         scores = [t if math.isfinite(t) else math.inf for t in scored]
         picks.append(scores.index(min(scores)))
-        lanes += [first + picks[-1], *range(first + len(candidates), first + len(block))]
-        first += len(block)
+        lanes.append(first + picks[-1])
+        first += len(candidates)
     return proj, pts[lanes], reach[lanes], [traces[i] for i in lanes], f_initial, picks
 
 
-def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list:
-    """Placement solves of one scenario as lanes of one lockstep solve:
-    ``solves`` is a list of (t_mov, start) pairs as ``optimize_positions``
-    takes them, each with ``restarts`` lanes, and every lane keeps its own
-    reach. Returns one (``OptimizeOutcome``, start score) pair per solve,
-    the score being the tr(G^-1) of its first lane's start once projected
-    into reach (None at zero reach, where no lane runs); each outcome
-    equals the ``optimize_positions`` call of its solve alone, bit for bit.
+def _optimize_stack(scenario: Scenario, solves: list, race: bool = False) -> list:
+    """Single-start placement solves of one scenario as lanes of one
+    lockstep solve: ``solves`` is a list of (t_mov, start) pairs as
+    ``optimize_positions`` takes them, one lane each, and every lane keeps
+    its own reach. Returns one (``OptimizeOutcome``, start score) pair per
+    solve, the score being the tr(G^-1) of its lane's start once projected
+    into reach (None at zero reach, where no lane runs). Each outcome is
+    floored at the initial deployment on its own and equals the
+    single-start ``optimize_positions`` call of its solve alone, bit for
+    bit, unless ``race``: the lanes are then the starts of one multi-start
+    solve, and once one of them certifies the race at the trace floor
+    (``_pgd_loop``'s cut) the others take no further round, while the
+    certifying lanes run on as they would alone and report ``certified``.
     Every solve is checked before any runs, and an error of any lane raises
     for the whole stack.
     """
@@ -668,9 +662,7 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
     if not moving:
         return out
 
-    proj, pts, reach, traces, f_initial, picks = _set_up(
-        scenario, [checked[k] for k in moving], restarts
-    )
+    proj, pts, reach, traces, f_initial, picks = _set_up(scenario, [checked[k] for k in moving])
     channel = kernel_args(scenario)
     d_min = scenario.min_spacing
     # per lane: its best spacing-feasible objective and deployment, its
@@ -686,12 +678,10 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
     outers = [0] * count
     converged = [False] * count
     capped = [False] * count
-    # a multi-start solve ends once a lane certifies it (``_pgd_loop``'s
-    # cut): its other lanes take no further round; the certifying lanes
-    # run on as they would alone
-    if restarts > 1:
-        level = trace_floor(scenario) * (1.0 + _CERTIFIED_MARGIN)
-    certifiers, stopped = set(), set()
+    cut = None
+    if race:
+        cut = (trace_floor(scenario) * (1.0 + _CERTIFIED_MARGIN), d_min - FEASIBILITY_TOL)
+    certifiers = set()
 
     separate = lambda p: separate_anchors(
         p, d_min, region_side=scenario.region_side, topology=scenario.topology
@@ -703,22 +693,15 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
     # the lanes still running, in the order of the rows of pts and anchors
     live = list(range(count))
     for outer in range(1, _AO_MAX_ITERS + 1):
-        cut = None
-        if restarts > 1:
-            cut = ([lane // restarts for lane in live], level, d_min - FEASIBILITY_TOL)
         found = _pgd_loop(pts, anchors, proj, channel, rho, reach, cut)
         if any(status == _STATUS_SINGULAR for *_, status, _ in found):
             raise SingularChannel("channel is singular at the starting deployment")
         pts = np.array([p for p, *_ in found])
         anchors = separate(pts)
         spacings = min_pair_distance(pts).tolist()
-        if cut is not None:
-            certifiers.update(
-                lane
-                for lane, (_, trace, _, status, _), spacing in zip(live, found, spacings)
-                if _certifies(status, trace, spacing, cut)
-            )
-            stopped = {lane // restarts for lane in certifiers}
+        certifiers.update(
+            lane for lane, (*_, status, _) in zip(live, found) if status == _STATUS_CERTIFIED
+        )
         # the rows of the lanes that keep running, and their next pulls
         running, pulls = [], []
         rows = zip(live, found, _max_row_norms(pts - anchors), spacings)
@@ -731,8 +714,8 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
                 run_obj[lane], run_pts[lane] = trace, p.copy()
             if gap <= FEASIBILITY_TOL / 2.0:
                 converged[lane] = not capped[lane] and status != _STATUS_BOUND
-            elif lane // restarts in stopped and lane not in certifiers:
-                continue  # a sibling certified the solve
+            elif certifiers and lane not in certifiers:
+                continue  # another lane certified the race
             elif outer < 3 or gap <= gaps[lane][-2] / 2.0:
                 running.append(row)
                 pulls.append(_next_pull(float(rho[row]), gap, log_grad))
@@ -741,37 +724,27 @@ def _optimize_stack(scenario: Scenario, solves: list, restarts: int = 1) -> list
         live = [live[row] for row in running]
         pts, anchors, rho, reach = pts[running], anchors[running], np.array(pulls), reach[running]
 
-    # the initial deployment is feasible for every duration: never do
-    # worse; ties keep the earliest restart
-    certified = {moving[lane // restarts] for lane in certifiers}
-    winners = []
-    for solve in range(len(moving)):
-        best_obj = f_initial
-        best_pts = initial
-        best_run = (0, 0, True, ())
-        for restart in range(restarts):
-            lane = solve * restarts + restart
-            run = (outers[lane], inner_total[lane], converged[lane], tuple(gaps[lane]))
-            if run_pts[lane] is not None and run_obj[lane] < best_obj:
-                best_obj, best_pts, best_run = run_obj[lane], run_pts[lane], run
-            elif restart == 0:
-                best_run = run
-        winners.append((best_obj, best_pts, best_run))
-    spacings = min_pair_distance(np.array([best_pts for _, best_pts, _ in winners])).tolist()
-    solved = zip(moving, picks, traces[::restarts], winners, spacings)
-    for k, pick, score, (best_obj, best_pts, best_run), spacing in solved:
+    # the initial deployment is feasible for every duration: never do worse
+    best = [
+        (run_obj[lane], run_pts[lane])
+        if run_pts[lane] is not None and run_obj[lane] < f_initial
+        else (f_initial, initial)
+        for lane in range(count)
+    ]
+    spacings = min_pair_distance(np.array([best_pts for _, best_pts in best])).tolist()
+    for lane, (k, (best_obj, best_pts), spacing) in enumerate(zip(moving, best, spacings)):
         outcome = OptimizeOutcome(
             deployment=Deployment(best_pts),
             objective=best_obj,
-            outer_iterations=best_run[0],
-            inner_iterations=best_run[1],
+            outer_iterations=outers[lane],
+            inner_iterations=inner_total[lane],
             max_constraint_violation=max(0.0, d_min - spacing),
-            converged=best_run[2],
-            gap_history=best_run[3],
-            certified=k in certified,
-            start=pick,
+            converged=converged[lane],
+            gap_history=tuple(gaps[lane]),
+            certified=lane in certifiers,
+            start=picks[lane],
         )
-        out[k] = (outcome, score)
+        out[k] = (outcome, traces[lane])
     return out
 
 

@@ -1,9 +1,10 @@
+import collections
 import time
 
 import numpy as np
 import pytest
 
-from movant import kernels, positioning
+from movant import harness, kernels, positioning, scheduling
 from movant.channel import SINGULAR_COND_LIMIT
 from movant.errors import SingularChannel
 from movant.harness import RunConfig, SchemeId, default_scenario, run_scheme
@@ -102,6 +103,51 @@ def record_loop_statuses(monkeypatch) -> list:
 
     monkeypatch.setattr(positioning, "_pgd_loop", recording)
     return statuses
+
+
+Solve = collections.namedtuple("Solve", "scenario t_mov restarts speed_free outcome")
+
+
+def record_solves(monkeypatch) -> list:
+    """The list that collects every placement solve from here on, as a
+    ``Solve`` once its stack returns. Every solve, an ``optimize_positions``
+    call or a lane of a duration chain's stacked solve, runs in
+    ``positioning._optimize_stack``, patched in the defining module (used
+    by optimize_positions) and as the scheduler's imported name, with
+    arguments (scenario, solves, race). A race counts as one solve, with
+    its restart count and its winner's outcome (the lowest objective, the
+    earliest on a tie); a speed-free solve is one that
+    ``unconstrained_deploy`` makes."""
+    solves = []
+    speed_free = []  # one entry per unconstrained_deploy call still running
+    stack, deploy = positioning._optimize_stack, positioning.unconstrained_deploy
+
+    def recording(scenario, stacked, race=False):
+        found = stack(scenario, stacked, race)
+        outcomes = [outcome for outcome, _ in found]
+        if race:
+            winner = min(outcomes, key=lambda outcome: outcome.objective)
+            solved = [(stacked[0][0], len(stacked), winner)]
+        else:
+            solved = [(t_mov, 1, outcome) for (t_mov, _), outcome in zip(stacked, outcomes)]
+        solves.extend(
+            Solve(scenario, t_mov, restarts, bool(speed_free), outcome)
+            for t_mov, restarts, outcome in solved
+        )
+        return found
+
+    def deploying(scenario, config=None):
+        speed_free.append(True)
+        try:
+            return deploy(scenario, config)
+        finally:
+            speed_free.pop()
+
+    for module in (positioning, scheduling):
+        monkeypatch.setattr(module, "_optimize_stack", recording)
+    for module in (positioning, scheduling, harness):
+        monkeypatch.setattr(module, "unconstrained_deploy", deploying)
+    return solves
 
 
 def reference_pick_start(scenario, t_mov, candidates):

@@ -32,6 +32,8 @@ from movant.errors import InfeasibleSpacing, SingularChannel
 from movant.scenario import Deployment, Topology
 from movant.stationarity import speed_threshold
 
+from conftest import record_solves
+
 QUICK = RunConfig(grid_step=0.8, samples=5)
 
 # initial layouts from the threshold study: tightly clustered through
@@ -150,31 +152,9 @@ class TestConfig:
         assert s.total_power == d.total_power and s.noise_power == d.noise_power
 
 
-def record_solves(monkeypatch) -> list:
-    """The list that collects (restarts, speed-free) of every solve from
-    here on: each ``optimize_positions`` call and each lane of a duration
-    chain's stacked solves is a solve of ``positioning._optimize_stack``;
-    a speed-free solve is one made by ``unconstrained_deploy``."""
-    solves = []
-    speed_free = []  # one entry per unconstrained_deploy call still running
-    solve, deploy = positioning._optimize_stack, positioning.unconstrained_deploy
-
-    def recording(scenario, stacked, restarts=1):
-        solves.extend([(restarts, bool(speed_free))] * len(stacked))
-        return solve(scenario, stacked, restarts)
-
-    def deploying(scenario, config=None):
-        speed_free.append(True)
-        try:
-            return deploy(scenario, config)
-        finally:
-            speed_free.pop()
-
-    for module in (positioning, scheduling):
-        monkeypatch.setattr(module, "_optimize_stack", recording)
-    for module in (positioning, scheduling, harness):
-        monkeypatch.setattr(module, "unconstrained_deploy", deploying)
-    return solves
+def kinds(solves) -> list:
+    """(restarts, speed-free) of each solve that ``record_solves`` recorded."""
+    return [(solve.restarts, solve.speed_free) for solve in solves]
 
 
 class TestSchemes:
@@ -185,9 +165,9 @@ class TestSchemes:
         solves = record_solves(monkeypatch)
         run_scheme(default_2d, scheme, QUICK)
         restarts = harness._UNCONSTRAINED_RESTARTS
-        assert [solve for solve in solves if solve[1]] == [(restarts, True)]
+        assert [solve for solve in kinds(solves) if solve[1]] == [(restarts, True)]
         # every duration solve is single-start
-        assert all(solve == (1, False) for solve in solves if not solve[1])
+        assert all(solve == (1, False) for solve in kinds(solves) if not solve[1])
 
     @pytest.mark.parametrize("scheme", [SchemeId.OTGM, SchemeId.OTFM])
     def test_schedulers_solve_nothing_at_zero_speed(self, default_2d, monkeypatch, scheme):
@@ -217,7 +197,7 @@ class TestSchemes:
         still = default_2d.with_(max_speed=0.0)
         solves = record_solves(monkeypatch)
         report = run_scheme(still, SchemeId.FMD_OAD, QUICK)
-        assert solves == [(1, False)]
+        assert kinds(solves) == [(1, False)]
         outcome = positioning.optimize_positions(still, 0.2 * still.interval)
         assert report.best_deployment.coords.tobytes() == outcome.deployment.coords.tobytes()
 
@@ -343,7 +323,7 @@ class TestSweeps:
 
 
 def count_speed_free_solves(solves) -> int:
-    return sum(speed_free for _, speed_free in solves)
+    return sum(solve.speed_free for solve in solves)
 
 
 class TestSweepSharesSpeedFreeSolve:

@@ -25,7 +25,7 @@ from movant.harness import default_scenario
 from movant.positioning import PenaltyConfig, optimize_positions, unconstrained_deploy
 from movant.scenario import Deployment, as_positions, two_antenna_line_scenario
 
-from conftest import reference_pick_start, slow_scenarios
+from conftest import record_solves, reference_pick_start, slow_scenarios
 
 
 def closed_form_throughput(gap, t, interval=5.0):
@@ -225,15 +225,15 @@ class TestFittingMethod:
 
     def test_optimizer_call_budget(self, case_wide, monkeypatch):
         guide = unconstrained_deploy(case_wide).deployment
-        calls = count_optimizer_runs(monkeypatch)
+        solves = record_solves(monkeypatch)
         samples = 5
         # every sample is solved (the fit needs them all), then the fitted
         # duration, after the speed-free solve when no guide is given
         fitting_method(case_wide, samples=samples)
-        assert calls["count"] == samples + 2
-        calls["count"] = 0
+        assert len(solves) == samples + 2
+        del solves[:]
         fitting_method(case_wide, samples=samples, guide=guide)
-        assert calls["count"] == samples + 1
+        assert len(solves) == samples + 1
 
     @pytest.mark.parametrize("samples", [4.5, 5.0, "5", 3, np.int64(3)])
     def test_rejects_a_non_integer_or_small_sample_count(self, case_wide, samples):
@@ -288,24 +288,6 @@ SCHEDULERS = {
 }
 
 
-def count_optimizer_runs(monkeypatch) -> dict:
-    """Count every position-optimizer solve from here on: each
-    ``optimize_positions`` call and each lane of a duration chain's stacked
-    solves is a solve of ``positioning._optimize_stack``, patched in the
-    defining module (used by optimize_positions) and as the scheduler's
-    imported name."""
-    calls = {"count": 0}
-    original = positioning._optimize_stack
-
-    def counting(scenario, solves, *args, **kwargs):
-        calls["count"] += len(solves)
-        return original(scenario, solves, *args, **kwargs)
-
-    monkeypatch.setattr(positioning, "_optimize_stack", counting)
-    monkeypatch.setattr(scheduling, "_optimize_stack", counting)
-    return calls
-
-
 def test_general_search_with_guide_makes_no_speed_free_solve(case_wide, monkeypatch):
     # the guide a guide-less search solves for itself gives the same search
     expected = general_search(case_wide, grid_step=0.5)
@@ -314,13 +296,13 @@ def test_general_search_with_guide_makes_no_speed_free_solve(case_wide, monkeypa
     def speed_free(*args, **kwargs):
         raise AssertionError("general_search solved the speed-free optimum")
 
+    solves = record_solves(monkeypatch)
     monkeypatch.setattr(scheduling, "unconstrained_deploy", speed_free)
-    calls = count_optimizer_runs(monkeypatch)
     report = general_search(case_wide, grid_step=0.5, guide=guide)
     # one solve per curve point; the speed-free bound ends the grid
     # {0, 0.5, ..., 4.5} early
-    assert calls["count"] == len(report.curve)
-    assert calls["count"] < 10
+    assert len(solves) == len(report.curve)
+    assert len(solves) < 10
     assert np.array_equal(report.best_deployment.coords, expected.best_deployment.coords)
     assert replace(report, best_deployment=None) == replace(expected, best_deployment=None)
 
@@ -374,17 +356,6 @@ def test_slow_draws_stay_without_a_placement_solve(monkeypatch):
     # below the speed threshold the reach rate ceiling proves the stay once
     # t = 0 is solved: no lane of positive reach runs, the guide's solve
     # included, and the best is the full chain's
-    reaches, guides = [], []
-    stack, deploy = positioning._optimize_stack, scheduling.unconstrained_deploy
-
-    def recording(posed, solves, *rest):
-        reaches.extend(posed.max_speed * t for t, _ in solves)
-        return stack(posed, solves, *rest)
-
-    def counting(posed):
-        guides.append(posed)
-        return deploy(posed)
-
     for scenario in slow_scenarios():
         durations = grid_durations(scenario.interval, 0.8)
         full, _ = scheduling._duration_chain(
@@ -394,12 +365,11 @@ def test_slow_draws_stay_without_a_placement_solve(monkeypatch):
             SearchMethod.GENERAL_SEARCH,
             scenario.interval,
         )
-        del reaches[:], guides[:]
-        for module in (positioning, scheduling):
-            monkeypatch.setattr(module, "_optimize_stack", recording)
-        monkeypatch.setattr(scheduling, "unconstrained_deploy", counting)
+        solves = record_solves(monkeypatch)
         report = general_search(scenario, grid_step=0.8)
         monkeypatch.undo()
+        reaches = [solve.scenario.max_speed * solve.t_mov for solve in solves]
+        guides = [solve.scenario for solve in solves if solve.speed_free]
         assert (reaches, guides) == ([0.0], [])
         assert [p.t_mov for p in report.curve] == [0.0]
         assert (report.best_t_mov, report.best_throughput) == (0.0, full.best_throughput)
@@ -427,9 +397,9 @@ def test_singular_guide_stops_at_the_rate_ceiling(case_wide):
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_no_movement_possible_stays_at_zero(case_wide, monkeypatch, name):
     frozen = case_wide.with_(max_speed=0.0)
-    calls = count_optimizer_runs(monkeypatch)
+    solves = record_solves(monkeypatch)
     report = SCHEDULERS[name](frozen)
-    assert calls["count"] == 0
+    assert len(solves) == 0
     assert report.best_t_mov == 0.0
     assert report.best_throughput == pytest.approx(
         5.0 * achievable_rate(frozen, frozen.initial_positions)

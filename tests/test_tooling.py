@@ -17,7 +17,7 @@ import pytest
 
 from movant import harness, positioning, scheduling
 
-from conftest import record_loop_statuses
+from conftest import record_loop_statuses, record_solves
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -98,25 +98,15 @@ OUTER_ROUNDS = {"grid_search": 96, "stay_or_move": 88, "antenna_sweep": 21}
 @pytest.mark.parametrize("workload", list(ATTEMPTED))
 def test_layerbench_loops_end_below_iteration_cap(monkeypatch, layerbench_workloads, workload):
     statuses = record_loop_statuses(monkeypatch)
-    rounds = []
-    solve = positioning._optimize_stack
-
-    def counting(*args, **kwargs):
-        found = solve(*args, **kwargs)
-        rounds.extend(outcome.outer_iterations for outcome, _ in found)
-        return found
-
-    # every solve, an optimize_positions call or a lane of a duration
-    # chain's stacked solve, runs in positioning._optimize_stack
-    for module in (positioning, scheduling):
-        monkeypatch.setattr(module, "_optimize_stack", counting)
+    solves = record_solves(monkeypatch)
     runner = layerbench_workloads.WORKLOADS[workload](1)
     summary = runner.summarize(runner.run_round())
     assert (summary.attempted, summary.failed, summary.faults) == (ATTEMPTED[workload], 0, [])
     assert statuses and positioning._STATUS_MAX_ITERS not in statuses
     # no loop of a round runs its line search down to the tolerance either
     assert positioning._STATUS_STALLED not in statuses
-    assert sum(rounds) <= OUTER_ROUNDS[workload], sum(rounds)
+    rounds = sum(solve.outcome.outer_iterations for solve in solves)
+    assert rounds <= OUTER_ROUNDS[workload], rounds
     digest = hashlib.sha256("\n".join(sorted(summary.rows)).encode()).hexdigest()
     assert digest == ROWS_DIGEST[workload]
 
@@ -217,7 +207,9 @@ def test_ab_fails_when_digests_differ(tmp_path):
         )
         rows = ["param,scheme,rate", f"4.0,FMDOAD,{wall}", "4.0,Static,0.1"]
         record = json.dumps({"digest": side, "rows": rows})
-        result = json.dumps({"correct": True, "metrics": {"wall_s": {"value": wall}}})
+        result = json.dumps(
+            {"correct": True, "attempted": 9, "failed": 0, "metrics": {"wall_s": {"value": wall}}}
+        )
         (bench / "run.py").write_text(
             "import pathlib\n"
             f"pathlib.Path('layerbench/out/grid_search-seed1-trace0.json').write_text({record!r})\n"
@@ -260,7 +252,8 @@ def test_ab_reports_each_workload(tmp_path):
             "pathlib.Path(f'layerbench/out/{workload}-seed{seed}-trace0.json')"
             ".write_text(json.dumps(record))\n"
             f"wall = {faster} if workload == 'grid_search' else 1.0\n"
-            "print(json.dumps({'correct': True, 'metrics': {'wall_s': {'value': wall}}}))\n"
+            "print(json.dumps({'correct': True, 'attempted': 4, 'failed': 0,"
+            " 'metrics': {'wall_s': {'value': wall}}}))\n"
         )
     done = run(
         "tools/ab.py", str(tmp_path / "parent"), str(tmp_path / "change"),
@@ -282,6 +275,44 @@ def test_ab_reports_each_workload(tmp_path):
     written = json.loads((tmp_path / "ab.json").read_text())
     assert [record["workload"] for record in written] == ["grid_search", "stay_or_move"]
     assert [len(record["runs"]) for record in written] == [2, 2]
+
+
+def test_ab_faults_a_larger_failed_share(tmp_path):
+    # stand-in checkouts with equal digests: on grid_search both sides fail
+    # one of 9 operations per run, on stay_or_move the change fails one of
+    # 4 where the parent fails none
+    for side in ("parent", "change"):
+        bench = tmp_path / side / "layerbench"
+        (bench / "out").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]})
+        )
+        (bench / "run.py").write_text(
+            "import json, pathlib, sys\n"
+            "workload, seed = sys.argv[2], sys.argv[4]\n"
+            "pathlib.Path(f'layerbench/out/{workload}-seed{seed}-trace0.json')"
+            ".write_text(json.dumps({'digest': 'same', 'rows': ['row']}))\n"
+            "attempted = 9 if workload == 'grid_search' else 4\n"
+            f"failed = 1 if workload == 'grid_search' else {int(side == 'change')}\n"
+            "print(json.dumps({'correct': True, 'attempted': attempted, 'failed': failed,"
+            " 'metrics': {'wall_s': {'value': 1.0}}}))\n"
+        )
+    done = run(
+        "tools/ab.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--workload", "grid_search", "stay_or_move", "--pairs", "2",
+        "--json", str(tmp_path / "ab.json"),
+    )
+    assert done.returncode == 1
+    faults = [line for line in done.stderr.splitlines() if line.startswith("FAULT: ")]
+    assert faults == [
+        "FAULT: stay_or_move: the change fails 2 of 8 operations, the parent 0 of 8"
+    ]
+    assert "1 fault(s)" in done.stdout
+    written = json.loads((tmp_path / "ab.json").read_text())
+    assert [(record["workload"], record["failed"]) for record in written] == [
+        ("grid_search", {"parent": [2, 18], "change": [2, 18]}),
+        ("stay_or_move", {"parent": [0, 8], "change": [2, 8]}),
+    ]
 
 
 def test_ab_claim_rule(monkeypatch):

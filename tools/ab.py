@@ -25,15 +25,18 @@ the parent's, is worse by no more than the metric's ``bound`` in
 bound, unless every run of the change reads better than every run of the
 parent. With several seeds, a pooled table and verdicts over the pairs of
 every seed follow. Exits with status 1 when a run reports incorrect
-answers or the two sides' result digests differ in any pair; the digests
+answers, when the two sides' result digests differ in any pair, or when
+the change fails a larger share of a workload's operations than the
+parent: ``failed`` over ``attempted``, read from each run's last line and
+summed over the workload's runs. The digests
 and result rows are read from each checkout's
 ``layerbench/out/<W>-seed<S>-trace0.json``. Where the digests differ, the
 result rows that only one side's record holds are printed once per seed,
 so a change that moves results shows which rows it moved. ``--json PATH``
 also writes the run to PATH: each pair's metrics and digests, per seed
-(and pooled) each metric's quartiles, wins and both verdicts, and per seed
-the rows that differ; with several workloads it holds a list of such
-records, one per workload.
+(and pooled) each metric's quartiles, wins and both verdicts, per seed
+the rows that differ, and each side's (failed, attempted) sums; with
+several workloads it holds a list of such records, one per workload.
 """
 
 import argparse
@@ -72,9 +75,10 @@ def run_order(pair: int, position: int) -> tuple:
     return SIDES if (pair + position) % 2 else SIDES[::-1]
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict, bool]:
+def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple:
     """One untraced benchmark run in ``root``: (end-to-end metric values,
-    its run record, whether the answers were correct)."""
+    its run record, whether the answers were correct, its (failed,
+    attempted) operations)."""
     cmd = [
         sys.executable, "layerbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds),
@@ -85,7 +89,8 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     result = json.loads(done.stdout.strip().splitlines()[-1])
     record = root / "layerbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
-    return metrics, json.loads(record.read_text()), result["correct"] is True
+    counts = (result["failed"], result["attempted"])
+    return metrics, json.loads(record.read_text()), result["correct"] is True, counts
 
 
 def moved_rows(parent: list, change: list) -> dict:
@@ -208,6 +213,8 @@ def main(argv=None) -> int:
     pairs = {workload: [] for workload in args.workload}
     # per workload and seed, the rows of its first pair whose digests differ
     moved = {workload: {} for workload in args.workload}
+    # per workload and side, the (failed, attempted) operations of its runs
+    failed = {workload: {side: [0, 0] for side in SIDES} for workload in args.workload}
     for pair in range(1, args.pairs + 1):
         for position, (workload, seed) in enumerate(runs):
             order = run_order(pair, position)
@@ -215,10 +222,11 @@ def main(argv=None) -> int:
             got = values[(workload, seed)]
             records = {}
             for side in order:
-                metrics, records[side], correct = run_side(
+                metrics, records[side], correct, counts = run_side(
                     roots[side], workload, seed, args.seconds
                 )
                 got[side].append(metrics)
+                failed[workload][side] = [a + b for a, b in zip(failed[workload][side], counts)]
                 if not correct:
                     faults[workload].append(f"{name}: {side} reports incorrect answers")
             pairs[workload].append(
@@ -248,6 +256,11 @@ def main(argv=None) -> int:
 
     records = []
     for workload in args.workload:
+        (pf, pa), (cf, ca) = (failed[workload][side] for side in SIDES)
+        if cf * pa > pf * ca:
+            faults[workload].append(
+                f"{workload}: the change fails {cf} of {ca} operations, the parent {pf} of {pa}"
+            )
         summaries = []
         for seed in args.seed:
             title = f"{workload}, seed {seed}, {args.pairs} pairs of {args.seconds:g} s runs"
@@ -284,6 +297,7 @@ def main(argv=None) -> int:
                 "runs": pairs[workload],
                 "summaries": summaries,
                 "faults": faults[workload],
+                "failed": failed[workload],
                 "moved_rows": [{"seed": seed, **rows} for seed, rows in moved[workload].items()],
             }
         )
