@@ -20,7 +20,7 @@ from .channel import (
     zf_beamformer,
 )
 from .errors import FitDiverged, InfeasibleSpacing, MovantError, SingularChannel
-from .gradients import GradientField, fd_gradient, grad_rate, grad_trace
+from .gradients import fd_gradient, grad_rate, grad_trace
 from .harness import (
     RunConfig,
     SchemeId,

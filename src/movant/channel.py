@@ -88,10 +88,13 @@ def kernel_args(scenario: Scenario) -> tuple:
 
 
 def _positions(scenario: Scenario, deployment) -> np.ndarray:
-    """The deployment's (N, 2) positions, checked against the scenario's N."""
+    """The deployment's (N, 2) positions, checked for the scenario's N and
+    for finite coordinates (LAPACK warns on NaN); ``ValueError`` else."""
     pos = as_positions(deployment)
-    if pos.shape[0] != scenario.num_antennas:
-        raise ValueError("deployment size does not match the scenario")
+    if len(pos) != scenario.num_antennas:
+        raise ValueError(f"deployment has {len(pos)} antennas, not {scenario.num_antennas}")
+    if not np.isfinite(pos).all():
+        raise ValueError("deployment coordinates must be finite")
     return pos
 
 
@@ -102,24 +105,27 @@ def _check_singular(trace, cond) -> None:
         raise SingularChannel(f"Gram condition number {cond:.3e} exceeds {SINGULAR_COND_LIMIT:.0e}")
 
 
-def checked_kernel(kernel, scenario: Scenario, positions) -> tuple:
+def checked_kernel(kernel, scenario: Scenario, deployment) -> tuple:
     """Run a trace kernel (``kernels.trace_at`` or ``kernels.trace_and_grad``)
-    on the scenario's channel at ``positions`` and return its result.
+    on the scenario's channel at the deployment and return its result: the
+    one way in of every public function that scores a deployment.
 
     Raises
     ------
+    ValueError
+        If ``_positions`` rejects the deployment.
     SingularChannel
         If the kernel reports the Gram condition number past
         ``SINGULAR_COND_LIMIT`` (a NaN trace).
     """
-    result = kernel(positions, *kernel_args(scenario))
+    result = kernel(_positions(scenario, deployment), *kernel_args(scenario))
     _check_singular(result[0], result[-1])
     return result
 
 
 def trace_objective(scenario: Scenario, deployment) -> float:
     """tr(G^-1) for the deployment; strictly positive, lower is better."""
-    trace, _ = checked_kernel(kernels.trace_at, scenario, as_positions(deployment))
+    trace, _ = checked_kernel(kernels.trace_at, scenario, deployment)
     return float(trace)
 
 
@@ -152,8 +158,7 @@ def common_sinr(scenario: Scenario, deployment) -> float:
 
 def achievable_rate(scenario: Scenario, deployment) -> float:
     """Common per-user rate log2(1 + common_sinr), in bits/s/Hz."""
-    traced = kernels.trace_at(as_positions(deployment), *kernel_args(scenario))
-    return rate_of_trace(scenario, *traced)
+    return rate_of_trace(scenario, *checked_kernel(kernels.trace_at, scenario, deployment))
 
 
 def rate_of_trace(scenario: Scenario, trace, cond) -> float:

@@ -1,55 +1,40 @@
-"""Closed-form gradients of the trace objective and the achievable rate,
-plus a finite-difference oracle used to verify them."""
+"""Closed-form gradients of the trace objective and the achievable rate, and
+a finite-difference oracle that verifies them; each returns the kernel's
+(N, 2) array and reads its deployment through ``channel._positions``."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .channel import checked_kernel, trace_objective
-from .scenario import Deployment, Scenario, as_positions
+from .channel import _positions, checked_kernel, trace_objective
+from .scenario import Scenario
 
-__all__ = ["GradientField", "grad_trace", "grad_rate", "fd_gradient"]
+__all__ = ["grad_trace", "grad_rate", "fd_gradient"]
 
 FD_DEFAULT_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class GradientField:
-    """Per-antenna (d/dx, d/dy) components evaluated at a deployment."""
-
-    components: np.ndarray
-    deployment: Deployment
-
-    def norm_sum(self) -> float:
-        """Sum over antennas of the per-antenna gradient norms."""
-        return float(np.linalg.norm(self.components, axis=1).sum())
-
-
-def grad_trace(scenario: Scenario, deployment) -> GradientField:
+def grad_trace(scenario: Scenario, deployment) -> np.ndarray:
     """Analytic gradient of tr(G^-1) with respect to every coordinate.
 
     Component n is ``-2 * wavenumber * sum_k b_k * Im([G^-2 H^H]_{k,n} *
     [H]_{n,k})``; the y components vanish identically in segment mode.
     """
-    pos = as_positions(deployment)
-    _, grad, _ = checked_kernel(kernels.trace_and_grad, scenario, pos)
-    return GradientField(components=grad, deployment=Deployment(pos))
+    _, grad, _ = checked_kernel(kernels.trace_and_grad, scenario, deployment)
+    return grad
 
 
-def grad_rate(scenario: Scenario, deployment) -> GradientField:
+def grad_rate(scenario: Scenario, deployment) -> np.ndarray:
     """Gradient of log2(1 + snr_scale / trace) via the chain rule.
 
     Always antiparallel to ``grad_trace`` since the rate decreases in the
     trace objective.
     """
-    pos = as_positions(deployment)
-    trace, grad, _ = checked_kernel(kernels.trace_and_grad, scenario, pos)
+    trace, grad, _ = checked_kernel(kernels.trace_and_grad, scenario, deployment)
     c = scenario.snr_scale
     scale = -c / (np.log(2.0) * trace * (trace + c))
-    return GradientField(components=scale * grad, deployment=Deployment(pos))
+    return scale * grad
 
 
 def fd_gradient(
@@ -57,7 +42,7 @@ def fd_gradient(
     deployment,
     step: float = FD_DEFAULT_STEP,
     objective=None,
-) -> GradientField:
+) -> np.ndarray:
     """Central finite differences of ``objective`` per coordinate.
 
     ``objective(scenario, deployment)`` defaults to the trace objective; any
@@ -67,15 +52,11 @@ def fd_gradient(
         raise ValueError("step must be positive")
     if objective is None:
         objective = trace_objective
-    pos = as_positions(deployment)
+    pos = _positions(scenario, deployment)
     grad = np.zeros_like(pos)
-    for n in range(pos.shape[0]):
-        for d in range(2):
-            plus = pos.copy()
-            plus[n, d] += step
-            minus = pos.copy()
-            minus[n, d] -= step
-            grad[n, d] = (objective(scenario, plus) - objective(scenario, minus)) / (
-                2.0 * step
-            )
-    return GradientField(components=grad, deployment=Deployment(pos))
+    for index in np.ndindex(pos.shape):
+        plus, minus = pos.copy(), pos.copy()
+        plus[index] += step
+        minus[index] -= step
+        grad[index] = (objective(scenario, plus) - objective(scenario, minus)) / (2.0 * step)
+    return grad

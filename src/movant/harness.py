@@ -468,13 +468,13 @@ def run_validation(scenario: Scenario, seed: int = 0) -> list[tuple[str, bool, s
         ) / trace_objective(scenario, deployment)
         record("translation_invariance", rel <= 1e-9, f"relative change {rel:.2e}")
 
-        analytic = grad_trace(scenario, deployment).components
-        numeric = fd_gradient(scenario, deployment).components
+        analytic = grad_trace(scenario, deployment)
+        numeric = fd_gradient(scenario, deployment)
         scale = max(np.abs(analytic).max(), 1.0)
         gap = np.max(np.abs(analytic - numeric)) / scale
         record("gradient_fd_agreement", gap <= 1e-4, f"scaled gap {gap:.2e}")
 
-        g_rate = grad_rate(scenario, deployment).components
+        g_rate = grad_rate(scenario, deployment)
         dots = (g_rate * analytic).sum()
         record("rate_gradient_antiparallel", dots <= 0.0)
 

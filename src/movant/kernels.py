@@ -11,8 +11,10 @@ channels; they return NaN objectives plus the measured condition number and
 leave error handling to the wrappers. Non-finite coordinates are outside the
 kernels' contract: LAPACK's eigensolvers warn on them (``RuntimeWarning:
 invalid value encountered in eigvalsh_lo``, with more than one user), which a
-warnings filter set to "error" raises. ``Deployment``, ``Scenario`` and
-``optimize_positions``' check of its candidate starts keep them out.
+warnings filter set to "error" raises. ``Deployment``, ``Scenario``,
+``channel._positions`` (the read of every deployment that a public channel,
+gradient or scheduler function takes) and ``optimize_positions``' check of
+its candidate starts keep them out.
 
 ``trace_at``, ``trace_and_grad`` and ``project_deployment`` also take a
 stack of deployments, ``(..., N, 2)``, and return one result per slice,

@@ -237,10 +237,8 @@ def _lane_projection(centers, reach, lo, hi):
     alone: the kernel returns the clip when no clipped row lies outside its
     disk. Else the lanes project as rows against the centers repeated once
     per lane, k lanes against the first k repeats, each row with its lane's
-    radius, or with the one radius of all lanes where they share it, as the
-    lanes of a race do: broadcasting the (N, 2) centers over a lane axis,
-    or the radii over the rows, would cost the projection a microsecond or
-    more a call.
+    radius: broadcasting the (N, 2) centers over a lane axis would cost the
+    projection a microsecond or more a call.
     """
     # a clipped row's gap to its center rounds to no more, per axis, than
     # the gap of the box corner farthest from it; the margin covers the
@@ -250,13 +248,8 @@ def _lane_projection(centers, reach, lo, hi):
         return lambda pts, reach: kernels.clip_box(pts, lo, hi)
     n = len(centers)
     center_rows = np.concatenate([centers] * len(reach))
-    shared = float(reach[0]) if np.all(reach == reach[0]) else None
     return lambda pts, reach: kernels.project_deployment(
-        pts.reshape(-1, 2),
-        center_rows[: pts.size // 2],
-        reach.repeat(n) if shared is None else shared,
-        lo,
-        hi,
+        pts.reshape(-1, 2), center_rows[: pts.size // 2], reach.repeat(n), lo, hi
     ).reshape(pts.shape)
 
 
@@ -556,9 +549,9 @@ def optimize_positions(
     The lane with the lowest objective wins (the earliest on a tie), and
     ``start`` is the first lane's. With several failing lanes, the first
     error in lockstep order is the one raised. A negative or non-finite
-    ``t_mov``, an empty candidate list and a candidate with a non-finite
-    coordinate raise ``ValueError``; a singular channel at the initial
-    deployment raises ``SingularChannel``.
+    ``t_mov``, an empty candidate list and a candidate of another size or
+    with a non-finite coordinate raise ``ValueError``; a singular channel at
+    the initial deployment raises ``SingularChannel``.
     """
     restarts = (config or PenaltyConfig()).restarts
     solves = [(t_mov, start)]
@@ -587,13 +580,16 @@ def _checked_solve(scenario: Scenario, t_mov: float, start) -> tuple:
         raise ValueError("start is an empty list of candidate starts")
     elif not isinstance(start[0], Deployment) and np.ndim(start[0]) == 1:
         start = [start]
-    candidates = np.array([as_positions(s) for s in start])
-    # a NaN coordinate would reach LAPACK, which warns, and then pass for a
-    # singular channel
-    if not np.isfinite(candidates).all():
-        bad = np.flatnonzero(~np.isfinite(candidates).all(axis=(1, 2)))[0]
-        raise ValueError(f"candidate start {bad} has a non-finite coordinate")
-    return scenario.max_speed * t_mov, candidates
+    candidates = [as_positions(s) for s in start]
+    n = scenario.num_antennas
+    for index, candidate in enumerate(candidates):
+        if len(candidate) != n:
+            raise ValueError(f"candidate start {index} has {len(candidate)} antennas, not {n}")
+        # a NaN coordinate would reach LAPACK, which warns, and then pass
+        # for a singular channel
+        if not np.isfinite(candidate).all():
+            raise ValueError(f"candidate start {index} has a non-finite coordinate")
+    return scenario.max_speed * t_mov, np.array(candidates)
 
 
 def _set_up(scenario: Scenario, solves: list) -> tuple:

@@ -48,8 +48,6 @@ def as_positions(deployment) -> np.ndarray:
     if isinstance(deployment, Deployment):
         return deployment.coords
     arr = np.asarray(deployment, dtype=float)
-    if arr.ndim == 1:
-        arr = np.stack([arr, np.zeros_like(arr)], axis=1)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected (N, 2) positions, got shape {arr.shape}")
     return arr

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import kernels
-from .channel import achievable_rate, kernel_args, rate_of_trace, reach_rate_ceiling
+from .channel import _positions, achievable_rate, kernel_args, rate_of_trace, reach_rate_ceiling
 from .errors import FitDiverged, MovantError
 from .positioning import (
     OptimizeOutcome,
@@ -122,6 +122,12 @@ def _check_grid_step(step) -> None:
         or not (math.isfinite(step) and step > 0)
     ):
         raise ValueError(f"grid_step must be positive and finite, got {step!r}")
+
+
+def _check_guide(scenario: Scenario, guide) -> None:
+    # a guide of another size would fail every positive duration's solve
+    if guide is not None:
+        _positions(scenario, guide)
 
 
 def _check_samples(samples) -> None:
@@ -370,10 +376,12 @@ def general_search(
     once per stacked lane the chain discards (``_duration_chain``). At zero
     speed the antennas cannot move: the initial deployment is reported at
     duration 0 without running the optimizer. A ``grid_step`` that is not a
-    finite positive real number (a bool included) raises ``ValueError``.
+    finite positive real number (a bool included) and a ``guide`` that
+    ``channel._positions`` rejects raise ``ValueError`` before any solve.
     """
     if grid_step is not None:
         _check_grid_step(grid_step)
+    _check_guide(scenario, guide)
     step = scenario.interval / 400.0 if grid_step is None else float(grid_step)
     if scenario.max_speed == 0:
         return _fixed_duration_report(scenario, 0.0, scenario.initial_positions, True)
@@ -402,10 +410,11 @@ def compute_t_mov_max(
 
     The travel time is the largest per-antenna distance to the speed-free
     optimum divided by the speed limit; if it reaches the interval, the whole
-    interval stays in play.
-    """
+    interval stays in play. Zero speed and a ``guide`` that
+    ``channel._positions`` rejects raise ``ValueError``."""
     if scenario.max_speed <= 0:
         raise ValueError("max_speed must be positive")
+    _check_guide(scenario, guide)
     a_star = unconstrained_deploy(scenario).deployment if guide is None else guide
     travel = a_star.max_shift_from(scenario.initial_positions) / scenario.max_speed
     t_max = scenario.interval if travel >= scenario.interval else travel
@@ -417,11 +426,15 @@ def fit_rate_model(samples, kind: FitKind) -> FitModel:
 
     Quadratic fits are solved exactly on the monomial basis; sigmoidal fits
     use damped Gauss-Newton. A fit that cannot beat the best constant model
-    or that violates the model's sign constraints raises FitDiverged.
+    or that violates the model's sign constraints raises FitDiverged; a
+    sample with a non-finite duration or rate raises ``ValueError``.
     """
     pairs = np.asarray(list(samples), dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("samples must be (t, rate) pairs")
+    if not np.isfinite(pairs).all():
+        bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))[0]
+        raise ValueError(f"sample {bad} is not finite: {tuple(pairs[bad].tolist())}")
     t, y = pairs[:, 0], pairs[:, 1]
     minimum = 3 if kind is FitKind.QUADRATIC else 4
     if len(t) < minimum:
@@ -532,12 +545,14 @@ def fitting_method(
     solve is single-start, so the position optimizer runs at most
     ``samples + 1`` times given a guide (one run per sample and the final
     re-optimization) and ``samples + 2`` times without, plus once per
-    stacked lane the chain discards. ``samples`` must be
-    an integer of at least 4, else ``ValueError``. At zero speed, or
-    when the initial deployment is already speed-free optimal, the initial
-    deployment is reported at duration 0 after at most the speed-free solve.
+    stacked lane the chain discards. ``samples`` must be an integer of at
+    least 4, and ``guide`` as ``general_search`` takes it, else
+    ``ValueError`` before any solve. At zero speed, or when the initial
+    deployment is already speed-free optimal, the initial deployment is
+    reported at duration 0 after at most the speed-free solve.
     """
     _check_samples(samples)
+    _check_guide(scenario, guide)
     t_max = 0.0
     if scenario.max_speed > 0:
         t_max, a_star = compute_t_mov_max(scenario, guide=guide)

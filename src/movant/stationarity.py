@@ -67,7 +67,8 @@ def speed_threshold(scenario: Scenario) -> ThresholdReport:
     draws on a 50-point duration grid.
     """
     rate0 = achievable_rate(scenario, scenario.initial_positions)
-    norm_sum = grad_rate(scenario, scenario.initial_positions).norm_sum()
+    grad = grad_rate(scenario, scenario.initial_positions)
+    norm_sum = float(np.linalg.norm(grad, axis=1).sum())
     if norm_sum < ZERO_GRADIENT_TOL:
         return ThresholdReport(
             speed_threshold=math.inf,

@@ -94,8 +94,8 @@ def test_criterion_04_gradient_correctness():
         # the instance filter keeps the objective small enough here that the
         # finite-difference round-off stays under the absolute floor
         pos = s.initial_positions.coords
-        analytic = grad_trace(s, pos).components
-        numeric = fd_gradient(s, pos).components
+        analytic = grad_trace(s, pos)
+        numeric = fd_gradient(s, pos)
         for a, b in zip(analytic.ravel(), numeric.ravel()):
             # relative 1e-5 with a 1e-8 absolute floor
             assert abs(a - b) <= max(1e-5 * max(abs(a), abs(b)), 1e-8), (a, b)

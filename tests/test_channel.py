@@ -23,6 +23,7 @@ from movant.channel import (
     zf_beamformer,
 )
 from movant.errors import SingularChannel
+from movant.gradients import fd_gradient, grad_rate, grad_trace
 from movant.harness import SweepParameter, default_scenario, scenario_variant
 from movant.positioning import optimize_positions
 from movant.stationarity import speed_threshold
@@ -30,6 +31,7 @@ from movant.scenario import (
     Deployment,
     Scenario,
     Topology,
+    as_positions,
     min_pair_distance,
     two_antenna_line_scenario,
 )
@@ -527,6 +529,50 @@ class TestScenarioValidation:
         s = make_scenario(2, 2, [0.3, -0.4], [0.2, 0.6])
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             s.with_(**{field: np.array([0.3, value])})
+
+
+def _throughput_after_one_second(scenario, deployment):
+    return effective_throughput(scenario, deployment, 1.0)
+
+
+def _first_user_channel(scenario, deployment):
+    return channel_vector(scenario, deployment, 0)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        trace_objective,
+        achievable_rate,
+        common_sinr,
+        _throughput_after_one_second,
+        grad_trace,
+        grad_rate,
+        fd_gradient,
+        channel_state,
+        _first_user_channel,
+    ],
+)
+def test_every_read_rejects_a_deployment_the_scenario_cannot_hold(read):
+    # a 4-antenna layout on the 5-antenna scenario got a rate, and a NaN
+    # coordinate reached LAPACK, which warned, and came back as a singular
+    # channel
+    scenario = default_scenario()
+    coords = scenario.initial_positions.coords
+    with pytest.raises(ValueError, match="deployment has 4 antennas, not 5"):
+        read(scenario, Deployment(coords[:4]))
+    for value in (np.nan, np.inf):
+        bad = coords.copy()
+        bad[2, 1] = value
+        with pytest.raises(ValueError, match="deployment coordinates must be finite"):
+            read(scenario, bad)
+
+
+def test_positions_are_two_columns():
+    # a line layout is built with Deployment.from_x, not from bare x values
+    with pytest.raises(ValueError, match=r"expected \(N, 2\) positions, got shape \(3,\)"):
+        as_positions([1.0, 2.0, 3.0])
+    assert np.array_equal(as_positions([[1.0, 0.0]]), [[1.0, 0.0]])
 
 
 def test_translation_invariance():

@@ -1,5 +1,6 @@
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -481,12 +482,50 @@ class TestValidation:
             results = run_validation(scenario)
             assert results and all(ok for _, ok, _ in results)
 
+    def test_singular_channel_fails_the_rank_check(self):
+        # two users at one angle give a rank-deficient Gram
+        base = default_scenario()
+        angles = [list(base.elevation_angles), list(base.azimuth_angles)]
+        for values in angles:
+            values[1] = values[0]
+        scenario = default_scenario(elevation_angles=angles[0], azimuth_angles=angles[1])
+        assert run_validation(scenario) == [
+            ("channel_rank", False, "Gram condition number inf exceeds 1e+12")
+        ]
+
 
 class TestCli:
     def test_thresholds_command(self, capsys):
         assert main(["thresholds"]) == 0
         out = capsys.readouterr().out
         assert "speed threshold" in out
+
+    def test_thresholds_of_a_stationary_start_written_to_csv(self, tmp_path, capsys):
+        # two antennas 4 wavelengths apart at the wide-gap spatial
+        # frequency: the rate gradient vanishes at the start
+        path = tmp_path / "stationary.cfg"
+        path.write_text(
+            "topology = segment\n"
+            "num_antennas = 2\n"
+            "num_users = 2\n"
+            f"elevation_angles = {math.acos(0.5)!r}, {math.acos(0.625)!r}\n"
+            "azimuth_angles = 0, 0\n"
+            "fading_coeffs = 1, 1\n"
+            "total_power_dbm = 30\n"
+            "noise_power_dbm = 30\n"
+            "interval_s = 5\n"
+            "max_speed_wl_s = 0.5\n"
+            "initial_x_wl = 3, 7\n"
+            "initial_y_wl = 0, 0\n"
+        )
+        out_path = tmp_path / "thresholds.csv"
+        assert main(["thresholds", "--config", str(path), "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "speed threshold : (initial deployment already stationary)" in out
+        assert f"wrote {out_path}" in out
+        header, row = out_path.read_text().strip().split("\n")
+        assert header == "initial_rate_bps_hz,grad_norm_sum,v_th_wl_s,t_th_s,decision,stationary"
+        assert row.split(",")[2:] == ["", "", "stay", "true"]
 
     def test_special_case_csv(self, tmp_path, capsys):
         out_path = tmp_path / "case.csv"

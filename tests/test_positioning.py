@@ -195,6 +195,14 @@ class TestSeparateAnchors:
         with pytest.raises(InfeasibleSpacing):
             separate_anchors(rng.uniform(0, 1, (50, 2)), 2.0, region_side=10.0)
 
+    def test_gives_up_after_its_sweeps(self, monkeypatch):
+        # four coincident points need more than one sweep to separate
+        crowd = np.full((4, 2), 5.0)
+        assert min_pair(separate_anchors(crowd, 0.5, region_side=10.0)) >= 0.5
+        monkeypatch.setattr(positioning, "_SEPARATION_SWEEPS", 1)
+        with pytest.raises(InfeasibleSpacing, match="within 1 sweeps"):
+            separate_anchors(crowd, 0.5, region_side=10.0)
+
     def test_segment_mode_stays_on_axis(self):
         pts = np.array([[4.0, 0.0], [4.1, 0.0], [4.2, 0.0]])
         out = separate_anchors(
@@ -1163,6 +1171,16 @@ def test_solve_rejects_a_non_finite_start(value):
     bad[2, 1] = value
     for start, index in ((bad, 0), ([scenario.initial_positions, bad], 1)):
         with pytest.raises(ValueError, match=f"candidate start {index} has a non-finite"):
+            optimize_positions(scenario, 0.4, start=start)
+
+
+def test_solve_names_a_start_of_another_size():
+    # a 4-antenna candidate failed in np.array with a shape message that
+    # named neither the candidate nor the scenario
+    scenario = default_scenario(max_speed_wl_s=6)
+    four = Deployment(scenario.initial_positions.coords[:4])
+    for start, index in ((four, 0), ([scenario.initial_positions, four], 1)):
+        with pytest.raises(ValueError, match=f"candidate start {index} has 4 antennas, not 5"):
             optimize_positions(scenario, 0.4, start=start)
 
 

@@ -91,6 +91,39 @@ class TestGeneralSearch:
             general_search(case_wide, grid_step=step)
 
 
+def test_a_chain_whose_every_duration_fails_raises():
+    # two users at one angle make the initial channel singular, so every
+    # duration's solve fails, the guide's start too
+    base = default_scenario()
+    angles = [list(base.elevation_angles), list(base.azimuth_angles)]
+    for values in angles:
+        values[1] = values[0]
+    scenario = default_scenario(elevation_angles=angles[0], azimuth_angles=angles[1])
+    with pytest.raises(MovantError, match="every duration sample failed"):
+        general_search(scenario, grid_step=2.0, guide=scenario.initial_positions)
+
+
+@pytest.mark.parametrize("search", [general_search, fitting_method, compute_t_mov_max])
+def test_a_guide_the_scenario_cannot_hold_raises_before_any_solve(monkeypatch, search):
+    # a 4-antenna guide on the 5-antenna scenario failed every positive
+    # duration's solve, each with an array-shape message, and the search
+    # reported a stay at t = 0
+    def solving(*args, **kwargs):
+        raise AssertionError("a placement solve ran")
+
+    for module in (positioning, scheduling):
+        monkeypatch.setattr(module, "_optimize_stack", solving)
+        monkeypatch.setattr(module, "unconstrained_deploy", solving)
+    scenario = default_scenario()
+    coords = scenario.initial_positions.coords
+    with pytest.raises(ValueError, match="deployment has 4 antennas, not 5"):
+        search(scenario, guide=Deployment(coords[:4]))
+    bad = coords.copy()
+    bad[0, 0] = math.nan
+    with pytest.raises(ValueError, match="deployment coordinates must be finite"):
+        search(scenario, guide=bad)
+
+
 class TestTMovMax:
     def test_wide_gap_travel_time(self, case_wide):
         t_max, a_star = compute_t_mov_max(case_wide)
@@ -111,6 +144,10 @@ class TestTMovMax:
         slow = case_narrow.with_(max_speed=0.1)
         t_max, _ = compute_t_mov_max(slow)
         assert t_max == slow.interval
+
+    def test_zero_speed_has_no_travel_time(self):
+        with pytest.raises(ValueError, match="max_speed must be positive"):
+            compute_t_mov_max(default_scenario(max_speed_wl_s=0))
 
 
 class TestFitRateModel:
@@ -161,6 +198,16 @@ class TestFitRateModel:
             fit_rate_model([(0, 1), (1, 2), (2, 3)], FitKind.SIGMOIDAL)
         with pytest.raises(ValueError):
             fit_rate_model([(0, 1), (0, 2), (1, 3)], FitKind.QUADRATIC)
+
+    @pytest.mark.parametrize("kind", list(FitKind))
+    def test_non_finite_samples_rejected(self, kind):
+        # a NaN rate gave NaN coefficients, a NaN duration failed inside
+        # LAPACK, and an infinite rate warned
+        for bad, sample in (((1, math.nan), 1), ((math.nan, 2), 1), ((3, math.inf), 3)):
+            pairs = [(0, 1), (1, 2), (2, 3), (3, 2.5)]
+            pairs[sample] = bad
+            with pytest.raises(ValueError, match=f"sample {sample} is not finite"):
+                fit_rate_model(pairs, kind)
 
     def test_converged_says_why_the_sigmoid_fit_stopped(self, monkeypatch):
         t = np.linspace(0.0, 3.0, 7)

@@ -237,10 +237,16 @@ def test_ab_fails_when_digests_differ(tmp_path):
 
 def test_ab_reports_each_workload(tmp_path):
     # stand-in checkouts whose runs report equal digests; the change halves
-    # grid_search's wall time and leaves stay_or_move's as it is
+    # grid_search's wall time and leaves stay_or_move's as it is, and has
+    # one line of source fewer
     for side in ("parent", "change"):
         bench = tmp_path / side / "layerbench"
         (bench / "out").mkdir(parents=True)
+        source = tmp_path / side / "src" / "movant"
+        source.mkdir(parents=True)
+        (source / "__init__.py").write_text("one = 1\ntwo = 2\n")
+        (source / "kernels.py").write_text("three = 3\n" if side == "parent" else "")
+        (source / "notes.txt").write_text("not counted\n")
         (tmp_path / side / "BENCHMARK.json").write_text(
             json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]})
         )
@@ -272,9 +278,11 @@ def test_ab_reports_each_workload(tmp_path):
     assert "wall_s: claim holds (2/2 wins" in grid
     assert "wall_s: claim does not hold (0/2 wins" in stay
     assert "wall_s: no regression (change median +0.00%" in stay
+    assert "\nsrc/movant/*.py lines: parent 3, change 2 (-1)\n" in done.stdout
     written = json.loads((tmp_path / "ab.json").read_text())
     assert [record["workload"] for record in written] == ["grid_search", "stay_or_move"]
     assert [len(record["runs"]) for record in written] == [2, 2]
+    assert [record["src_lines"] for record in written] == [{"parent": 3, "change": 2}] * 2
 
 
 def test_ab_faults_a_larger_failed_share(tmp_path):

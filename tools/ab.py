@@ -37,6 +37,10 @@ also writes the run to PATH: each pair's metrics and digests, per seed
 (and pooled) each metric's quartiles, wins and both verdicts, per seed
 the rows that differ, and each side's (failed, attempted) sums; with
 several workloads it holds a list of such records, one per workload.
+Each checkout's line count of ``src/movant/*.py`` (as ``cat
+src/movant/*.py | wc -l`` counts it) is printed with the verdicts and
+written to every record as ``src_lines``, so that a claim about the size
+of the code comes from the same run as the verdicts.
 """
 
 import argparse
@@ -91,6 +95,11 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> tuple:
     metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
     counts = (result["failed"], result["attempted"])
     return metrics, json.loads(record.read_text()), result["correct"] is True, counts
+
+
+def source_lines(root: Path) -> int:
+    """The lines of ``src/movant/*.py`` in the checkout at ``root``."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "movant").glob("*.py"))
 
 
 def moved_rows(parent: list, change: list) -> dict:
@@ -203,6 +212,7 @@ def label(pair: int, workload: str, seed: int, args) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lines = {side: source_lines(roots[side]) for side in SIDES}
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     lower = {metric["name"]: metric["better"] == "lower" for metric in declared}
     bounds = {metric["name"]: metric["bound"] for metric in declared}
@@ -299,8 +309,13 @@ def main(argv=None) -> int:
                 "faults": faults[workload],
                 "failed": failed[workload],
                 "moved_rows": [{"seed": seed, **rows} for seed, rows in moved[workload].items()],
+                "src_lines": lines,
             }
         )
+    print(
+        f"\nsrc/movant/*.py lines: parent {lines['parent']}, change {lines['change']} "
+        f"({lines['change'] - lines['parent']:+d})"
+    )
     every = [fault for workload in args.workload for fault in faults[workload]]
     for fault in every:
         print(f"FAULT: {fault}", file=sys.stderr)
