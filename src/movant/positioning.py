@@ -557,8 +557,7 @@ def optimize_positions(
     solves = [(t_mov, start)]
     if restarts > 1:
         # the duration is checked before it scales the jitters
-        reach, _ = _checked_solve(scenario, t_mov, start)
-        scale = min(reach, scenario.region_side / 4.0)
+        scale = min(_checked_reach(scenario, t_mov), scenario.region_side / 4.0)
         initial = scenario.initial_positions.coords
         draws = np.random.default_rng(0).uniform(-scale, scale, (restarts - 1, *initial.shape))
         solves += [(t_mov, initial + draw) for draw in draws]
@@ -568,12 +567,18 @@ def optimize_positions(
     return replace(best, certified=certified, start=lanes[0].start)
 
 
-def _checked_solve(scenario: Scenario, t_mov: float, start) -> tuple:
-    """The reach and the (C, N, 2) candidate starts of one solve, after
-    ``optimize_positions``' checks of its duration and starts."""
+def _checked_reach(scenario: Scenario, t_mov: float) -> float:
+    """The reach of one solve, after ``optimize_positions``' check of its
+    duration."""
     # NaN would give a NaN radius, which the projection ignores
     if not (math.isfinite(t_mov) and t_mov >= 0):
         raise ValueError(f"t_mov must be finite and nonnegative, got {t_mov!r}")
+    return scenario.max_speed * t_mov
+
+
+def _checked_starts(scenario: Scenario, start) -> np.ndarray:
+    """The (C, N, 2) candidate starts of one solve, after
+    ``optimize_positions``' checks of its starts."""
     if start is None or isinstance(start, Deployment):
         start = [scenario.initial_positions if start is None else start]
     elif len(start) == 0:
@@ -589,7 +594,7 @@ def _checked_solve(scenario: Scenario, t_mov: float, start) -> tuple:
         # for a singular channel
         if not np.isfinite(candidate).all():
             raise ValueError(f"candidate start {index} has a non-finite coordinate")
-    return scenario.max_speed * t_mov, np.array(candidates)
+    return np.array(candidates)
 
 
 def _set_up(scenario: Scenario, solves: list) -> tuple:
@@ -634,10 +639,16 @@ def _optimize_stack(scenario: Scenario, solves: list, race: bool = False) -> lis
     solve, and once one of them certifies the race at the trace floor
     (``_pgd_loop``'s cut) the others take no further round, while the
     certifying lanes run on as they would alone and report ``certified``.
-    Every solve is checked before any runs, and an error of any lane raises
-    for the whole stack.
+    Every solve is checked before any runs, a start that several lanes
+    share (one object) once, and an error of any lane raises for the whole
+    stack.
     """
-    checked = [_checked_solve(scenario, t, start) for t, start in solves]
+    starts, checked = {}, []
+    for t, start in solves:
+        reach = _checked_reach(scenario, t)
+        if id(start) not in starts:
+            starts[id(start)] = _checked_starts(scenario, start)
+        checked.append((reach, starts[id(start)]))
     initial = scenario.initial_positions.coords
     out = [None] * len(solves)
     moving = []

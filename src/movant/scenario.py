@@ -98,9 +98,6 @@ class Deployment:
     def min_pair_distance(self) -> float:
         return min_pair_distance(self.coords)
 
-    def max_shift_from(self, other: "Deployment") -> float:
-        return float(np.linalg.norm(self.coords - other.coords, axis=1).max())
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:

@@ -15,13 +15,14 @@ from . import kernels
 from .channel import _positions, achievable_rate, kernel_args, rate_of_trace, reach_rate_ceiling
 from .errors import FitDiverged, MovantError
 from .positioning import (
+    FEASIBILITY_TOL,
     OptimizeOutcome,
     _lane_projection,
     _optimize_stack,
     optimize_positions,
     unconstrained_deploy,
 )
-from .scenario import Deployment, Scenario
+from .scenario import Deployment, Scenario, min_pair_distance
 
 __all__ = [
     "FitKind",
@@ -41,7 +42,7 @@ GAUSS_NEWTON_MAX_ITERS = 200
 GAUSS_NEWTON_SSE_RTOL = 1e-10
 DAMPING_INIT = 1e-3
 # the most gradient steps of a guide-started duration solve that still
-# counts toward the run that sizes the chain's window: a solve the guide
+# counts toward the run that opens the chain's window: a solve the guide
 # settles outright costs a stacked solve next to nothing, while a lane
 # that iterates costs about what it would alone, and a discarded one is
 # lost
@@ -157,8 +158,9 @@ def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment |
     """Solve the first of ``durations`` from the candidates ``warm`` and
     ``guide`` (None for none; with neither, from the initial deployment, as
     a chain without a guide solves t = 0), with guide-started lanes for the
-    rest stacked beside it in one ``_optimize_stack`` call; a window of one
-    duration is one ``optimize_positions`` call. Returns the (t, outcome,
+    rest stacked beside it in one ``_optimize_stack`` call, which checks
+    the guide they share once; a window of one duration is one
+    ``optimize_positions`` call. Returns the (t, outcome,
     settled, (trace, cond)) of each duration the chain keeps, in order: settled
     means that the guide started the solve and it took at most
     ``SETTLED_ITERATIONS`` gradient steps, and (trace, cond) is
@@ -172,20 +174,15 @@ def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment |
     previous lane. A deployment lies in the box exactly and in its disks up
     to rounding, so the next reach leaves it as it is unless it grows by
     less; one that it moves is scored moved, in the same call. A kept lane
-    thus equals the chain's own solve bit for bit. A stack that raises falls
-    back to the first duration alone.
+    thus equals the chain's own solve bit for bit. A stack raises what any
+    of its lanes raises.
     """
     first = durations[0]
     starts = [d for d in (warm, guide) if d is not None]
     settles = lambda outcome: outcome.inner_iterations <= SETTLED_ITERATIONS
-    solves = [(first, starts)] + [(t, [guide]) for t in durations[1:]]
-    try:
-        found = _optimize_stack(scenario, solves) if len(solves) > 1 else None
-    except (MovantError, ValueError):
-        # the error may be a stacked lane's: the first duration alone,
-        # below, raises only its own
-        found = None
-    if found is None:
+    if len(durations) > 1:
+        found = _optimize_stack(scenario, [(first, starts)] + [(t, guide) for t in durations[1:]])
+    else:
         found = [(optimize_positions(scenario, first, start=starts or None), None)]
     pts = np.array([outcome.deployment.coords for outcome, _ in found])
     moved, stack = [], pts
@@ -206,6 +203,25 @@ def _solve_window(scenario: Scenario, durations: list, warm, guide: Deployment |
             break
         kept.append((t, lane, settles(lane)))
     return [(*lane, (trace, cond)) for lane, trace, cond in zip(kept, traces, conds)]
+
+
+def _guide_floor(scenario: Scenario, durations: list, guide) -> float:
+    """The most throughput (interval - t) * rate that the guide gives at
+    any of the positive ``durations``, projected into the reach of t,
+    counting only the projections that keep the spacing (-inf if none
+    does). A solve never ends worse than a spacing-feasible start, so a
+    chain whose solves start from the guide finds at least this much, and
+    its bound stop at this floor rules out no duration that the chain
+    solves. One projection and one ``trace_at`` call over the durations."""
+    grid = np.array(durations)
+    reach = scenario.max_speed * grid
+    proj = _lane_projection(scenario.initial_positions.coords, reach, *scenario.region_bounds())
+    pts = proj(np.repeat(_positions(scenario, guide)[None], len(grid), axis=0), reach)
+    traces, _ = kernels.trace_at(pts, *kernel_args(scenario))
+    # a singular projection has a NaN trace, and so a NaN throughput
+    gains = (scenario.interval - grid) * np.log2(1.0 + scenario.snr_scale / traces)
+    spaced = min_pair_distance(pts) >= scenario.min_spacing - FEASIBILITY_TOL
+    return float(gains.max(initial=-math.inf, where=spaced & np.isfinite(gains)))
 
 
 def _duration_chain(
@@ -231,15 +247,22 @@ def _duration_chain(
     A solve that starts from the guide does not depend on the chain before
     it, so the chain speculates on runs of them (``_solve_window``): the
     next duration rides as the first lane of one stacked solve, beside
-    guide-started lanes for the durations after it. The window of durations
-    is the largest power of two no longer than the run of durations just
-    before it that the guide settled: started from it and ended within
-    ``SETTLED_ITERATIONS`` gradient steps. It opens after two of them,
-    doubles while they continue and drops back to one after a miss, a stack
-    that raises or any other duration, so a chain the previous solution
-    leads, that alternates between the two starts or whose solves iterate
-    pays nothing extra. Every report is the one-duration-at-a-time chain's,
-    bit for bit.
+    guide-started lanes for the durations after it. The window opens once
+    the guide has settled two durations in a row (started them and ended
+    them within ``SETTLED_ITERATIONS`` gradient steps) and drops back to
+    one duration after a miss, a stack that raises or any other duration,
+    so a chain the previous solution leads, that alternates between the two
+    starts or whose solves iterate pays nothing extra. An open window takes
+    every remaining duration that the bound stop leaves at the larger of
+    the best throughput so far and the guide floor (``_guide_floor``, made
+    once, when the first window opens): a settled run thus goes to the
+    stop in one stacked solve. The floor only sizes the window, and the
+    kept lanes still end at the stop that the best found sets, so every
+    report is the one-duration-at-a-time chain's, bit for bit. The error
+    of a stack that raises may be any lane's, so the chain goes on one
+    duration at a time, from the window's first, until a duration fails
+    alone or the chain passes the window: a failing duration costs at most
+    one stacked solve.
 
     With ``stop_at_bound`` the chain ends before the first duration t at
     which every later duration t' (t included) has (interval - t') * R(t')
@@ -264,9 +287,10 @@ def _duration_chain(
     # has a best), and the best solved rate
     later, top_rate = None, -math.inf
 
-    def stopped(j):
+    def stopped(j, level=-math.inf):
         """Whether the bound stop rules out ``durations[j]`` and every
-        duration after it."""
+        duration after it, at the best throughput found or at ``level`` if
+        that is higher."""
         nonlocal later
         if not stop_at_bound or best is None:
             return False
@@ -278,24 +302,34 @@ def _duration_chain(
             later = np.maximum.accumulate(((scenario.interval - grid) * ceiling)[::-1])
             later = later[::-1].tolist()
         t = durations[j]
-        return max(later[j], (scenario.interval - t) * top_rate) <= best[0]
+        return max(later[j], (scenario.interval - t) * top_rate) <= max(best[0], level)
 
-    # the index of the next duration, and how many durations in a row
-    # before it the guide settled
-    i, run = 0, 0
+    # the index of the next duration, how many durations in a row before it
+    # the guide settled, the guide floor once a window has opened, and the
+    # index before which no window opens
+    i, run, floor, fence = 0, 0, None, 0
     while i < len(durations) and not stopped(i):
-        # the window is the largest power of two no longer than the run,
-        # less the durations that the bound stop already rules out
-        size = 1 << max(run.bit_length() - 1, 0)
-        window = [t for j, t in enumerate(durations[i : i + size], i) if not stopped(j)]
+        end = i + 1
+        if run >= 2 and i >= fence:
+            # the bound stop rules out the rest from the first duration on
+            # that it rules out: its bound falls with the duration
+            if floor is None:
+                floor = _guide_floor(scenario, durations[i:], guide) if stop_at_bound else -math.inf
+            end = next((j for j in range(end, len(durations)) if stopped(j, floor)), len(durations))
+        window = durations[i:end]
         if guide is None and window[-1] > 0.0:
             guide = unconstrained_deploy(scenario).deployment
         try:
             kept = _solve_window(scenario, window, warm, guide)
         except (MovantError, ValueError) as exc:
-            failures.append((durations[i], str(exc)))
-            curve.append(CurvePoint(durations[i], math.nan, math.nan))
-            i, run = i + 1, 0
+            if len(window) > 1:
+                # the error may be any lane's: one duration at a time until
+                # one fails alone or the chain passes the window
+                fence = end
+            else:
+                failures.append((durations[i], str(exc)))
+                curve.append(CurvePoint(durations[i], math.nan, math.nan))
+                i, run, fence = i + 1, 0, 0
             continue
         for t, outcome, settled, traced in kept:
             if stopped(i):
@@ -405,8 +439,9 @@ def compute_t_mov_max(
     scenario: Scenario, guide: Deployment | None = None
 ) -> tuple[float, Deployment]:
     """Longest movement duration worth considering, with the speed-free
-    optimal deployment that defines it: ``guide`` if given, else a
-    single-start ``unconstrained_deploy`` solve.
+    optimal deployment that defines it: ``guide`` as given (a
+    ``Deployment`` or (N, 2) positions), else a single-start
+    ``unconstrained_deploy`` solve.
 
     The travel time is the largest per-antenna distance to the speed-free
     optimum divided by the speed limit; if it reaches the interval, the whole
@@ -416,7 +451,8 @@ def compute_t_mov_max(
         raise ValueError("max_speed must be positive")
     _check_guide(scenario, guide)
     a_star = unconstrained_deploy(scenario).deployment if guide is None else guide
-    travel = a_star.max_shift_from(scenario.initial_positions) / scenario.max_speed
+    shifts = _positions(scenario, a_star) - scenario.initial_positions.coords
+    travel = float(np.linalg.norm(shifts, axis=1).max()) / scenario.max_speed
     t_max = scenario.interval if travel >= scenario.interval else travel
     return t_max, a_star
 

@@ -23,7 +23,7 @@ from movant.scheduling import (
 )
 from movant.harness import default_scenario
 from movant.positioning import PenaltyConfig, optimize_positions, unconstrained_deploy
-from movant.scenario import Deployment, as_positions, two_antenna_line_scenario
+from movant.scenario import Deployment, as_positions, min_pair_distance, two_antenna_line_scenario
 
 from conftest import record_solves, reference_pick_start, slow_scenarios
 
@@ -122,6 +122,22 @@ def test_a_guide_the_scenario_cannot_hold_raises_before_any_solve(monkeypatch, s
     bad[0, 0] = math.nan
     with pytest.raises(ValueError, match="deployment coordinates must be finite"):
         search(scenario, guide=bad)
+
+
+def test_an_array_guide_is_read_as_its_deployment():
+    # compute_t_mov_max read the guide as a Deployment, so an (N, 2) array
+    # raised AttributeError, in fitting_method too
+    scenario = default_scenario()
+    coords = scenario.initial_positions.coords + 0.1
+    guide = Deployment(coords)
+    t_max, a_star = compute_t_mov_max(scenario, guide=coords)
+    assert t_max == compute_t_mov_max(scenario, guide=guide)[0] and a_star is coords
+    assert t_max == pytest.approx(0.1 * math.sqrt(2.0) / scenario.max_speed)
+    speed_free = harness._speed_free(scenario).deployment
+    for search in (fitting_method, general_search):
+        for given in (coords, speed_free.coords):
+            expected = search(scenario, guide=Deployment(given))
+            assert_same_report(search(scenario, guide=given), expected)
 
 
 class TestTMovMax:
@@ -761,57 +777,165 @@ def test_stacked_chain_matches_the_one_duration_chain(monkeypatch, name):
     assert max(size for size, _ in windows) > 1 or not every_guide_start
 
 
-def test_stacked_chains_cover_misses_failures_and_the_bound_stop(monkeypatch):
-    # the cases above stack windows that miss partway, raise inside a
-    # window and reach past the bound stop
+def record_windows(monkeypatch) -> list:
+    """The list that collects every window the chain solves from here on,
+    as (its durations, how many it kept, their settled flags), the
+    last two None for a window that raised."""
     ends = []
     solve_window = scheduling._solve_window
 
     def recording(posed, durations, warm, guide):
-        kept = solve_window(posed, durations, warm, guide)
+        try:
+            kept = solve_window(posed, durations, warm, guide)
+        except (MovantError, ValueError):
+            ends.append((list(durations), None, None))
+            raise
         ends.append((list(durations), len(kept), [settled for _, _, settled, _ in kept]))
         return kept
 
     monkeypatch.setattr(scheduling, "_solve_window", recording)
+    return ends
+
+
+def guide_floor(scenario, durations, guide):
+    """Reference ``scheduling._guide_floor``: the guide projected into the
+    reach of each duration on its own and scored alone, where the
+    projection keeps the spacing."""
+    lo, hi = scenario.region_bounds()
+    floor = -math.inf
+    for t in durations:
+        initial, reach = scenario.initial_positions.coords, scenario.max_speed * t
+        pts = kernels.project_deployment(as_positions(guide), initial, reach, lo, hi)
+        trace, cond = kernels.trace_at(pts, *kernel_args(scenario))
+        spaced = min_pair_distance(pts) >= scenario.min_spacing - positioning.FEASIBILITY_TOL
+        if spaced and not np.isnan(trace):
+            floor = max(floor, (scenario.interval - t) * channel.rate_of_trace(scenario, trace, cond))
+    return floor
+
+
+def assert_windows_end_at(scenario, grid, report, ends, floor):
+    """Each window of more than one duration ends where the bound stop,
+    at the larger of ``floor`` and the best throughput before the window,
+    rules out the next duration, or at the grid's end."""
+    for window, *_ in ends:
+        if len(window) == 1:
+            continue
+        before = [p for p in report.curve if p.t_mov < window[0] and not math.isnan(p.rate)]
+        level = max(floor, max(p.throughput for p in before))
+        top = max(p.rate for p in before)
+        last = grid.index(window[-1])
+        assert bound_from(scenario, grid[last:], top) > level
+        assert last + 1 == len(grid) or bound_from(scenario, grid[last + 1 :], top) <= level
+
+
+def one_duration_search(monkeypatch, search):
+    """``search()`` with the one-duration chain in place of the stacked one."""
+    duration_chain = scheduling._duration_chain
+    monkeypatch.setattr(scheduling, "_duration_chain", one_duration_chain)
+    try:
+        return search()
+    finally:
+        monkeypatch.setattr(scheduling, "_duration_chain", duration_chain)
+
+
+def test_stacked_chains_cover_misses_failures_and_the_bound_stop(monkeypatch):
+    # the cases above stack windows that miss partway, raise inside a
+    # window and reach past the bound stop
+    ends = record_windows(monkeypatch)
     scenario = default_scenario(max_speed_wl_s=2)
     guide = harness._speed_free(scenario).deployment
+    grid = grid_durations(scenario.interval, 0.08)
     # the guide starts the first five durations, but its solves iterate:
     # no window opens
     general_search(scenario, grid_step=0.08, guide=guide)
     assert {len(window) for window, *_ in ends} == {1}
     del ends[:]
-    # counted all the same, they open windows, and a window of four keeps
-    # its first duration, from the guide, whose solution starts the second
+    # counted all the same, they open a window at t[3], to the stop at the
+    # guide floor; it keeps three durations, from the guide, and the
+    # solution of the third starts the fourth, whose solve iterates: no
+    # window opens again
     monkeypatch.setattr(scheduling, "SETTLED_ITERATIONS", 10**9)
-    general_search(scenario, grid_step=0.08, guide=guide)
-    assert (4, 1, [True]) in [(len(window), kept, settled) for window, kept, settled in ends]
+    report = general_search(scenario, grid_step=0.08, guide=guide)
+    shapes = [(len(window), kept, settled) for window, kept, settled in ends]
+    assert shapes[3] == (32, 3, [True] * 3) and ends[3][0][0] == grid[3]
+    assert {size for size, *_ in shapes[:3] + shapes[4:]} == {1}
+    assert_windows_end_at(scenario, grid, report, ends, guide_floor(scenario, grid[3:], guide))
     monkeypatch.setattr(scheduling, "SETTLED_ITERATIONS", 0)
     del ends[:]
+    # the guide settles every duration of a pair chain: one window from t[3]
+    # takes every duration to the stop at the guide floor, which is the
+    # best throughput found
     pair = two_antenna_line_scenario(5.0, 5.5)
     grid = grid_durations(pair.interval, 0.05)
-    report = general_search(pair, grid_step=0.05)
-    # every window leaves out the durations that the bound stop rules out
-    # when it opens, from the best throughput and solved rate so far
-    for window, *_ in ends:
-        before = [point for point in report.curve if point.t_mov < window[0]]
-        best = max((point.throughput for point in before), default=-math.inf)
-        top = max((point.rate for point in before), default=-math.inf)
-        later = grid[grid.index(window[-1]) :]
-        assert bound_from(pair, later, top) > best
-    # the stop comes inside the last window: its lanes past the stop are
-    # solved and dropped, and the report is the one-duration chain's
-    window, kept, settled = ends[-1]
-    assert kept == len(window) and settled == [True] * kept
-    assert len(report.curve) == 55 < sum(kept for _, kept, _ in ends) == 58 < len(grid) == 100
-    duration_chain = scheduling._duration_chain
-    monkeypatch.setattr(scheduling, "_duration_chain", one_duration_chain)
-    assert_same_report(general_search(pair, grid_step=0.05), report)
-    monkeypatch.setattr(scheduling, "_duration_chain", duration_chain)
+    pair_guide = unconstrained_deploy(pair).deployment
+    search = lambda: general_search(pair, grid_step=0.05, guide=pair_guide)
+    report = search()
+    floor = guide_floor(pair, grid[3:], pair_guide)
+    assert floor == report.best_throughput
+    assert [(len(window), kept) for window, kept, _ in ends] == [(1, 1)] * 3 + [(52, 52)]
+    assert len(report.curve) == 55 < len(grid) == 100
+    assert_windows_end_at(pair, grid, report, ends, floor)
+    assert_same_report(report, one_duration_search(monkeypatch, search))
     del ends[:]
+    # with a floor below the best (none at all) the window opens to the stop
+    # at the best so far, and the stop comes inside it: the window keeps 68
+    # lanes, the 16 past the stop are dropped, and the report stays the same
+    guide_floor_of = scheduling._guide_floor
+    monkeypatch.setattr(scheduling, "_guide_floor", lambda *args: -math.inf)
+    assert_same_report(search(), report)
+    window, kept, settled = ends[-1]
+    assert (len(ends), len(window), kept) == (4, 90, 68) and settled == [True] * kept
+    assert_windows_end_at(pair, grid, report, ends, -math.inf)
+    monkeypatch.setattr(scheduling, "_guide_floor", guide_floor_of)
+    del ends[:]
+    # the window from t[3] raised, and the chain went on one duration at a
+    # time from t[3] until t[11] failed alone; then t[12] and t[13] opened a
+    # window again
     fail_solves(monkeypatch, pair, lambda t, seen: t == grid[11], SingularChannel("synthetic"))
-    general_search(pair, grid_step=0.05)
-    # the window of t[8] to t[15] raised and fell back to its first duration
-    assert (8, 1) in [(len(window), kept) for window, kept, _ in ends]
+    failing = search()
+    shapes = [(grid.index(window[0]), len(window), kept) for window, kept, _ in ends]
+    assert shapes == [(k, 1, 1) for k in range(3)] + [(3, 52, None)] + [
+        (k, 1, 1) for k in range(3, 11)
+    ] + [(11, 1, None), (12, 1, 1), (13, 1, 1), (14, 41, 41)]
+    assert failing.failures == ((grid[11], "synthetic"),)
+    assert_same_report(failing, one_duration_search(monkeypatch, search))
+
+
+def test_a_floor_above_the_best_ends_the_window_early(monkeypatch):
+    # the bound stop at a floor above the best rules out durations that the
+    # chain still solves: the window ends before the stop, and the windows
+    # after it carry on, one duration each, as the stop at the floor rules
+    # out all but their first
+    pair = two_antenna_line_scenario(5.0, 5.5)
+    grid = grid_durations(pair.interval, 0.05)
+    search = lambda: general_search(pair, grid_step=0.05)
+    expected = search()
+    ends = record_windows(monkeypatch)
+    floor = expected.best_throughput + 0.1
+    monkeypatch.setattr(scheduling, "_guide_floor", lambda *args: floor)
+    report = search()
+    assert_same_report(report, expected)
+    sizes = [len(window) for window, *_ in ends]
+    assert sizes[:3] == [1, 1, 1] and 1 < sizes[3] < 52 and set(sizes[4:]) == {1}
+    assert 3 + sizes[3] + len(sizes[4:]) == len(report.curve) == 55
+    assert_windows_end_at(pair, grid, report, ends, floor)
+
+
+def test_a_failing_duration_costs_one_stacked_solve(monkeypatch):
+    # t[11] and t[30] fail: the window from t[3] raises, the chain finds
+    # t[11] alone, and the next window, from t[14], raises for t[30]; a
+    # window that the chain opens after t[30] fails alone holds neither
+    pair = two_antenna_line_scenario(5.0, 5.5)
+    grid = grid_durations(pair.interval, 0.05)
+    failing = (grid[11], grid[30])
+    fail_solves(monkeypatch, pair, lambda t, seen: t in failing, SingularChannel("synthetic"))
+    search = lambda: general_search(pair, grid_step=0.05)
+    ends = record_windows(monkeypatch)
+    report = search()
+    wide = [(grid.index(window[0]), kept) for window, kept, _ in ends if len(window) > 1]
+    assert wide == [(3, None), (14, None), (33, 22)]
+    assert report.failures == tuple((t, "synthetic") for t in failing)
+    assert_same_report(report, one_duration_search(monkeypatch, search))
 
 
 def test_a_rate_that_raises_inside_a_window_fails_its_duration(monkeypatch):
@@ -962,3 +1086,40 @@ def test_a_singular_previous_outcome_loses_the_keep_check(monkeypatch):
     pose_first_lane(monkeypatch, singular)
     assert len(scheduling._solve_window(scenario, [1.0, 1.1], None, guide)) == 2
     assert reference_pick_start(scenario, 1.1, [singular, guide]) is guide
+
+
+def test_a_window_checks_the_guide_its_lanes_share_once(monkeypatch):
+    # the first lane's candidates [warm, guide] and the guide that every
+    # other lane starts from: two checks however wide the window
+    pair = two_antenna_line_scenario(5.0, 5.5)
+    guide = unconstrained_deploy(pair).deployment
+    checked = []
+    checked_starts = positioning._checked_starts
+
+    def counting(scenario, start):
+        checked.append(start)
+        return checked_starts(scenario, start)
+
+    monkeypatch.setattr(positioning, "_checked_starts", counting)
+    durations = [0.1 * k for k in range(1, 9)]
+    kept = scheduling._solve_window(pair, durations, pair.initial_positions, guide)
+    assert len(kept) == len(durations)
+    assert len(checked) == 2 and checked[1] is guide
+
+
+@pytest.mark.parametrize("speed", [0.5, 2.0])
+def test_the_guide_floor_scores_each_spaced_projection(monkeypatch, speed):
+    # the default guide projected into the reach at 0.5 and 2 wl/s loses its
+    # spacing at some durations, which the floor leaves out; a guide with
+    # two antennas at one point keeps it nowhere
+    scenario = default_scenario(max_speed_wl_s=speed)
+    guide = harness._speed_free(default_scenario()).deployment
+    durations = [0.08 * k for k in range(1, 100)]
+    floor = scheduling._guide_floor(scenario, durations, guide)
+    assert floor == pytest.approx(guide_floor(scenario, durations, guide), rel=1e-14)
+    monkeypatch.setattr(positioning, "FEASIBILITY_TOL", math.inf)
+    assert guide_floor(scenario, durations, guide) > floor
+    monkeypatch.undo()
+    packed = guide.coords.copy()
+    packed[1] = packed[0]
+    assert scheduling._guide_floor(scenario, durations, packed) == -math.inf

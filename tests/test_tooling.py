@@ -91,8 +91,9 @@ ROWS_DIGEST = {
 # the most outer rounds, summed over the solves of a seed-1 round, as the
 # traced benchmark counts them (positioning.outer_iters): with the pull
 # aimed at the spacing tolerance a slow solve needs two rounds, not seven,
-# and the reach rate ceiling leaves stay_or_move's slow draws no solve
-OUTER_ROUNDS = {"grid_search": 96, "stay_or_move": 88, "antenna_sweep": 21}
+# the reach rate ceiling leaves stay_or_move's slow draws no solve, and its
+# pair chains solve no lane past the bound stop
+OUTER_ROUNDS = {"grid_search": 96, "stay_or_move": 84, "antenna_sweep": 21}
 
 
 @pytest.mark.parametrize("workload", list(ATTEMPTED))
@@ -150,6 +151,31 @@ def test_layerbench_speed_free_solves_per_round(monkeypatch, layerbench_workload
         summary = runner.summarize(runner.run_round())
         assert (summary.attempted, summary.failed, summary.faults) == (ATTEMPTED[workload], 0, [])
         assert len(calls) == SPEED_FREE_PER_ROUND[workload], calls
+
+
+# stacked solves per seed-1 round, each one positioning._optimize_stack
+# call: stay_or_move's two pair chains each solve three durations alone and
+# the rest, to the bound stop, in one window, beside the two pairs' guides
+# and the slow draws' solves at t = 0; in the other two workloads no window
+# opens
+STACKS_PER_ROUND = {"grid_search": 47, "stay_or_move": 12, "antenna_sweep": 24}
+
+
+@pytest.mark.parametrize("workload", list(STACKS_PER_ROUND))
+def test_layerbench_stacked_solves_per_round(monkeypatch, layerbench_workloads, workload):
+    stacks = []
+    stack = positioning._optimize_stack
+
+    def counting(scenario, solves, race=False):
+        stacks.append(len(solves))
+        return stack(scenario, solves, race)
+
+    for module in (positioning, scheduling):
+        monkeypatch.setattr(module, "_optimize_stack", counting)
+    runner = layerbench_workloads.WORKLOADS[workload](1)
+    summary = runner.summarize(runner.run_round())
+    assert (summary.attempted, summary.failed, summary.faults) == (ATTEMPTED[workload], 0, [])
+    assert len(stacks) == STACKS_PER_ROUND[workload], stacks
 
 
 def test_ab_compares_a_checkout_with_itself(tmp_path):
